@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _policy_pieces, posterior_summaries
+from .inference import _log_terms, _policy_pieces, _shifted_moments, posterior_summaries
 from .model import (
     UNBOUNDED,
     Extent,
@@ -28,12 +29,10 @@ from .model import (
     NumericsConfig,
     Radius,
     SamplingPolicy,
+    _log_weights,
     exante_signal_params,
-    is_unbounded,
-    mixture_logpdf,
-    window_logmass,
 )
-from .quadrature import signal_rule_soft, signal_rule_unbounded, signal_rule_window
+from .quadrature import signal_rule
 
 
 @dataclass(frozen=True)
@@ -64,31 +63,26 @@ class OptimumResult:
     bracket: tuple[float, float]
 
 
-def _signal_nodes(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    if isinstance(policy, Radius) and not policy.unbounded:
-        return signal_rule_window(params, cfg, policy.r)
-    if isinstance(policy, NormalWeight) and not policy.unbounded:
-        return signal_rule_soft(params, cfg, policy.mean)
-    return signal_rule_unbounded(params, cfg)
+def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
+    """The admitted-signal law on the policy's signal nodes, by double
+    quadrature: returns (s_nodes, p, mean, m2), where p holds the
+    probability weights of the nodes (summing to one) and mean, m2 the
+    posterior first and second state moments at each node."""
+    s_nodes, s_w = signal_rule(policy, params, cfg)
+    omega, w, _, _, b_mix, _ = _policy_pieces(s_nodes, policy, params, cfg)
+    logz, mean, m2 = _shifted_moments(b_mix, omega, w)
+    p = s_w * np.exp(logz - logz.max())
+    mass = float(p.sum())
+    if not (mass > 0.0 and math.isfinite(mass)):
+        raise QuadratureError(f"joint mass degenerated to {mass!r}")
+    return s_nodes, p / mass, mean, m2
 
 
 def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig) -> float:
-    """Expected quadratic loss of the posterior-mean action, by a double
-    quadrature that shares one signal grid between the action map and the
-    outer integral (no interpolation layer)."""
-    s_nodes, s_w = _signal_nodes(policy, params, cfg)
-    omega, w, _, _, b_mix, _ = _policy_pieces(s_nodes, policy, params, cfg)
-    shift = b_mix.max()
-    dens = np.exp(b_mix - shift)
-    s0 = dens.T @ w
-    s1 = dens.T @ (w * omega)
-    s2 = dens.T @ (w * omega * omega)
-    # per-column posterior loss: E[omega^2|s] - E[omega|s]^2, unnormalized
-    loss_cols = s2 - s1 * s1 / s0
-    mass = float(s0 @ s_w)
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise QuadratureError(f"joint mass degenerated to {mass!r}")
-    return float((loss_cols @ s_w) / mass)
+    """Expected quadratic loss of the posterior-mean action: the mean
+    posterior variance under the admitted-signal law."""
+    _, p, mean, m2 = signal_law(policy, params, cfg)
+    return float(p @ (m2 - mean * mean))
 
 
 def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) -> float:
@@ -97,19 +91,9 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) 
     Used by the soft-window objective; see normal_sampling."""
     from .normal_sampling import naive_action
 
-    s_nodes, s_w = _signal_nodes(policy, params, cfg)
+    s_nodes, p, mean, m2 = signal_law(policy, params, cfg)
     action = naive_action(s_nodes, params, policy)
-    omega, w, _, _, b_mix, _ = _policy_pieces(s_nodes, policy, params, cfg)
-    shift = b_mix.max()
-    dens = np.exp(b_mix - shift)
-    s0 = dens.T @ w
-    s1 = dens.T @ (w * omega)
-    s2 = dens.T @ (w * omega * omega)
-    loss_cols = s2 - 2.0 * action * s1 + action * action * s0
-    mass = float(s0 @ s_w)
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise QuadratureError(f"joint mass degenerated to {mass!r}")
-    return float((loss_cols @ s_w) / mass)
+    return float(p @ (m2 - 2.0 * action * mean + action * action))
 
 
 def _halved(cfg: NumericsConfig) -> NumericsConfig:
@@ -167,45 +151,28 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
     )
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (x, fn(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def _scan_then_refine(
     fn, grid: np.ndarray, benchmark: float, cfg: NumericsConfig, family: str
 ) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
-    unbounded benchmark, golden-section refinement of interior maxima,
+    unbounded benchmark, bounded Brent refinement of interior maxima,
     smaller-argument tie-breaking."""
     values = np.array([fn(float(g)) for g in grid])
     tol = cfg.invariant_tol
 
-    candidates: list[tuple[float, float, tuple[float, float]]] = []
-    for i in range(1, len(grid) - 1):
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1]:
-            lo, hi = float(grid[i - 1]), float(grid[i + 1])
-            x, fx = _golden_max(fn, lo, hi, cfg.refine_iters)
-            candidates.append((x, fx, (lo, hi)))
+    brackets = [
+        (float(grid[i - 1]), float(grid[i + 1]))
+        for i in range(1, len(grid) - 1)
+        if values[i] >= values[i - 1] and values[i] >= values[i + 1]
+    ]
     if values[0] > values[1]:
-        lo, hi = float(grid[0]), float(grid[1])
-        x, fx = _golden_max(fn, lo, hi, cfg.refine_iters)
-        candidates.append((x, fx, (lo, hi)))
+        brackets.append((float(grid[0]), float(grid[1])))
+    candidates: list[tuple[float, float, tuple[float, float]]] = []
+    for lo, hi in brackets:
+        res = minimize_scalar(
+            lambda x: -fn(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+        )
+        candidates.append((float(res.x), -float(res.fun), (lo, hi)))
 
     boundary_rising = values[-1] - values[-2] >= -tol
     best = None
@@ -258,7 +225,7 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     """Locate the utility-maximizing censoring radius.
 
     Coarse scan up to 10 * sigma_tilde_L (or cfg.radius_grid when set), then
-    golden-section refinement of each interior bracket. Returns UNBOUNDED
+    bounded Brent refinement of each interior bracket. Returns UNBOUNDED
     when the curve is nondecreasing at the scan bound without exceeding the
     unbounded benchmark; a bound hit while the curve still rises above the
     benchmark raises ScanBoundError.
@@ -286,41 +253,38 @@ def signal_moments_vs_r(
     policy = r if isinstance(r, Radius) else Radius(r)
     if not policy.unbounded and policy.r == 0.0:
         return 0.0, 0.0
-    s_nodes, s_w = _signal_nodes(policy, params, cfg)
-    omega, w, _, _, b_mix, _ = _policy_pieces(s_nodes, policy, params, cfg)
-    shift = b_mix.max()
-    dens = np.exp(b_mix - shift)
-    s0 = dens.T @ w
-    s_om = dens.T @ (w * omega)
-    om2 = dens.T @ (w * omega * omega)
-    mass = float(s0 @ s_w)
-    mean_s = float((s0 * s_nodes) @ s_w) / mass
-    mean_s2 = float((s0 * s_nodes * s_nodes) @ s_w) / mass
-    mean_om = float(s_om @ s_w) / mass
-    mean_om2 = float(om2 @ s_w) / mass
-    mean_s_om = float((s_om * s_nodes) @ s_w) / mass
-    var_s = max(mean_s2 - mean_s**2, 0.0)
-    var_om = max(mean_om2 - mean_om**2, 0.0)
-    cov = mean_s_om - mean_s * mean_om
+    s, p, mean, m2 = signal_law(policy, params, cfg)
+    mean_s, mean_om = float(p @ s), float(p @ mean)
+    var_s = max(float(p @ (s * s)) - mean_s**2, 0.0)
+    var_om = max(float(p @ m2) - mean_om**2, 0.0)
+    cov = float(p @ (s * mean)) - mean_s * mean_om
     corr = cov / math.sqrt(var_s * var_om) if var_s > 0.0 and var_om > 0.0 else 0.0
     return var_s, float(np.clip(corr, -1.0, 1.0))
+
+
+def expected_action(
+    omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
+) -> np.ndarray:
+    """Conditional expectation of the optimal action at each true state in
+    the 1-D array omegas: the action map integrated against the
+    admitted-signal density."""
+    omegas = np.asarray(omegas, dtype=float)
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return np.full(omegas.shape, params.prior_mean)
+    s_nodes, s_w = signal_rule(policy, params, cfg)
+    action, _, _, _, _ = posterior_summaries(s_nodes, policy, params, cfg)
+    _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
+    lh, ll = _log_weights(params)
+    _, mean, _ = _shifted_moments(np.logaddexp(lh + like_H, ll + like_L), action, s_w)
+    return mean
 
 
 def expected_action_given_state(
     omega: float, policy: Radius, params: ModelParams, cfg: NumericsConfig
 ) -> float:
-    """Conditional expectation of the optimal action at true state omega:
-    the action map integrated against the admitted-signal density."""
-    if not policy.unbounded and policy.r == 0.0:
-        return params.prior_mean
-    s_nodes, s_w = _signal_nodes(policy, params, cfg)
-    action, _, _, _, _ = posterior_summaries(s_nodes, policy, params, cfg)
-    log_dens = mixture_logpdf(s_nodes, omega, params)
-    if not policy.unbounded:
-        log_dens = log_dens - float(window_logmass(np.array([omega]), policy.r, params)[0])
-    dens = np.exp(log_dens)
-    mass = float(dens @ s_w)
-    return float((action * dens) @ s_w) / mass
+    """Conditional expectation of the optimal action at one true state;
+    see expected_action."""
+    return float(expected_action(np.array([omega]), policy, params, cfg)[0])
 
 
 def find_finiteness_threshold(

@@ -37,7 +37,6 @@ _NUMERIC_KEYS = {
     "quad_nodes": int,
     "abs_tol": float,
     "invariant_tol": float,
-    "refine_iters": int,
     "mc_seed": int,
     "mc_n": int,
 }

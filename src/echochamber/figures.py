@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .censor import expected_utility, signal_moments_vs_r
+from .censor import expected_action, expected_utility, signal_moments_vs_r
 from .errors import UndefinedOddsError
 from .inference import posterior_summaries, prob_high_closed
 from .model import (
@@ -22,11 +22,8 @@ from .model import (
     ModelParams,
     NumericsConfig,
     Radius,
-    mixture_logpdf,
     norm_logpdf,
-    window_logmass,
 )
-from .quadrature import signal_rule_unbounded, signal_rule_window
 from .svgplot import render_lines
 
 REFERENCE_RADIUS = 2.35
@@ -143,26 +140,10 @@ def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     )
 
 
-def _expected_action_curve(
-    omegas: np.ndarray, policy: Radius, params: ModelParams, cfg: NumericsConfig
-) -> np.ndarray:
-    if policy.unbounded:
-        s_nodes, s_w = signal_rule_unbounded(params, cfg)
-    else:
-        s_nodes, s_w = signal_rule_window(params, cfg, policy.r)
-    action, _, _, _, _ = posterior_summaries(s_nodes, policy, params, cfg)
-    log_dens = mixture_logpdf(s_nodes[None, :], omegas[:, None], params)
-    if not policy.unbounded:
-        log_dens = log_dens - window_logmass(omegas, policy.r, params)[:, None]
-    dens = np.exp(log_dens)
-    mass = dens @ s_w
-    return (dens @ (s_w * action)) / mass
-
-
 def fig5_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     omegas = np.linspace(-4.0, 4.0, 81) + params.prior_mean
-    ea_c = _expected_action_curve(omegas, Radius(REFERENCE_RADIUS), params, cfg)
-    ea_u = _expected_action_curve(omegas, Radius(UNBOUNDED), params, cfg)
+    ea_c = expected_action(omegas, Radius(REFERENCE_RADIUS), params, cfg)
+    ea_u = expected_action(omegas, Radius(UNBOUNDED), params, cfg)
     rows = [tuple(map(float, row)) for row in zip(omegas, ea_c, ea_u)]
     return FigureData(
         name="fig5",

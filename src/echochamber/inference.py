@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -32,7 +31,7 @@ from .model import (
     NumericsConfig,
     Radius,
     SamplingPolicy,
-    mixture_logpdf,
+    _log_weights,
     norm_logpdf,
     window_logmass,
 )
@@ -87,75 +86,49 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 # ---------------------------------------------------------------------------
 # quadrature internals
 
-@lru_cache(maxsize=256)
-def _radius_base(params: ModelParams, cfg: NumericsConfig, r_key) -> tuple:
-    """State nodes/weights plus log prior (tilted by the window mass for a
-    finite radius). r_key is a float radius or None for unbounded."""
-    omega, w = state_rule(params, cfg)
-    log_prior = norm_logpdf(omega, params.prior_mean, params.prior_var)
-    if r_key is not None:
-        log_prior = log_prior - window_logmass(omega, r_key, params)
-    return omega, w, log_prior
+def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
+    """The policy's log joint of (state, admitted signal), in pieces.
 
-
-@lru_cache(maxsize=256)
-def _normal_weight_base(params: ModelParams, cfg: NumericsConfig, mean: float, var: float) -> tuple:
-    """State nodes/weights, per-type log state weights, and per-type sampled
-    conditional parameters for a NormalWeight policy.
-
-    Type weights: w_q(omega) proportional to pi_q * N(omega; mean, q_var + var),
-    the admission probability of type q at state omega. The pi_q factor is kept
-    separate so type-conditional objects stay defined at h in {0, 1}.
+    Returns (tilt, like_H, like_L) with omega and s broadcast against each
+    other: tilt(omega) is the log prior less the log admission probability
+    of the state, and like_q(omega, s) is the log density of an admitted
+    type-q signal times that type's admission probability. The type-q joint
+    integrand, type share excluded, is tilt + like_q; mixing like_q over
+    types gives the admitted-signal density at omega up to a state factor.
     """
-    omega, w = state_rule(params, cfg)
-    log_prior = norm_logpdf(omega, params.prior_mean, params.prior_var)
-    admit = {}
-    cond = {}
-    for q in ("H", "L"):
-        qv = params.signal_var(q)
-        admit[q] = norm_logpdf(omega, mean, qv + var)
-        lam = var / (var + qv)
-        cond[q] = (lam, (1.0 - lam) * mean, qv * var / (qv + var))  # slope, intercept, var
-    lh = math.log(params.high_share) if params.high_share > 0 else -math.inf
-    ll = math.log1p(-params.high_share) if params.high_share < 1 else -math.inf
-    log_admit_sum = np.logaddexp(lh + admit["H"], ll + admit["L"])
-    return omega, w, log_prior, admit, cond, log_admit_sum
+    if not isinstance(policy, (Radius, NormalWeight)):
+        raise TypeError(f"unsupported policy {policy!r}")
+    omega = np.asarray(omega, dtype=float)
+    tilt = norm_logpdf(omega, params.prior_mean, params.prior_var)
+    variances = (params.high_var, params.low_var)
+    if isinstance(policy, NormalWeight) and not policy.unbounded:
+        # a type-q signal is admitted with probability N(omega; mean, q_var + var)
+        # and is then normal with shrunk mean and the product variance
+        mean, var = policy.mean, float(policy.var)
+        admit = [norm_logpdf(omega, mean, qv + var) for qv in variances]
+        like = []
+        for qv, log_admit in zip(variances, admit):
+            lam = var / (var + qv)
+            shrunk = lam * omega + (1.0 - lam) * mean
+            like.append(log_admit + norm_logpdf(s, shrunk, qv * var / (qv + var)))
+        lh, ll = _log_weights(params)
+        tilt = tilt - np.logaddexp(lh + admit[0], ll + admit[1])
+        return tilt, like[0], like[1]
+    if not policy.unbounded:
+        if policy.r == 0.0:
+            raise DegenerateRadiusError("r = 0 admits no signal")
+        tilt = tilt - window_logmass(omega, policy.r, params)
+    return (tilt,) + tuple(norm_logpdf(s, omega, qv) for qv in variances)
 
 
 def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """Per-type log joint integrand B_q[i, j] (excluding the type share) and
     the mixed log integrand, over state nodes i and signal values j."""
-    lh = math.log(params.high_share) if params.high_share > 0 else -math.inf
-    ll = math.log1p(-params.high_share) if params.high_share < 1 else -math.inf
-    if isinstance(policy, Radius):
-        r_key = None if policy.unbounded else float(policy.r)
-        if r_key == 0.0:
-            raise DegenerateRadiusError("r = 0 admits no signal")
-        omega, w, log_prior = _radius_base(params, cfg, r_key)
-        col = omega[:, None]
-        like_H = norm_logpdf(s_values[None, :], col, params.high_var)
-        like_L = norm_logpdf(s_values[None, :], col, params.low_var)
-        bH = log_prior[:, None] + like_H
-        bL = log_prior[:, None] + like_L
-    elif isinstance(policy, NormalWeight):
-        if policy.unbounded:
-            omega, w, log_prior = _radius_base(params, cfg, None)
-            col = omega[:, None]
-            bH = log_prior[:, None] + norm_logpdf(s_values[None, :], col, params.high_var)
-            bL = log_prior[:, None] + norm_logpdf(s_values[None, :], col, params.low_var)
-        else:
-            omega, w, log_prior, admit, cond, log_admit_sum = _normal_weight_base(
-                params, cfg, float(policy.mean), float(policy.var)
-            )
-            base = log_prior - log_admit_sum
-            bs = {}
-            for q in ("H", "L"):
-                slope, intercept, gvar = cond[q]
-                mean_q = slope * omega[:, None] + intercept
-                bs[q] = (base + admit[q])[:, None] + norm_logpdf(s_values[None, :], mean_q, gvar)
-            bH, bL = bs["H"], bs["L"]
-    else:
-        raise TypeError(f"unsupported policy {policy!r}")
+    omega, w = state_rule(params, cfg)
+    tilt, like_H, like_L = _log_terms(omega[:, None], s_values[None, :], policy, params)
+    bH = tilt + like_H
+    bL = tilt + like_L
+    lh, ll = _log_weights(params)
     b_mix = np.logaddexp(lh + bH, ll + bL)
     return omega, w, bH, bL, b_mix, (lh, ll)
 
@@ -243,38 +216,10 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    s_arr = np.array([s], dtype=float)
-    nodes, w, _, _, b_mix, _ = _policy_pieces(s_arr, policy, params, cfg)
-    m = b_mix.max()
-    log_norm = m + math.log(np.exp(b_mix[:, 0] - m) @ w)
-
-    omega_arr = np.asarray(omega, dtype=float)
-    if isinstance(policy, Radius) and not policy.unbounded:
-        log_like = mixture_logpdf(s, omega_arr, params) - window_logmass(
-            omega_arr, policy.r, params
-        )
-    elif isinstance(policy, Radius) or (isinstance(policy, NormalWeight) and policy.unbounded):
-        log_like = mixture_logpdf(s, omega_arr, params)
-    else:
-        lh = math.log(params.high_share) if params.high_share > 0 else -math.inf
-        ll = math.log1p(-params.high_share) if params.high_share < 1 else -math.inf
-        parts = []
-        for q, lw in (("H", lh), ("L", ll)):
-            qv = params.signal_var(q)
-            var = float(policy.var)
-            lam = var / (var + qv)
-            gvar = qv * var / (qv + var)
-            admit_q = norm_logpdf(omega_arr, policy.mean, qv + var)
-            mean_q = lam * omega_arr + (1.0 - lam) * policy.mean
-            parts.append(lw + admit_q + norm_logpdf(s, mean_q, gvar))
-        num = np.logaddexp(parts[0], parts[1])
-        den = np.logaddexp(
-            lh + norm_logpdf(omega_arr, policy.mean, params.high_var + float(policy.var)),
-            ll + norm_logpdf(omega_arr, policy.mean, params.low_var + float(policy.var)),
-        )
-        log_like = num - den
-    log_post = norm_logpdf(omega_arr, params.prior_mean, params.prior_var) + log_like - log_norm
-    return np.exp(log_post)
+    nodes, w, _, _, b_mix, (lh, ll) = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
+    log_norm, _, _ = _shifted_moments(b_mix, nodes, w)
+    tilt, like_H, like_L = _log_terms(omega, s, policy, params)
+    return np.exp(np.logaddexp(lh + (tilt + like_H), ll + (tilt + like_L)) - log_norm[0])
 
 
 def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):

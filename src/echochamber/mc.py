@@ -62,20 +62,6 @@ class DrawSet:
     accepted_qualities: np.ndarray = field(repr=False)
     accepted_signals: np.ndarray = field(repr=False)
 
-    def iter_records(self):
-        """Yield (state, quality, signal, accepted) per attempt."""
-        for i in range(len(self.signals)):
-            yield (
-                float(self.states[i]),
-                "H" if self.qualities[i] else "L",
-                float(self.signals[i]),
-                bool(self.accepted[i]),
-            )
-
-    @property
-    def records(self) -> list[tuple[float, str, float, bool]]:
-        return list(self.iter_records())
-
     @property
     def n_attempts(self) -> int:
         return len(self.signals)

@@ -151,7 +151,6 @@ class NumericsConfig:
     abs_tol: float = 1e-8
     invariant_tol: float = 1e-6
     radius_grid: tuple[float, float, int] | None = None
-    refine_iters: int = 40
     mc_seed: int = 20250823
     mc_n: int = 1_000_000
 
@@ -161,8 +160,6 @@ class NumericsConfig:
         _check_positive_finite("invariant_tol", self.invariant_tol)
         if self.quad_nodes < 3:
             raise ValueError(f"quad_nodes must be >= 3, got {self.quad_nodes!r}")
-        if self.refine_iters < 1:
-            raise ValueError(f"refine_iters must be >= 1, got {self.refine_iters!r}")
         if self.radius_grid is not None:
             lo, hi, steps = self.radius_grid
             if not (0.0 <= lo < hi and steps >= 2):
@@ -287,9 +284,3 @@ def exante_signal_params(params: ModelParams, q: str) -> tuple[float, float]:
     """
     var = params.signal_var(q)
     return params.prior_mean, params.prior_var * var / (params.prior_var + var)
-
-
-def support_interval(params: ModelParams, cfg: NumericsConfig) -> tuple[float, float]:
-    """State-integration support; Gaussian mass beyond it is negligible."""
-    half = cfg.support_halfwidth_sd * math.sqrt(max(params.prior_var, params.low_var))
-    return params.prior_mean - half, params.prior_mean + half

@@ -15,7 +15,6 @@ otherwise.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .model import (
     NumericsConfig,
     Radius,
     UNBOUNDED,
+    _log_weights,
     is_unbounded,
     norm_logpdf,
 )
@@ -93,7 +93,8 @@ def naive_prob_high(s, params: ModelParams, policy: NormalWeight):
         mean = lam * params.prior_mean + (1.0 - lam) * policy.mean
         var = lam * lam * params.prior_var + sig_gq2
         logs[q] = norm_logpdf(s, mean, var)
-    log_odds = math.log(h) - math.log1p(-h) + logs["H"] - logs["L"]
+    lh, ll = _log_weights(params)
+    log_odds = lh - ll + logs["H"] - logs["L"]
     return expit(log_odds)
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, NumericsConfig
+from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy
 
 
 @lru_cache(maxsize=32)
@@ -92,3 +92,14 @@ def signal_rule_soft(
     hw += abs(center - m)
     edges = sorted({m - hw, m - hw / 4.0, min(m, center), max(m, center), m + hw / 4.0, m + hw})
     return paneled_rule(tuple(edges), cfg.quad_nodes)
+
+
+def signal_rule(
+    policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signal rule over the support of the signals the policy admits."""
+    if isinstance(policy, Radius) and not policy.unbounded:
+        return signal_rule_window(params, cfg, policy.r)
+    if isinstance(policy, NormalWeight) and not policy.unbounded:
+        return signal_rule_soft(params, cfg, policy.mean)
+    return signal_rule_unbounded(params, cfg)

@@ -14,6 +14,7 @@ from echochamber.censor import (
     signal_moments_vs_r,
     utility_curve,
 )
+from echochamber import censor
 from echochamber.errors import ScanBoundError
 from echochamber.model import (
     DEFAULT_NUMERICS,
@@ -222,6 +223,28 @@ def test_expected_action_center_and_symmetry() -> None:
         up = expected_action_given_state(1.2, policy, P, C)
         dn = expected_action_given_state(-1.2, policy, P, C)
         assert abs(up + dn) < 1e-9
+
+
+def test_fig5_columns_match_expected_action_given_state() -> None:
+    from echochamber.figures import REFERENCE_RADIUS, build_figure
+
+    rows = build_figure("fig5", P, C).rows
+    for omega, ea_c, ea_u in rows[::20]:
+        assert abs(ea_c - expected_action_given_state(omega, Radius(REFERENCE_RADIUS), P, C)) < 1e-12
+        assert abs(ea_u - expected_action_given_state(omega, R_UNB, P, C)) < 1e-12
+
+
+def test_optimize_radius_evaluation_budget(monkeypatch) -> None:
+    calls = []
+    original = censor.expected_utility
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(censor, "expected_utility", counted)
+    assert optimize_radius(replace(P, low_var=300.0), C).is_finite
+    assert len(calls) <= 50
 
 
 def test_finiteness_threshold_bracketing() -> None:

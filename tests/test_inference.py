@@ -288,3 +288,16 @@ def test_action_map_matches_pointwise_and_extends() -> None:
     for s in (-3.3, 0.9, 4.7):
         direct = optimal_action(s, R_UNB, P, C).action
         assert abs(float(amap_u(s)) - direct) < 1e-6
+
+
+def test_posterior_density_soft_window_normalized_and_matches_oracle() -> None:
+    from echochamber.mc import grid_posterior_oracle
+
+    policy = NormalWeight(mean=0.5, var=2.0)
+    grid = np.linspace(-10.0, 10.0, 8001)
+    vals = np.asarray(posterior_density(grid, 1.0, policy, P, C))
+    assert math.isclose(float(np.trapezoid(vals, grid)), 1.0, abs_tol=1e-6)
+    mean = float(np.trapezoid(grid * vals, grid))
+    assert abs(mean - optimal_action(1.0, policy, P, C).action) < 1e-6
+    oracle_mean, _ = grid_posterior_oracle(1.0, policy, P, 200_001)
+    assert abs(mean - oracle_mean) < 1e-6

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +242,14 @@ def test_cli_sweep_needs_a_grid(capsys) -> None:
 def test_every_registered_check_has_a_callable() -> None:
     for name, fn in ALL_CHECKS.items():
         assert callable(fn), name
+
+
+def test_python_dash_m_reaches_the_cli() -> None:
+    import echochamber
+
+    env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "echochamber", "--version"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert "echochamber" in proc.stdout
