@@ -14,7 +14,7 @@ variance. The unbounded entry is the no-restriction benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -95,10 +95,22 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) 
     return float(p @ (m2 - 2.0 * action * mean + action * action))
 
 
-def _halved(cfg: NumericsConfig) -> NumericsConfig:
-    from dataclasses import replace
-
-    return replace(cfg, quad_nodes=max(3, cfg.quad_nodes // 2 + 1))
+def _self_checked(
+    objective: str, loss, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, check: bool
+) -> float:
+    """Minus loss(policy, params, cfg). With check=True the loss is repeated
+    at roughly half the node count, and a disagreement beyond
+    1e3 * abs_tol raises QuadratureError naming the objective."""
+    value = -loss(policy, params, cfg)
+    if check:
+        halved = replace(cfg, quad_nodes=max(3, cfg.quad_nodes // 2 + 1))
+        coarse = -loss(policy, params, halved)
+        if abs(value - coarse) > 1e3 * cfg.abs_tol:
+            raise QuadratureError(
+                f"{objective} failed its self-check: {value!r} at "
+                f"{cfg.quad_nodes} nodes vs {coarse!r} at half resolution"
+            )
+    return value
 
 
 def expected_utility(
@@ -113,15 +125,7 @@ def expected_utility(
     """
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return -params.prior_var
-    value = -_bayes_loss(policy, params, cfg)
-    if check:
-        coarse = -_bayes_loss(policy, params, _halved(cfg))
-        if abs(value - coarse) > 1e3 * cfg.abs_tol:
-            raise QuadratureError(
-                f"expected utility failed its self-check: {value!r} at "
-                f"{cfg.quad_nodes} nodes vs {coarse!r} at half resolution"
-            )
-    return value
+    return _self_checked("expected utility", _bayes_loss, policy, params, cfg, check)
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
@@ -227,20 +231,16 @@ def _scan_then_refine(
 def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     """Locate the utility-maximizing censoring radius.
 
-    Coarse scan (on cfg.radius_grid when set, otherwise on a 32-point
-    geometric grid from sqrt(prior_var) / 4 to ten low-type signal standard
-    deviations, 10 * sqrt(prior_var + low_var), where the utility has
-    converged to the benchmark), then bounded Brent refinement of each
-    interior bracket. Returns UNBOUNDED when the curve is nondecreasing at
-    the scan bound without exceeding the unbounded benchmark; a bound hit
-    while the curve still rises above the benchmark raises ScanBoundError.
+    Coarse scan on a 32-point geometric grid from sqrt(prior_var) / 4 to
+    ten low-type signal standard deviations, 10 * sqrt(prior_var + low_var),
+    where the utility has converged to the benchmark, then bounded Brent
+    refinement of each interior bracket. Returns UNBOUNDED when the curve is
+    nondecreasing at the scan bound without exceeding the unbounded
+    benchmark; a bound hit while the curve still rises above the benchmark
+    raises ScanBoundError.
     """
-    if cfg.radius_grid is not None:
-        lo, hi, steps = cfg.radius_grid
-        grid = np.linspace(max(lo, hi / steps / 4.0) if lo == 0.0 else lo, hi, int(steps))
-    else:
-        bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
-        grid = np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
+    bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
+    grid = np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
     benchmark = expected_utility(Radius(UNBOUNDED), params, cfg, check=False)
 
     def fn(r: float) -> float:
@@ -301,7 +301,6 @@ def find_finiteness_threshold(
     """Bisection on low_var for the smallest value at which the optimal
     radius becomes finite, holding the other parameters fixed. The bracket
     must straddle the transition: unbounded at lo, finite at hi."""
-    from dataclasses import replace
 
     def finite_at(v: float) -> bool:
         return optimize_radius(replace(params, low_var=v), cfg).is_finite

@@ -35,7 +35,7 @@ from .model import (
     norm_logpdf,
     window_logmass,
 )
-from .quadrature import signal_rule_unbounded, signal_rule_window, state_rule
+from .quadrature import signal_rule, state_rule
 
 
 @dataclass(frozen=True)
@@ -192,25 +192,6 @@ def optimal_action(
     )
 
 
-def type_conditional_action(
-    s: float, policy: SamplingPolicy, params: ModelParams, q: str, cfg: NumericsConfig
-) -> float:
-    """Posterior-mean action if the source type were known to be q."""
-    _check_support(s, policy, params)
-    params.signal_var(q)  # validates q
-    _, _, _, aH, aL = posterior_summaries(np.array([s], dtype=float), policy, params, cfg)
-    return float(aH[0] if q == "H" else aL[0])
-
-
-def prob_high_quadrature(
-    s: float, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
-) -> float:
-    """Quadrature-path quality belief, for cross-checks against the closed form."""
-    _check_support(s, policy, params)
-    _, _, prob_high, _, _ = posterior_summaries(np.array([s], dtype=float), params=params, policy=policy, cfg=cfg)
-    return float(prob_high[0])
-
-
 def posterior_density(
     omega, s: float, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 ):
@@ -226,14 +207,14 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     """Monotone-cubic interpolant of s -> optimal action over the policy
     support, for consumers that evaluate the action many times (figures,
     Monte Carlo). Quadrature nodes double as interpolation knots."""
-    if isinstance(policy, Radius) and not policy.unbounded:
-        if policy.r == 0.0:
-            raise DegenerateRadiusError("r = 0 admits no signal")
-        nodes, _ = signal_rule_window(params, cfg, policy.r)
-        lo, hi = params.prior_mean - policy.r, params.prior_mean + policy.r
-    else:
-        nodes, _ = signal_rule_unbounded(params, cfg)
-        lo, hi = nodes[0], nodes[-1]
-    grid = np.unique(np.concatenate(([lo], nodes, [hi])))
+    windowed = isinstance(policy, Radius) and not policy.unbounded
+    if windowed and policy.r == 0.0:
+        raise DegenerateRadiusError("r = 0 admits no signal")
+    nodes, _ = signal_rule(policy, params, cfg)
+    if windowed:
+        # the window edges are knots too, so no admitted signal extrapolates
+        m, r = params.prior_mean, policy.r
+        nodes = np.concatenate(([m - r], nodes, [m + r]))
+    grid = np.unique(nodes)
     action, _, _, _, _ = posterior_summaries(grid, policy, params, cfg)
     return PchipInterpolator(grid, action, extrapolate=True)

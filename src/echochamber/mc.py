@@ -12,6 +12,8 @@ Within a chunk, each round draws in a fixed order: one quality uniform, one
 standard normal, and (for a soft window) one acceptance uniform per pending
 record. A record keeps its state across rounds and redraws (quality, signal)
 until a signal is admitted, so the accepted-state marginal is the prior.
+Rejected attempts are counted but not stored, so memory is bounded by n and
+the chunk size, never by the rejection rate.
 """
 from __future__ import annotations
 
@@ -47,37 +49,22 @@ def _normals(rng: np.random.Generator, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DrawSet:
-    """Full attempt log of a simulation: every (state, quality, signal)
-    attempt with its acceptance flag, grouped by record in draw order, plus
-    views of the n accepted records. quality codes: 1 high, 0 low."""
+    """The n accepted records of a simulation in record order, plus the
+    number of attempts it took to admit them. quality codes: 1 high, 0 low."""
 
     n: int
     seed: int
-    record_index: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)
-    qualities: np.ndarray = field(repr=False)
-    signals: np.ndarray = field(repr=False)
-    accepted: np.ndarray = field(repr=False)
+    n_attempts: int
     accepted_states: np.ndarray = field(repr=False)
     accepted_qualities: np.ndarray = field(repr=False)
     accepted_signals: np.ndarray = field(repr=False)
 
-    @property
-    def n_attempts(self) -> int:
-        return len(self.signals)
-
     def digest(self) -> str:
-        """SHA-256 over the raw array bytes; equal digests mean
-        byte-identical draw sets."""
+        """SHA-256 over n, seed, the attempt count and the raw bytes of the
+        accepted arrays; equal digests mean byte-identical draw sets."""
         hasher = hashlib.sha256()
-        hasher.update(f"{self.n}:{self.seed}:".encode())
-        for arr in (
-            self.record_index,
-            self.states,
-            self.qualities,
-            self.signals,
-            self.accepted,
-        ):
+        hasher.update(f"{self.n}:{self.seed}:{self.n_attempts}:".encode())
+        for arr in (self.accepted_states, self.accepted_qualities, self.accepted_signals):
             hasher.update(np.ascontiguousarray(arr).tobytes())
         return hasher.hexdigest()
 
@@ -115,11 +102,7 @@ def simulate_draws(
     sd_l = math.sqrt(params.low_var)
     h = params.high_share
 
-    idx_parts: list[np.ndarray] = []
-    state_parts: list[np.ndarray] = []
-    qual_parts: list[np.ndarray] = []
-    sig_parts: list[np.ndarray] = []
-    acc_parts: list[np.ndarray] = []
+    total_attempts = 0
     acc_state = np.empty(n)
     acc_qual = np.empty(n, dtype=np.uint8)
     acc_sig = np.empty(n)
@@ -141,12 +124,6 @@ def simulate_draws(
             s = omega[pending] + np.where(is_high, sd_h, sd_l) * z
             acc = _acceptance(policy, params, s, rng)
 
-            idx_parts.append(start + pending)
-            state_parts.append(omega[pending])
-            qual_parts.append(is_high.astype(np.uint8))
-            sig_parts.append(s)
-            acc_parts.append(acc)
-
             hit_local = pending[acc]
             hit = start + hit_local
             acc_state[hit] = omega[hit_local]
@@ -162,17 +139,12 @@ def simulate_draws(
                     f"{_STALL_RATE} after {attempts} attempts; the admission "
                     f"window is effectively empty"
                 )
+        total_attempts += attempts
 
-    record_index = np.concatenate(idx_parts)
-    order = np.argsort(record_index, kind="stable")
     return DrawSet(
         n=n,
         seed=int(seed),
-        record_index=record_index[order],
-        states=np.concatenate(state_parts)[order],
-        qualities=np.concatenate(qual_parts)[order],
-        signals=np.concatenate(sig_parts)[order],
-        accepted=np.concatenate(acc_parts)[order],
+        n_attempts=total_attempts,
         accepted_states=acc_state,
         accepted_qualities=acc_qual,
         accepted_signals=acc_sig,

@@ -150,7 +150,6 @@ class NumericsConfig:
     quad_nodes: int = 401
     abs_tol: float = 1e-8
     invariant_tol: float = 1e-6
-    radius_grid: tuple[float, float, int] | None = None
     mc_seed: int = 20250823
     mc_n: int = 1_000_000
 
@@ -160,10 +159,6 @@ class NumericsConfig:
         _check_positive_finite("invariant_tol", self.invariant_tol)
         if self.quad_nodes < 3:
             raise ValueError(f"quad_nodes must be >= 3, got {self.quad_nodes!r}")
-        if self.radius_grid is not None:
-            lo, hi, steps = self.radius_grid
-            if not (0.0 <= lo < hi and steps >= 2):
-                raise ValueError(f"radius_grid needs 0 <= lo < hi and steps >= 2, got {self.radius_grid!r}")
         if self.mc_n < 1:
             raise ValueError(f"mc_n must be >= 1, got {self.mc_n!r}")
         if not 0 <= int(self.mc_seed) < 2**64:
@@ -271,17 +266,3 @@ def truncated_logdensity(s, omega, params: ModelParams, policy: Radius):
 
 def truncated_density(s, omega, params: ModelParams, policy: Radius):
     return np.exp(truncated_logdensity(s, omega, params, policy))
-
-
-def exante_signal_params(params: ModelParams, q: str) -> tuple[float, float]:
-    """Prior mean and the harmonic combination prior_var * q_var /
-    (prior_var + q_var) for one source type: the state's posterior variance
-    after a single signal of that type.
-
-    This is not the variance of the before-the-state signal s = omega +
-    noise, which is prior_var + q_var (the Monte Carlo module checks that
-    value, and the radius optimizer scans to ten of its standard
-    deviations). No scan bound uses this function.
-    """
-    var = params.signal_var(q)
-    return params.prior_mean, params.prior_var * var / (params.prior_var + var)

@@ -177,8 +177,7 @@ def closed_form_objective(
     evaluated by double quadrature of the same objective, since the blended
     prior weight then varies with the signal.
     """
-    from .censor import _halved, _naive_loss, expected_utility
-    from .errors import QuadratureError
+    from .censor import _naive_loss, _self_checked, expected_utility
 
     if is_unbounded(sampling_var):
         return expected_utility(Radius(UNBOUNDED), params, cfg, check=check)
@@ -190,15 +189,7 @@ def closed_form_objective(
     policy = NormalWeight(mean=params.prior_mean, var=v)
     if _degenerate(params):
         return _closed_form_value(params, policy)
-    value = -_naive_loss(policy, params, cfg)
-    if check:
-        coarse = -_naive_loss(policy, params, _halved(cfg))
-        if abs(value - coarse) > 1e3 * cfg.abs_tol:
-            raise QuadratureError(
-                f"soft-window objective failed its self-check: {value!r} vs "
-                f"{coarse!r} at half resolution"
-            )
-    return value
+    return _self_checked("soft-window objective", _naive_loss, policy, params, cfg, check)
 
 
 def single_type_objective_offcenter(

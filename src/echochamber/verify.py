@@ -19,7 +19,6 @@ from .inference import (
     optimal_action,
     posterior_summaries,
     prob_high_closed,
-    type_conditional_action,
     uncensored_linear_action,
 )
 from .mc import mc_expected_utility, mc_high_prob_within_radius, simulate_draws
@@ -256,10 +255,9 @@ def check_prop5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     worst = math.inf
-    for q in ("H", "L"):
-        for ds in (-2.0, -0.5, 0.5, 2.0):
-            s = params.prior_mean + ds
-            a = type_conditional_action(s, Radius(UNBOUNDED), params, q, cfg)
+    for ds in (-2.0, -0.5, 0.5, 2.0):
+        s = params.prior_mean + ds
+        for a in optimal_action(s, Radius(UNBOUNDED), params, cfg).type_actions:
             worst = min(worst, (a - params.prior_mean) * ds)
     return CheckResult(
         name="uds",
@@ -273,18 +271,12 @@ def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_priorvar(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     s = params.prior_mean + 1.5
-    worst = math.inf
-    for q in ("H", "L"):
-        base = abs(
-            type_conditional_action(s, Radius(UNBOUNDED), params, q, cfg) - params.prior_mean
-        )
-        wide = abs(
-            type_conditional_action(
-                s, Radius(UNBOUNDED), replace(params, prior_var=2.0 * params.prior_var), q, cfg
-            )
-            - params.prior_mean
-        )
-        worst = min(worst, wide - base)
+    wider = replace(params, prior_var=2.0 * params.prior_var)
+    base = optimal_action(s, Radius(UNBOUNDED), params, cfg).type_actions
+    wide = optimal_action(s, Radius(UNBOUNDED), wider, cfg).type_actions
+    worst = min(
+        abs(w - params.prior_mean) - abs(b - params.prior_mean) for b, w in zip(base, wide)
+    )
     return CheckResult(
         name="priorvar",
         passed=worst > 0.0,

@@ -172,9 +172,13 @@ def test_limit_configs_unbounded_and_linear_as_stated(oracle: dict) -> None:
 
 def test_scan_bound_error_when_grid_stops_short() -> None:
     p300 = replace(P, low_var=300.0)
-    cfg = replace(C, radius_grid=(0.5, 2.0, 8))
+    benchmark = expected_utility(R_UNB, p300, C, check=False)
+
+    def fn(r: float) -> float:
+        return expected_utility(Radius(r), p300, C, check=False)
+
     with pytest.raises(ScanBoundError):
-        optimize_radius(p300, cfg)
+        censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), benchmark, C, "censoring-radius")
 
 
 def test_utility_converges_at_scan_bound_as_stated() -> None:
@@ -210,7 +214,7 @@ def test_signal_variance_increases_with_radius() -> None:
     assert vars_[0] < 0.05
 
 
-def test_state_correlation_has_no_interior_peak_contrary_to_stated_example() -> None:
+def test_state_correlation_has_interior_peak_at_paper_example() -> None:
     """The paper's reference example (PAPER_EXAMPLE in conftest): the
     signal-state correlation attains an interior maximum near the reference
     radius 2.35 (0.5568, 0.5582, 0.5285 at r = 2, 2.35, 3). At the package

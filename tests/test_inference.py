@@ -12,9 +12,7 @@ from echochamber.inference import (
     optimal_action,
     posterior_density,
     prob_high_closed,
-    prob_high_quadrature,
     source_odds_closed,
-    type_conditional_action,
     uncensored_linear_action,
 )
 from echochamber.model import (
@@ -163,7 +161,7 @@ def test_source_odds_undefined_at_pure_share() -> None:
 def test_closed_vs_quadrature_belief_unbounded() -> None:
     for s in np.linspace(-6.0, 6.0, 13):
         closed = prob_high_closed(float(s), P)
-        quad = prob_high_quadrature(float(s), R_UNB, P, C)
+        quad = optimal_action(float(s), R_UNB, P, C).prob_high
         assert abs(closed - quad) < 1e-9
 
 
@@ -173,7 +171,7 @@ def test_belief_decreasing_in_signal_magnitude() -> None:
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_quality_belief_depends_on_radius_contrary_to_stated_invariant(
+def test_quality_belief_depends_on_radius_and_matches_closed_form_unbounded(
     oracle: dict,
 ) -> None:
     """The quality belief at a fixed admitted signal depends on the radius.
@@ -184,9 +182,9 @@ def test_quality_belief_depends_on_radius_contrary_to_stated_invariant(
     belief differs from it by more than invariant_tol."""
     s = 0.3
     vals = {
-        "r0.5": prob_high_quadrature(s, Radius(0.5), P, C),
-        "r2": prob_high_quadrature(s, Radius(2.0), P, C),
-        "unbounded": prob_high_quadrature(s, R_UNB, P, C),
+        "r0.5": optimal_action(s, Radius(0.5), P, C).prob_high,
+        "r2": optimal_action(s, Radius(2.0), P, C).prob_high,
+        "unbounded": optimal_action(s, R_UNB, P, C).prob_high,
         "closed": prob_high_closed(s, P),
     }
     want = oracle["posterior"]
@@ -200,19 +198,19 @@ def test_quality_belief_depends_on_radius_contrary_to_stated_invariant(
 
 def test_type_conditional_actions() -> None:
     # unbounded single-type action is the conjugate shrinkage
-    got = type_conditional_action(1.0, R_UNB, P, "H", C)
+    got = optimal_action(1.0, R_UNB, P, C).type_actions[0]
     assert math.isclose(got, 1.0 / 1.5, abs_tol=1e-9)
     # windowed high-type action responds more than the conjugate one
-    windowed = type_conditional_action(1.0, Radius(2.0), P, "H", C)
+    windowed = optimal_action(1.0, Radius(2.0), P, C).type_actions[0]
     assert windowed > 1.0 / 1.5 + 1e-3
 
 
 def test_type_actions_strictly_increasing() -> None:
     for policy in (Radius(2.0), R_UNB):
-        for q in ("H", "L"):
-            hi = 1.9 if not policy.unbounded else 5.0
-            grid = np.linspace(-hi, hi, 15)
-            vals = [type_conditional_action(float(s), policy, P, q, C) for s in grid]
+        hi = 1.9 if not policy.unbounded else 5.0
+        grid = np.linspace(-hi, hi, 15)
+        actions = [optimal_action(float(s), policy, P, C).type_actions for s in grid]
+        for vals in zip(*actions):  # high type, then low type
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -220,9 +218,9 @@ def test_uncensored_linear_action_formula() -> None:
     assert uncensored_linear_action(P.prior_mean, P, "H") == P.prior_mean
     assert math.isclose(uncensored_linear_action(4.0, P, "L"), 1.0, rel_tol=1e-12)
     for s in np.linspace(-4.0, 4.0, 21):
-        for q in ("H", "L"):
+        type_actions = optimal_action(float(s), R_UNB, P, C).type_actions
+        for q, quad in zip(("H", "L"), type_actions):
             closed = uncensored_linear_action(float(s), P, q)
-            quad = type_conditional_action(float(s), R_UNB, P, q, C)
             assert abs(closed - quad) < C.invariant_tol
 
 
@@ -269,11 +267,9 @@ def test_posterior_density_symmetric_at_center_signal() -> None:
 
 
 def test_signal_outside_support_raises() -> None:
-    for s in (2.0, -2.0, 5.1):
+    for s in (2.0, -2.0, 5.1, 2.5):
         with pytest.raises(SignalOutsideSupportError):
             optimal_action(s, Radius(2.0), P, C)
-    with pytest.raises(SignalOutsideSupportError):
-        type_conditional_action(2.5, Radius(2.0), P, "L", C)
     with pytest.raises(SignalOutsideSupportError):
         posterior_density(0.0, 2.0, Radius(2.0), P, C)
 

@@ -13,7 +13,6 @@ from echochamber.model import (
     NormalWeight,
     Radius,
     UNBOUNDED,
-    exante_signal_params,
     is_unbounded,
     mixture_cdf,
     mixture_density,
@@ -158,11 +157,3 @@ def test_truncated_density_degenerate_radius_raises() -> None:
     with pytest.raises(DegenerateRadiusError):
         truncated_density(0.0, 0.0, DEFAULT_PARAMS, Radius(0.0))
 
-
-def test_exante_signal_params_harmonic_scale() -> None:
-    mean_h, scale_h = exante_signal_params(DEFAULT_PARAMS, "H")
-    mean_l, scale_l = exante_signal_params(DEFAULT_PARAMS, "L")
-    assert mean_h == mean_l == DEFAULT_PARAMS.prior_mean
-    assert math.isclose(scale_h, 1.0 * 0.5 / 1.5, rel_tol=1e-14)
-    assert math.isclose(scale_l, 1.0 * 3.0 / 4.0, rel_tol=1e-14)
-    assert scale_h < scale_l
