@@ -159,8 +159,15 @@ def _scan_then_refine(
 ) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
     unbounded benchmark, bounded Brent refinement of interior maxima,
-    smaller-argument tie-breaking."""
-    values = np.array([fn(float(g)) for g in grid])
+    smaller-argument tie-breaking.
+
+    fn(x, check) evaluates the objective; the scan and the refinement call
+    it with check=False, and a finite optimum is evaluated once more with
+    check=True before it is returned, so a quadrature too coarse for it
+    raises QuadratureError instead of returning a bad number. The caller
+    evaluates the benchmark with the self-check on.
+    """
+    values = np.array([fn(float(g), False) for g in grid])
     tol = cfg.invariant_tol
 
     # a scan peak within 10 * abs_tol of the benchmark is float noise in the
@@ -177,7 +184,7 @@ def _scan_then_refine(
     candidates: list[tuple[float, float, tuple[float, float]]] = []
     for lo, hi in brackets:
         res = minimize_scalar(
-            lambda x: -fn(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            lambda x: -fn(x, False), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
         )
         candidates.append((float(res.x), -float(res.fun), (lo, hi)))
 
@@ -190,20 +197,18 @@ def _scan_then_refine(
             best = cand
 
     if best is not None and best[1] > max(values[-1], benchmark) + tol:
-        return OptimumResult(
-            r_star=best[0],
-            utility_at_opt=best[1],
-            utility_uncensored=benchmark,
-            is_finite=True,
-            bracket=best[2],
-        )
-    if boundary_rising:
+        finite = True
+    elif boundary_rising:
         if values[-1] > benchmark + tol:
             raise ScanBoundError(
-                f"{family} objective still rising at scan bound {grid[-1]!r} "
-                f"(value {values[-1]!r} above the unrestricted benchmark "
-                f"{benchmark!r}); raise the scan bound"
+                f"{family} objective still rising at scan bound {float(grid[-1])!r} "
+                f"(value {float(values[-1])!r} above the unrestricted benchmark "
+                f"{benchmark!r}); the quadrature is likely too coarse: raise quad_nodes"
             )
+        finite = False
+    else:
+        finite = best is not None and best[1] >= benchmark - tol
+    if not finite:
         return OptimumResult(
             r_star=UNBOUNDED,
             utility_at_opt=benchmark,
@@ -211,20 +216,13 @@ def _scan_then_refine(
             is_finite=False,
             bracket=(float(grid[-1]), math.inf),
         )
-    if best is not None and best[1] >= benchmark - tol:
-        return OptimumResult(
-            r_star=best[0],
-            utility_at_opt=best[1],
-            utility_uncensored=benchmark,
-            is_finite=True,
-            bracket=best[2],
-        )
+    fn(best[0], True)  # the self-check; raises QuadratureError
     return OptimumResult(
-        r_star=UNBOUNDED,
-        utility_at_opt=benchmark,
+        r_star=best[0],
+        utility_at_opt=best[1],
         utility_uncensored=benchmark,
-        is_finite=False,
-        bracket=(float(grid[-1]), math.inf),
+        is_finite=True,
+        bracket=best[2],
     )
 
 
@@ -237,14 +235,16 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     refinement of each interior bracket. Returns UNBOUNDED when the curve is
     nondecreasing at the scan bound without exceeding the unbounded
     benchmark; a bound hit while the curve still rises above the benchmark
-    raises ScanBoundError.
+    raises ScanBoundError. The benchmark and a finite optimum pass the
+    half-resolution self-check of expected_utility, or QuadratureError is
+    raised.
     """
     bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
     grid = np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg, check=False)
+    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)
 
-    def fn(r: float) -> float:
-        return expected_utility(Radius(r), params, cfg, check=False)
+    def fn(r: float, check: bool) -> float:
+        return expected_utility(Radius(r), params, cfg, check=check)
 
     return _scan_then_refine(fn, grid, benchmark, cfg, "censoring-radius")
 

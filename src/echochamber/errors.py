@@ -32,7 +32,9 @@ class QuadratureError(NumericFailure):
 
 class ScanBoundError(NumericFailure):
     """The objective is still rising above the no-restriction benchmark at the
-    scan boundary; re-run with a larger search bound."""
+    scan boundary. The scan reaches the converged tail, so the likely cause
+    is a quadrature too coarse for the parameters; re-run with more
+    quad_nodes."""
 
 
 class RejectionStallError(NumericFailure):

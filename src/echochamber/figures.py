@@ -176,14 +176,19 @@ def _cell(value) -> str:
     return f"{value:.12g}"
 
 
-def csv_text(fig: FigureData, params: ModelParams) -> str:
-    header = (
-        f"# figure={fig.name} prior_mean={params.prior_mean:.12g} "
+def csv_header(label: str, params: ModelParams) -> str:
+    """The one-line comment header of every CSV output: the label, the full
+    parameter set and the package version."""
+    return (
+        f"# {label} prior_mean={params.prior_mean:.12g} "
         f"prior_var={params.prior_var:.12g} high_var={params.high_var:.12g} "
         f"low_var={params.low_var:.12g} high_share={params.high_share:.12g} "
         f"version={__version__}"
     )
-    lines = [header, ",".join(fig.columns)]
+
+
+def csv_text(fig: FigureData, params: ModelParams) -> str:
+    lines = [csv_header(f"figure={fig.name}", params), ",".join(fig.columns)]
     for row in fig.rows:
         lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -297,13 +297,14 @@ def optimize_sampling_variance(params: ModelParams, cfg: NumericsConfig):
     """Maximize the soft-window objective over the sampling variance on a
     logarithmic scan grid, against the no-restriction benchmark. Returns the
     same result type as the censoring-radius optimizer, with the optimizing
-    sampling variance in r_star."""
+    sampling variance in r_star. The benchmark and a finite optimum pass the
+    half-resolution self-check, or QuadratureError is raised."""
     from .censor import _scan_then_refine, expected_utility
 
     grid = np.geomspace(1e-3, 1e4, 57)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg, check=False)
+    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)
 
-    def fn(v: float) -> float:
-        return closed_form_objective(params, v, cfg, check=False)
+    def fn(v: float, check: bool) -> float:
+        return closed_form_objective(params, v, cfg, check=check)
 
     return _scan_then_refine(fn, grid, benchmark, cfg, "sampling-variance")

@@ -9,7 +9,7 @@ line; the default battery passes on the default parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class CheckResult:
     passed: bool
     measured: str
     tolerance: str
-    seed: int | None
     detail: str
+    seed: int | None = None
 
 
 def _g(x: float) -> str:
@@ -76,7 +76,6 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=worst < cfg.invariant_tol,
         measured=f"max decomposition residual {worst:.3e}",
         tolerance=f"< {cfg.invariant_tol:g}",
-        seed=None,
         detail="action equals the quality-probability mix of type actions",
     )
 
@@ -94,7 +93,6 @@ def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=gap > 0.0,
         measured=f"U(all-high) {_g(u_single)} vs U(half-low) {_g(u_mixed)}, gap {_g(gap)}",
         tolerance="> 0",
-        seed=None,
         detail="diluting high-quality sources with noisier ones lowers value",
     )
 
@@ -110,7 +108,6 @@ def check_lemma3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=worst > 0.0,
         measured=f"min type-action increment {worst:.3e}",
         tolerance="> 0",
-        seed=None,
         detail="known-type actions increase strictly in the signal",
     )
 
@@ -139,7 +136,6 @@ def check_lemma5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"closed-vs-quadrature max dev {path_dev:.3e}"
         ),
         tolerance="pinned +/- 1e-3; path agreement < 1e-6; decreasing in |s|",
-        seed=None,
         detail="closed-form source odds match the quadrature belief",
     )
 
@@ -177,7 +173,6 @@ def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"U(inf) {_g(opt.utility_uncensored)}"
         ),
         tolerance=f"finite and surplus > {cfg.invariant_tol:g}",
-        seed=None,
         detail="a finite window wins once low-type dispersion is large enough",
     )
 
@@ -197,7 +192,6 @@ def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"a(1, inf) {values['inf']:.6f}"
         ),
         tolerance="each gap > 1e-4",
-        seed=None,
         detail="tighter windows amplify the response to an admitted signal",
     )
 
@@ -219,7 +213,6 @@ def check_prop4(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"a(2) {a2:.4f} > a(3) {a3:.4f}"
         ),
         tolerance="interior peak; a(2) > a(3)",
-        seed=None,
         detail="with very noisy low types the unrestricted action is non-monotone in s",
     )
 
@@ -245,7 +238,6 @@ def check_prop5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"r*={share_r}, linearity dev {dev_share:.3e}"
         ),
         tolerance="ratio config: Unbounded optimum and linearity dev < 1e-3",
-        seed=None,
         detail=(
             "near-homogeneous qualities remove the value of windowing; the "
             "action map is linear in the equal-variance limit"
@@ -264,7 +256,6 @@ def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=worst > 0.0,
         measured=f"min (action shift x signal shift) {worst:.3e}",
         tolerance="> 0",
-        seed=None,
         detail="the posterior mean moves toward the observed signal",
     )
 
@@ -282,7 +273,6 @@ def check_priorvar(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=worst > 0.0,
         measured=f"min action-shift increase under doubled prior variance {worst:.3e}",
         tolerance="> 0",
-        seed=None,
         detail="a vaguer prior lets the same signal move the action further",
     )
 
@@ -298,7 +288,6 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         passed=value < 1e-6,
         measured=f"P(high|mean+10) x a_high(mean+10) = {value:.3e}",
         tolerance="< 1e-6",
-        seed=None,
         detail="extreme signals are attributed to low types; the high-type term dies",
     )
 
@@ -401,7 +390,6 @@ def run_checks(
                     passed=False,
                     measured=f"raised {type(exc).__name__}: {exc}",
                     tolerance="check must complete",
-                    seed=None,
                     detail="the check could not be evaluated at these parameters",
                 )
             )
@@ -422,25 +410,9 @@ def format_report(results: list[CheckResult]) -> str:
 
 def report_json(results: list[CheckResult], params: ModelParams, cfg: NumericsConfig) -> dict:
     return {
-        "params": {
-            "prior_mean": params.prior_mean,
-            "prior_var": params.prior_var,
-            "high_var": params.high_var,
-            "low_var": params.low_var,
-            "high_share": params.high_share,
-        },
+        "params": asdict(params),
         "mc_seed": cfg.mc_seed,
         "mc_n": cfg.mc_n,
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "measured": r.measured,
-                "tolerance": r.tolerance,
-                "seed": r.seed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }

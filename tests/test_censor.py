@@ -174,11 +174,13 @@ def test_scan_bound_error_when_grid_stops_short() -> None:
     p300 = replace(P, low_var=300.0)
     benchmark = expected_utility(R_UNB, p300, C, check=False)
 
-    def fn(r: float) -> float:
-        return expected_utility(Radius(r), p300, C, check=False)
+    def fn(r: float, check: bool) -> float:
+        return expected_utility(Radius(r), p300, C, check=check)
 
-    with pytest.raises(ScanBoundError):
+    # plain floats, and the advice names the setting a user can change
+    with pytest.raises(ScanBoundError, match=r"scan bound 2\.0 \(value -0\.\d+ above") as exc:
         censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), benchmark, C, "censoring-radius")
+    assert "raise quad_nodes" in str(exc.value)
 
 
 def test_utility_converges_at_scan_bound_as_stated() -> None:

@@ -129,13 +129,31 @@ def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
     assert abs(float(fields[1]) - 2.5058) < 5e-3
 
 
-def test_cli_optimize_coarse_quadrature_exits_3(capsys) -> None:
-    # 15 nodes leave the unrestricted benchmark visibly wrong; the
-    # half-resolution recheck must abort the run rather than print it
-    code = main(["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=15"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=15"],
+        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=15"],
+        ["optimize", "radius", "--params", "quad_nodes=5"],
+    ],
+    ids=["optimize", "sweep", "default-params"],
+)
+def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
+    # too few nodes leave the unrestricted benchmark visibly wrong; the
+    # optimizer's half-resolution self-check must abort the run rather than
+    # print it, and say so instead of blaming the scan bound
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
     assert "numeric failure" in err
+    assert "failed its self-check" in err and "scan bound" not in err
+
+
+def test_cli_verify_prop2_coarse_quadrature_fails(capsys) -> None:
+    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=15"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("FAIL prop2") and "raised QuadratureError" in out
 
 
 def test_cli_figures_fig4_csv(capsys, tmp_path) -> None:
