@@ -13,6 +13,7 @@ variance. The unbounded entry is the no-restriction benchmark.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -99,16 +100,18 @@ def _self_checked(
     objective: str, loss, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, check: bool
 ) -> float:
     """Minus loss(policy, params, cfg). With check=True the loss is repeated
-    at roughly half the node count, and a disagreement beyond
-    1e3 * abs_tol raises QuadratureError naming the objective."""
+    at half the nodes per panel, rounded up (always fewer than quad_nodes),
+    and a disagreement beyond 1e3 * abs_tol raises QuadratureError naming
+    the objective."""
     value = -loss(policy, params, cfg)
     if check:
-        halved = replace(cfg, quad_nodes=max(3, cfg.quad_nodes // 2 + 1))
+        halved = copy.copy(cfg)  # not replace(): 3 halves to 2, below the minimum
+        object.__setattr__(halved, "quad_nodes", (cfg.quad_nodes + 1) // 2)
         coarse = -loss(policy, params, halved)
         if abs(value - coarse) > 1e3 * cfg.abs_tol:
             raise QuadratureError(
                 f"{objective} failed its self-check: {value!r} at "
-                f"{cfg.quad_nodes} nodes vs {coarse!r} at half resolution"
+                f"{cfg.quad_nodes} nodes per panel vs {coarse!r} at half resolution"
             )
     return value
 
@@ -120,8 +123,8 @@ def expected_utility(
     given censoring radius. r = 0 returns minus the prior variance
     analytically; UNBOUNDED gives the no-restriction benchmark.
 
-    With check=True the quadrature is repeated at roughly half the node
-    count and a disagreement beyond 1e3 * abs_tol raises QuadratureError.
+    With check=True the quadrature is repeated at half the nodes per panel
+    and a disagreement beyond 1e3 * abs_tol raises QuadratureError.
     """
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return -params.prior_var
@@ -130,7 +133,8 @@ def expected_utility(
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
     """Expected utility over a radius grid, with a 0.0 entry (analytic) in
-    front and the UNBOUNDED benchmark appended.
+    front and the UNBOUNDED benchmark appended. The benchmark passes the
+    half-resolution self-check, or QuadratureError is raised.
 
     grid is either an iterable of radii or a (lo, hi, steps) triple.
     """
@@ -146,7 +150,7 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
     utilities = [
         expected_utility(Radius(r), params, cfg, check=False) for r in radii
     ]
-    utilities.append(expected_utility(Radius(UNBOUNDED), params, cfg, check=False))
+    utilities.append(expected_utility(Radius(UNBOUNDED), params, cfg))
     return UtilityCurve(
         radii=tuple(radii) + (UNBOUNDED,),
         utilities=tuple(utilities),

@@ -58,7 +58,7 @@ def fig1_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 def fig2_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     radii = np.linspace(0.1, 6.0, 60)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg, check=False)
+    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)  # self-checked
     rows = []
     for r in radii:
         eu = expected_utility(Radius(float(r)), params, cfg, check=False)

@@ -147,7 +147,7 @@ SamplingPolicy = Union[Radius, NormalWeight]
 @dataclass(frozen=True)
 class NumericsConfig:
     support_halfwidth_sd: float = 10.0
-    quad_nodes: int = 401
+    quad_nodes: int = 20  # Gauss-Legendre nodes on each quadrature panel
     abs_tol: float = 1e-8
     invariant_tol: float = 1e-6
     mc_seed: int = 20250823

@@ -84,9 +84,7 @@ def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     u_single = expected_utility(
         Radius(UNBOUNDED), replace(params, high_share=1.0), cfg, check=False
     )
-    u_mixed = expected_utility(
-        Radius(UNBOUNDED), replace(params, high_share=0.5), cfg, check=False
-    )
+    u_mixed = expected_utility(Radius(UNBOUNDED), replace(params, high_share=0.5), cfg)
     gap = u_single - u_mixed
     return CheckResult(
         name="lemma2",
@@ -315,7 +313,7 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
 
 
 def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
-    ref = expected_utility(policy, params, cfg, check=False)
+    ref = expected_utility(policy, params, cfg)
     amap = action_map(policy, params, cfg)
     draws = simulate_draws(params, policy, cfg.mc_n, cfg.mc_seed)
     est = mc_expected_utility(draws, amap, params)

@@ -132,11 +132,12 @@ def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=15"],
-        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=15"],
-        ["optimize", "radius", "--params", "quad_nodes=5"],
+        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=4"],
+        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=4"],
+        ["optimize", "radius", "--params", "quad_nodes=4"],
+        ["optimize", "radius", "--params", "quad_nodes=3"],
     ],
-    ids=["optimize", "sweep", "default-params"],
+    ids=["optimize", "sweep", "default-params", "three-nodes"],
 )
 def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
     # too few nodes leave the unrestricted benchmark visibly wrong; the
@@ -150,10 +151,32 @@ def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
 
 
 def test_cli_verify_prop2_coarse_quadrature_fails(capsys) -> None:
-    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=15"])
+    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=4"])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL prop2") and "raised QuadratureError" in out
+
+
+def test_cli_figures_fig2_coarse_quadrature_exits_3(capsys, tmp_path) -> None:
+    # at 3 nodes per panel the unrestricted benchmark is 9e-7 off; fig2
+    # self-checks it instead of printing it
+    code = main(
+        ["figures", "--only", "fig2", "--format", "csv", "--out", str(tmp_path),
+         "--params", "quad_nodes=3"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "figure fig2 aborted" in err and "failed its self-check" in err
+    assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_cli_verify_benchmark_checks_coarse_quadrature_fail(capsys) -> None:
+    code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    for name in ("lemma2", "mc_eu_unbounded"):
+        line = next(ln for ln in out.splitlines() if ln.split()[1:2] == [name])
+        assert line.startswith("FAIL") and "raised QuadratureError" in line
 
 
 def test_cli_figures_fig4_csv(capsys, tmp_path) -> None:
