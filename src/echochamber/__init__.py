@@ -26,9 +26,6 @@ from .model import (
     Radius,
     SamplingPolicy,
     is_unbounded,
-    mixture_cdf,
-    mixture_density,
-    truncated_density,
 )
 from .inference import (
     PosteriorSummary,
@@ -42,24 +39,18 @@ from .inference import (
 from .censor import (
     OptimumResult,
     UtilityCurve,
-    expected_action_given_state,
     expected_utility,
-    find_finiteness_threshold,
     optimize_radius,
     signal_moments_vs_r,
     utility_curve,
 )
 from .normal_sampling import (
-    WeightBundle,
     closed_form_objective,
     locate_critical_point,
     naive_action,
     optimize_sampling_variance,
-    sampled_signal_distribution,
-    sampling_center_check,
     single_type_critical_point,
     single_type_objective_offcenter,
-    weight_bundle,
 )
 from .mc import (
     DrawSet,
@@ -70,63 +61,3 @@ from .mc import (
     simulate_draws,
 )
 from .verify import ALL_CHECKS, CheckResult, format_report, run_checks
-
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "DegenerateRadiusError",
-    "DomainError",
-    "NumericFailure",
-    "QuadratureError",
-    "RejectionStallError",
-    "ScanBoundError",
-    "SignalOutsideSupportError",
-    "UndefinedOddsError",
-    "DEFAULT_NUMERICS",
-    "DEFAULT_PARAMS",
-    "UNBOUNDED",
-    "ModelParams",
-    "NormalWeight",
-    "NumericsConfig",
-    "Radius",
-    "SamplingPolicy",
-    "is_unbounded",
-    "mixture_cdf",
-    "mixture_density",
-    "truncated_density",
-    "PosteriorSummary",
-    "action_map",
-    "optimal_action",
-    "posterior_density",
-    "prob_high_closed",
-    "source_odds_closed",
-    "uncensored_linear_action",
-    "OptimumResult",
-    "UtilityCurve",
-    "expected_action_given_state",
-    "expected_utility",
-    "find_finiteness_threshold",
-    "optimize_radius",
-    "signal_moments_vs_r",
-    "utility_curve",
-    "WeightBundle",
-    "closed_form_objective",
-    "locate_critical_point",
-    "naive_action",
-    "optimize_sampling_variance",
-    "sampled_signal_distribution",
-    "sampling_center_check",
-    "single_type_critical_point",
-    "single_type_objective_offcenter",
-    "weight_bundle",
-    "DrawSet",
-    "McEstimate",
-    "grid_posterior_oracle",
-    "mc_expected_utility",
-    "mc_high_prob_within_radius",
-    "simulate_draws",
-    "ALL_CHECKS",
-    "CheckResult",
-    "format_report",
-    "run_checks",
-]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -96,23 +96,21 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) 
     return float(p @ (m2 - 2.0 * action * mean + action * action))
 
 
-def _self_checked(
-    objective: str, loss, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, check: bool
-) -> float:
-    """Minus loss(policy, params, cfg). With check=True the loss is repeated
-    at half the nodes per panel, rounded up (always fewer than quad_nodes),
-    and a disagreement beyond 1e3 * abs_tol raises QuadratureError naming
-    the objective."""
-    value = -loss(policy, params, cfg)
-    if check:
-        halved = copy.copy(cfg)  # not replace(): 3 halves to 2, below the minimum
-        object.__setattr__(halved, "quad_nodes", (cfg.quad_nodes + 1) // 2)
-        coarse = -loss(policy, params, halved)
-        if abs(value - coarse) > 1e3 * cfg.abs_tol:
-            raise QuadratureError(
-                f"{objective} failed its self-check: {value!r} at "
-                f"{cfg.quad_nodes} nodes per panel vs {coarse!r} at half resolution"
-            )
+def _self_checked(what: str, evaluate, cfg: NumericsConfig):
+    """evaluate(cfg), a float or an array, repeated at half the nodes per
+    panel, rounded up (always fewer than quad_nodes). A disagreement beyond
+    1e3 * abs_tol anywhere raises QuadratureError naming what."""
+    value = evaluate(cfg)
+    halved = copy.copy(cfg)  # not replace(): 3 halves to 2, below the minimum
+    object.__setattr__(halved, "quad_nodes", (cfg.quad_nodes + 1) // 2)
+    coarse = evaluate(halved)
+    k = int(np.argmax(np.abs(np.subtract(value, coarse))))
+    fine_k, coarse_k = float(np.ravel(value)[k]), float(np.ravel(coarse)[k])
+    if abs(fine_k - coarse_k) > 1e3 * cfg.abs_tol:
+        raise QuadratureError(
+            f"{what} failed its self-check: {fine_k!r} at "
+            f"{cfg.quad_nodes} nodes per panel vs {coarse_k!r} at half resolution"
+        )
     return value
 
 
@@ -128,21 +126,19 @@ def expected_utility(
     """
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return -params.prior_var
-    return _self_checked("expected utility", _bayes_loss, policy, params, cfg, check)
+
+    def utility(c: NumericsConfig) -> float:
+        return -_bayes_loss(policy, params, c)
+
+    return _self_checked("expected utility", utility, cfg) if check else utility(cfg)
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
     """Expected utility over a radius grid, with a 0.0 entry (analytic) in
     front and the UNBOUNDED benchmark appended. The benchmark passes the
     half-resolution self-check, or QuadratureError is raised.
-
-    grid is either an iterable of radii or a (lo, hi, steps) triple.
     """
-    if isinstance(grid, tuple) and len(grid) == 3 and not isinstance(grid[0], tuple):
-        lo, hi, steps = grid
-        radii = [float(r) for r in np.linspace(lo, hi, int(steps))]
-    else:
-        radii = [float(r) for r in grid]
+    radii = [float(r) for r in grid]
     if any(r < 0 for r in radii) or radii != sorted(radii):
         raise ValueError(f"radius grid must be nonnegative and ordered, got {radii!r}")
     if not radii or radii[0] > 0.0:
@@ -254,11 +250,10 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
 
 
 def signal_moments_vs_r(
-    params: ModelParams, r: Radius, cfg: NumericsConfig
+    params: ModelParams, policy: Radius, cfg: NumericsConfig
 ) -> tuple[float, float]:
     """Variance of the admitted signal and its correlation with the state,
     under the state-marginal-preserving joint, by double quadrature."""
-    policy = r if isinstance(r, Radius) else Radius(r)
     if not policy.unbounded and policy.r == 0.0:
         return 0.0, 0.0
     s, p, mean, m2 = signal_law(policy, params, cfg)
@@ -285,38 +280,3 @@ def expected_action(
     lh, ll = _log_weights(params)
     _, mean, _ = _shifted_moments(np.logaddexp(lh + like_H, ll + like_L), action, s_w)
     return mean
-
-
-def expected_action_given_state(
-    omega: float, policy: Radius, params: ModelParams, cfg: NumericsConfig
-) -> float:
-    """Conditional expectation of the optimal action at one true state;
-    see expected_action."""
-    return float(expected_action(np.array([omega]), policy, params, cfg)[0])
-
-
-def find_finiteness_threshold(
-    params: ModelParams,
-    cfg: NumericsConfig,
-    lo: float,
-    hi: float,
-    iters: int = 20,
-) -> float:
-    """Bisection on low_var for the smallest value at which the optimal
-    radius becomes finite, holding the other parameters fixed. The bracket
-    must straddle the transition: unbounded at lo, finite at hi."""
-
-    def finite_at(v: float) -> bool:
-        return optimize_radius(replace(params, low_var=v), cfg).is_finite
-
-    if finite_at(lo) or not finite_at(hi):
-        raise ValueError(
-            f"bracket [{lo!r}, {hi!r}] does not straddle the finiteness transition"
-        )
-    for _ in range(iters):
-        mid = math.sqrt(lo * hi)
-        if finite_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

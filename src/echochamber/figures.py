@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .censor import expected_action, expected_utility, signal_moments_vs_r
-from .errors import UndefinedOddsError
+from .censor import _self_checked, expected_action, signal_moments_vs_r, utility_curve
 from .inference import posterior_summaries, prob_high_closed
 from .model import (
     UNBOUNDED,
@@ -57,12 +56,10 @@ def fig1_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 
 def fig2_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
-    radii = np.linspace(0.1, 6.0, 60)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)  # self-checked
-    rows = []
-    for r in radii:
-        eu = expected_utility(Radius(float(r)), params, cfg, check=False)
-        rows.append((float(r), eu, benchmark))
+    curve = utility_curve(params, np.linspace(0.1, 6.0, 60), cfg)
+    benchmark = curve.utilities[-1]
+    # drop the analytic r = 0 entry in front and the benchmark at the end
+    rows = [(r, eu, benchmark) for r, eu in zip(curve.radii[1:-1], curve.utilities[1:-1])]
     return FigureData(
         name="fig2",
         title="Expected utility against the censoring radius",
@@ -142,8 +139,13 @@ def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 def fig5_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     omegas = np.linspace(-4.0, 4.0, 81) + params.prior_mean
-    ea_c = expected_action(omegas, Radius(REFERENCE_RADIUS), params, cfg)
-    ea_u = expected_action(omegas, Radius(UNBOUNDED), params, cfg)
+
+    def columns(c: NumericsConfig) -> np.ndarray:
+        return np.stack(
+            [expected_action(omegas, Radius(r), params, c) for r in (REFERENCE_RADIUS, UNBOUNDED)]
+        )
+
+    ea_c, ea_u = _self_checked("expected action", columns, cfg)
     rows = [tuple(map(float, row)) for row in zip(omegas, ea_c, ea_u)]
     return FigureData(
         name="fig5",

@@ -182,12 +182,11 @@ def mc_expected_utility(draws: DrawSet, action_map, params: ModelParams) -> McEs
 
 
 def mc_high_prob_within_radius(
-    params: ModelParams, r, n: int, seed: int
+    params: ModelParams, r: float, n: int, seed: int
 ) -> McEstimate:
     """Fraction of accepted draws that came from a high-quality source
     under the hard window of radius r."""
-    policy = r if isinstance(r, Radius) else Radius(r)
-    draws = simulate_draws(params, policy, n, seed)
+    draws = simulate_draws(params, Radius(r), n, seed)
     return _estimate(draws.accepted_qualities.astype(float))
 
 

@@ -1,5 +1,5 @@
-"""Probabilistic primitives: prior, two-type signal mixture, and the
-window-truncated signal density.
+"""Model parameters, sampling policies, numerics settings, and the
+probabilistic primitives: the normal log density and the window mass.
 
 The model: a state omega is drawn from the normal prior N(prior_mean,
 prior_var). A signal source is high quality with probability high_share and
@@ -7,7 +7,8 @@ low quality otherwise; either way it reports s = omega + noise with noise
 variance high_var or low_var. An agent may restrict sampling to the window
 (prior_mean - r, prior_mean + r): signals are redrawn, source type included,
 until one lands inside. The signal density conditional on the state is then
-the mixture density divided by the mixture window mass, and zero outside.
+the mixture density divided by the mixture window mass, and zero outside;
+inference._log_terms builds it from the pieces here.
 
 All densities are computed in log space; values are exponentiated only at
 operation boundaries.
@@ -15,13 +16,11 @@ operation boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
-
-from .errors import DegenerateRadiusError
+from scipy.special import log_ndtr
 
 
 class _UnboundedType:
@@ -50,8 +49,6 @@ Extent = Union[float, _UnboundedType]
 def is_unbounded(x: object) -> bool:
     return x is UNBOUNDED or isinstance(x, _UnboundedType)
 
-
-QUALITIES = ("H", "L")
 
 _LOG_MASS_FLOOR = -700.0  # below this the window mass underflows double range
 
@@ -187,27 +184,6 @@ def _log_weights(params: ModelParams) -> tuple[float, float]:
     return lh, ll
 
 
-def mixture_logpdf(s, omega, params: ModelParams):
-    """log f(s | omega) for the two-type signal mixture."""
-    lh, ll = _log_weights(params)
-    a = lh + norm_logpdf(s, omega, params.high_var)
-    b = ll + norm_logpdf(s, omega, params.low_var)
-    return np.logaddexp(a, b)
-
-
-def mixture_density(s, omega, params: ModelParams):
-    """f(s | omega) = h N(s; omega, high_var) + (1-h) N(s; omega, low_var)."""
-    return np.exp(mixture_logpdf(s, omega, params))
-
-
-def mixture_cdf(x, omega, params: ModelParams):
-    """P(s <= x | omega); the h-weighted combination of component normal CDFs."""
-    x = np.asarray(x, dtype=float)
-    zh = (x - omega) / math.sqrt(params.high_var)
-    zl = (x - omega) / math.sqrt(params.low_var)
-    return params.high_share * ndtr(zh) + (1.0 - params.high_share) * ndtr(zl)
-
-
 def _interval_logmass(lo_z, hi_z):
     """log(Phi(hi_z) - Phi(lo_z)), evaluated through the better-conditioned
     tail so the difference never cancels catastrophically."""
@@ -239,30 +215,3 @@ def window_logmass(omega, r: float, params: ModelParams):
     a = lh + window_logmass_component(omega, r, params.high_var, params)
     b = ll + window_logmass_component(omega, r, params.low_var, params)
     return np.maximum(np.logaddexp(a, b), _LOG_MASS_FLOOR)
-
-
-def _require_positive_radius(policy: Radius) -> None:
-    if not policy.unbounded and policy.r == 0.0:
-        raise DegenerateRadiusError(
-            "r = 0 leaves no window to integrate over; the expected-utility "
-            "operation handles r -> 0 analytically instead"
-        )
-
-
-def truncated_logdensity(s, omega, params: ModelParams, policy: Radius):
-    """log of the sampled-signal density under a Radius policy.
-
-    Division by the mixture window mass renormalizes each state's conditional;
-    -inf outside the window. The unbounded policy is the identity.
-    """
-    if policy.unbounded:
-        return mixture_logpdf(s, omega, params)
-    _require_positive_radius(policy)
-    s_arr = np.asarray(s, dtype=float)
-    inside = np.abs(s_arr - params.prior_mean) < policy.r
-    base = mixture_logpdf(s_arr, omega, params) - window_logmass(omega, policy.r, params)
-    return np.where(inside, base, -np.inf)
-
-
-def truncated_density(s, omega, params: ModelParams, policy: Radius):
-    return np.exp(truncated_logdensity(s, omega, params, policy))

@@ -15,8 +15,6 @@ otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
@@ -34,26 +32,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class WeightBundle:
-    """Scalar weights of the soft-window decision rule at one evaluation
-    point: per-type prior weights alpha_q, signal-attenuation factors
-    lambda_q, admitted-signal conditional variances sig_gq_q, their blends,
-    and the admitted-signal conditional parameters (conv_mean, conv_var) for
-    the requested state and type."""
-
-    alpha_H: float
-    alpha_L: float
-    lambda_H: float
-    lambda_L: float
-    sig_gq_H: float
-    sig_gq_L: float
-    lambda_bar: float
-    alpha_bar: float
-    conv_mean: float
-    conv_var: float
-
-
 def _per_type(params: ModelParams, policy: NormalWeight, q: str) -> tuple[float, float, float]:
     """(alpha_q, lambda_q, sig_gq2_q) from the precision definitions."""
     qv = params.signal_var(q)
@@ -64,15 +42,6 @@ def _per_type(params: ModelParams, policy: NormalWeight, q: str) -> tuple[float,
     lam = pq / (pq + pg)
     sig_gq2 = 1.0 / (pg + pq)
     return alpha, lam, sig_gq2
-
-
-def sampled_signal_distribution(
-    omega: float, params: ModelParams, policy: NormalWeight, q: str
-) -> tuple[float, float]:
-    """Mean and variance of the admitted type-q signal at state omega: the
-    state shrunk toward the window center, with the product variance."""
-    _, lam, sig_gq2 = _per_type(params, policy, q)
-    return lam * omega + (1.0 - lam) * policy.mean, sig_gq2
 
 
 def naive_prob_high(s, params: ModelParams, policy: NormalWeight):
@@ -96,39 +65,6 @@ def naive_prob_high(s, params: ModelParams, policy: NormalWeight):
     lh, ll = _log_weights(params)
     log_odds = lh - ll + logs["H"] - logs["L"]
     return expit(log_odds)
-
-
-def weight_bundle(
-    params: ModelParams,
-    policy: NormalWeight,
-    s: float | None = None,
-    omega: float | None = None,
-    q: str = "H",
-) -> WeightBundle:
-    """Assemble every scalar weight at one evaluation point. alpha_bar uses
-    the quality belief at s when s is given, the prior type share otherwise."""
-    aH, lH, gH = _per_type(params, policy, "H")
-    aL, lL, gL = _per_type(params, policy, "L")
-    h = params.high_share
-    if s is None:
-        p_high = h
-    else:
-        p_high = float(naive_prob_high(s, params, policy))
-    conv_mean, conv_var = sampled_signal_distribution(
-        params.prior_mean if omega is None else omega, params, policy, q
-    )
-    return WeightBundle(
-        alpha_H=aH,
-        alpha_L=aL,
-        lambda_H=lH,
-        lambda_L=lL,
-        sig_gq_H=gH,
-        sig_gq_L=gL,
-        lambda_bar=h * lH + (1.0 - h) * lL,
-        alpha_bar=p_high * aH + (1.0 - p_high) * aL,
-        conv_mean=conv_mean,
-        conv_var=conv_var,
-    )
 
 
 def naive_action(s, params: ModelParams, policy: NormalWeight):
@@ -189,7 +125,11 @@ def closed_form_objective(
     policy = NormalWeight(mean=params.prior_mean, var=v)
     if _degenerate(params):
         return _closed_form_value(params, policy)
-    return _self_checked("soft-window objective", _naive_loss, policy, params, cfg, check)
+
+    def objective(c: NumericsConfig) -> float:
+        return -_naive_loss(policy, params, c)
+
+    return _self_checked("soft-window objective", objective, cfg) if check else objective(cfg)
 
 
 def single_type_objective_offcenter(
@@ -206,57 +146,6 @@ def single_type_objective_offcenter(
         + (1.0 - alpha) ** 2 * sig_gq2
         + (1.0 - lam) ** 2 * offset**2
     )
-
-
-@dataclass(frozen=True)
-class CenterCheckRow:
-    offset: float
-    value_at_center: float
-    value_off_center: float
-    margin: float
-    dominates: bool
-
-
-@dataclass(frozen=True)
-class CenterCheckReport:
-    rows: tuple[CenterCheckRow, ...]
-
-    @property
-    def all_dominate(self) -> bool:
-        return all(row.dominates for row in self.rows)
-
-
-def sampling_center_check(
-    params: ModelParams, sampling_var: float, offsets
-) -> CenterCheckReport:
-    """Confirm that centering the window on the prior mean weakly dominates
-    any tested off-center placement, via the single-type closed form.
-
-    Requires a single-type model (high_share 0 or 1), where the closed form
-    is exact.
-    """
-    h = params.high_share
-    if h not in (0.0, 1.0):
-        raise ValueError(
-            f"center check uses the single-type closed form; high_share must "
-            f"be 0 or 1, got {h!r}"
-        )
-    q = "H" if h == 1.0 else "L"
-    center = single_type_objective_offcenter(params, q, sampling_var, 0.0)
-    rows = []
-    for off in offsets:
-        off_val = single_type_objective_offcenter(params, q, sampling_var, float(off))
-        margin = center - off_val
-        rows.append(
-            CenterCheckRow(
-                offset=float(off),
-                value_at_center=center,
-                value_off_center=off_val,
-                margin=margin,
-                dominates=margin >= 0.0,
-            )
-        )
-    return CenterCheckReport(rows=tuple(rows))
 
 
 def single_type_critical_point(params: ModelParams, q: str) -> float:

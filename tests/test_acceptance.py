@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from conftest import PAPER_EXAMPLE, record_criterion
 
-from echochamber.censor import expected_action_given_state, expected_utility, optimize_radius
+from echochamber.censor import expected_action, expected_utility, optimize_radius
 from echochamber.inference import optimal_action, posterior_summaries, prob_high_closed
 from echochamber.mc import mc_expected_utility, mc_high_prob_within_radius, simulate_draws
 from echochamber.model import (
@@ -191,11 +191,9 @@ def test_criterion_09_expected_action_curves_cross() -> None:
     # the paper's reference example; see PAPER_EXAMPLE in conftest
     ex = PAPER_EXAMPLE
     omegas = np.linspace(2.0, 3.0, 6)
-    diffs = [
-        expected_action_given_state(float(w), Radius(REFERENCE_RADIUS), ex, C)
-        - expected_action_given_state(float(w), R_UNB, ex, C)
-        for w in omegas
-    ]
+    diffs = expected_action(omegas, Radius(REFERENCE_RADIUS), ex, C) - expected_action(
+        omegas, R_UNB, ex, C
+    )
     signs = np.sign(diffs)
     passed = bool(np.any(signs[:-1] * signs[1:] < 0.0))
     measured = (

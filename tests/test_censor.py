@@ -8,9 +8,8 @@ import pytest
 from conftest import PAPER_EXAMPLE
 
 from echochamber.censor import (
-    expected_action_given_state,
+    expected_action,
     expected_utility,
-    find_finiteness_threshold,
     optimize_radius,
     signal_moments_vs_r,
     utility_curve,
@@ -70,7 +69,7 @@ def test_expected_utility_self_check_consistent() -> None:
 
 
 def test_utility_curve_structure() -> None:
-    curve = utility_curve(P, (0.5, 3.0, 6), C)
+    curve = utility_curve(P, np.linspace(0.5, 3.0, 6), C)
     assert curve.radii[0] == 0.0
     assert is_unbounded(curve.radii[-1])
     assert len(curve.radii) == len(curve.utilities) == 8
@@ -89,7 +88,7 @@ def test_utility_curve_accepts_explicit_grid() -> None:
 
 def test_utility_curve_nondecreasing_single_type() -> None:
     p1 = replace(P, high_share=1.0)
-    curve = utility_curve(p1, (0.25, 6.0, 24), C)
+    curve = utility_curve(p1, np.linspace(0.25, 6.0, 24), C)
     diffs = np.diff(curve.utilities)
     assert np.all(diffs > -C.invariant_tol)
 
@@ -232,27 +231,26 @@ def test_state_correlation_has_interior_peak_at_paper_example() -> None:
 
 def test_expected_action_pinned(oracle: dict) -> None:
     for pol_key, policy in (("r2.35", Radius(2.35)), ("unbounded", R_UNB)):
-        for w_key, want in oracle["expected_action"][pol_key].items():
-            w = float(w_key[1:])
-            got = expected_action_given_state(w, policy, P, C)
-            assert math.isclose(got, want, abs_tol=2e-6), (pol_key, w_key)
+        pins = oracle["expected_action"][pol_key]
+        got = expected_action([float(w_key[1:]) for w_key in pins], policy, P, C)
+        for g, (w_key, want) in zip(got, pins.items()):
+            assert math.isclose(g, want, abs_tol=2e-6), (pol_key, w_key)
 
 
 def test_expected_action_center_and_symmetry() -> None:
     for policy in (Radius(1.0), Radius(2.35), R_UNB):
-        assert abs(expected_action_given_state(P.prior_mean, policy, P, C)) < 1e-10
-        up = expected_action_given_state(1.2, policy, P, C)
-        dn = expected_action_given_state(-1.2, policy, P, C)
+        center, up, dn = expected_action([P.prior_mean, 1.2, -1.2], policy, P, C)
+        assert abs(center) < 1e-10
         assert abs(up + dn) < 1e-9
 
 
-def test_fig5_columns_match_expected_action_given_state() -> None:
+def test_fig5_columns_match_pointwise_expected_action() -> None:
     from echochamber.figures import REFERENCE_RADIUS, build_figure
 
     rows = build_figure("fig5", P, C).rows
     for omega, ea_c, ea_u in rows[::20]:
-        assert abs(ea_c - expected_action_given_state(omega, Radius(REFERENCE_RADIUS), P, C)) < 1e-12
-        assert abs(ea_u - expected_action_given_state(omega, R_UNB, P, C)) < 1e-12
+        assert abs(ea_c - expected_action([omega], Radius(REFERENCE_RADIUS), P, C)[0]) < 1e-12
+        assert abs(ea_u - expected_action([omega], R_UNB, P, C)[0]) < 1e-12
 
 
 def test_optimize_radius_evaluation_budget(monkeypatch) -> None:
@@ -266,11 +264,3 @@ def test_optimize_radius_evaluation_budget(monkeypatch) -> None:
     monkeypatch.setattr(censor, "expected_utility", counted)
     assert optimize_radius(replace(P, low_var=300.0), C).is_finite
     assert len(calls) <= 50
-
-
-def test_finiteness_threshold_bracketing() -> None:
-    t = find_finiteness_threshold(P, C, lo=3.0, hi=300.0, iters=4)
-    assert 3.0 < t <= 300.0
-    assert optimize_radius(replace(P, low_var=t), C).is_finite
-    with pytest.raises(ValueError):
-        find_finiteness_threshold(P, C, lo=290.0, hi=300.0, iters=2)

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from echochamber.errors import DegenerateRadiusError
+from echochamber.inference import _log_terms
 from echochamber.model import (
     DEFAULT_PARAMS,
     ModelParams,
     NormalWeight,
     Radius,
     UNBOUNDED,
+    _log_weights,
     is_unbounded,
-    mixture_cdf,
-    mixture_density,
-    truncated_density,
+    norm_logpdf,
     window_logmass,
 )
+
+P = DEFAULT_PARAMS
 
 
 def test_default_parameter_point() -> None:
@@ -84,24 +86,32 @@ def test_normal_weight_validation() -> None:
 
 
 def test_mixture_density_value(oracle: dict) -> None:
-    got = mixture_density(0.0, 0.0, DEFAULT_PARAMS)
+    # unrestricted, the kernel's tilt is the log prior and the type terms
+    # are the two component log densities
+    _, like_H, like_L = _log_terms(0.0, 0.0, Radius(UNBOUNDED), P)
+    lh, ll = _log_weights(P)
+    got = math.exp(np.logaddexp(lh + like_H, ll + like_L))
     assert math.isclose(got, oracle["densities"]["mixture_pdf_s0_w0"], rel_tol=1e-12)
 
 
 def test_mixture_density_hand_formula() -> None:
     # h * N(0; 0, 0.5) + (1 - h) * N(0; 0, 3)
     want = 0.5 / math.sqrt(2 * math.pi * 0.5) + 0.5 / math.sqrt(2 * math.pi * 3.0)
-    assert math.isclose(mixture_density(0.0, 0.0, DEFAULT_PARAMS), want, rel_tol=1e-14)
+    _, like_H, like_L = _log_terms(0.0, 0.0, Radius(UNBOUNDED), P)
+    got = 0.5 * math.exp(like_H) + 0.5 * math.exp(like_L)
+    assert math.isclose(got, want, rel_tol=1e-14)
 
 
 def test_mixture_cdf_value(oracle: dict) -> None:
-    got = mixture_cdf(1.0, 0.0, DEFAULT_PARAMS)
+    # at the prior mean the mixture is symmetric: F(1) = (1 + P(|s| < 1)) / 2
+    got = (1.0 + math.exp(window_logmass(0.0, 1.0, P))) / 2.0
     assert math.isclose(got, oracle["densities"]["mixture_cdf_x1_w0"], rel_tol=1e-12)
 
 
 def test_mixture_cdf_monotone_and_normalized() -> None:
-    xs = np.linspace(-12.0, 12.0, 101)
-    vals = np.array([mixture_cdf(x, 0.3, DEFAULT_PARAMS) for x in xs])
+    # the window mass F(m + r) - F(m - r) grows from 0 to 1 with r
+    rs = np.geomspace(1e-9, 12.0, 101)
+    vals = np.array([math.exp(window_logmass(0.3, r, P)) for r in rs])
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[0] < 1e-8 and vals[-1] > 1.0 - 1e-8
 
@@ -125,35 +135,26 @@ def test_window_mass_far_tail_finite() -> None:
 
 
 def test_truncated_density_value(oracle: dict) -> None:
-    got = truncated_density(0.0, 0.0, DEFAULT_PARAMS, Radius(1.0))
+    # the tilt less the log prior leaves minus the log window mass
+    tilt, like_H, like_L = _log_terms(0.0, 0.0, Radius(1.0), P)
+    lh, ll = _log_weights(P)
+    log_f = tilt - norm_logpdf(0.0, P.prior_mean, P.prior_var) + np.logaddexp(lh + like_H, ll + like_L)
     assert math.isclose(
-        got, oracle["densities"]["truncated_pdf_s0_w0_r1"], rel_tol=1e-12
+        math.exp(log_f), oracle["densities"]["truncated_pdf_s0_w0_r1"], rel_tol=1e-12
     )
 
 
 def test_truncated_density_integrates_to_one() -> None:
-    r = 1.7
+    r, omega = 1.7, 0.8
     # the density is zero at |s - mean| = r exactly, so keep the grid inside
     xs = np.linspace(-r + 1e-9, r - 1e-9, 20001)
-    vals = np.array(
-        [truncated_density(x, 0.8, DEFAULT_PARAMS, Radius(r)) for x in xs]
-    )
-    total = float(np.trapezoid(vals, xs))
+    tilt, like_H, like_L = _log_terms(omega, xs, Radius(r), P)
+    lh, ll = _log_weights(P)
+    log_f = tilt - norm_logpdf(omega, P.prior_mean, P.prior_var) + np.logaddexp(lh + like_H, ll + like_L)
+    total = float(np.trapezoid(np.exp(log_f), xs))
     assert math.isclose(total, 1.0, abs_tol=1e-6)
-
-
-def test_truncated_density_zero_outside_window() -> None:
-    assert truncated_density(2.1, 0.0, DEFAULT_PARAMS, Radius(2.0)) == 0.0
-    assert truncated_density(-2.0, 0.0, DEFAULT_PARAMS, Radius(2.0)) == 0.0
-
-
-def test_truncated_density_unbounded_is_mixture() -> None:
-    got = truncated_density(1.3, 0.4, DEFAULT_PARAMS, Radius(UNBOUNDED))
-    want = mixture_density(1.3, 0.4, DEFAULT_PARAMS)
-    assert math.isclose(got, want, rel_tol=1e-14)
 
 
 def test_truncated_density_degenerate_radius_raises() -> None:
     with pytest.raises(DegenerateRadiusError):
-        truncated_density(0.0, 0.0, DEFAULT_PARAMS, Radius(0.0))
-
+        _log_terms(0.0, 0.0, Radius(0.0), P)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echochamber.inference import optimal_action
+from echochamber.inference import _log_terms, optimal_action
 from echochamber.model import (
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
@@ -16,16 +16,14 @@ from echochamber.model import (
     UNBOUNDED,
 )
 from echochamber.normal_sampling import (
+    _per_type,
     closed_form_objective,
     locate_critical_point,
     naive_action,
     naive_prob_high,
     optimize_sampling_variance,
-    sampled_signal_distribution,
-    sampling_center_check,
     single_type_critical_point,
     single_type_objective_offcenter,
-    weight_bundle,
 )
 
 P = DEFAULT_PARAMS
@@ -39,40 +37,49 @@ P_PRECISE = replace(P, high_share=1.0, high_var=0.5)
 
 def test_per_type_weights_hand_values() -> None:
     # low type, source var 4, window var 0.4: precisions are 1, 2.5, 0.25
-    b = weight_bundle(replace(P, low_var=4.0), NormalWeight(mean=0.0, var=0.4))
-    assert math.isclose(b.lambda_L, 1.0 / 11.0, rel_tol=1e-14)
-    assert math.isclose(b.sig_gq_L, 4.0 / 11.0, rel_tol=1e-14)
-    assert math.isclose(b.alpha_L, 4.0 / 15.0, rel_tol=1e-14)
-    assert math.isclose(b.lambda_H, 4.0 / 9.0, rel_tol=1e-14)
-    assert math.isclose(b.sig_gq_H, 2.0 / 9.0, rel_tol=1e-14)
-    assert math.isclose(b.alpha_H, 2.0 / 11.0, rel_tol=1e-14)
+    p, pol = replace(P, low_var=4.0), NormalWeight(mean=0.0, var=0.4)
+    alpha_L, lambda_L, sig_gq_L = _per_type(p, pol, "L")
+    alpha_H, lambda_H, sig_gq_H = _per_type(p, pol, "H")
+    assert math.isclose(lambda_L, 1.0 / 11.0, rel_tol=1e-14)
+    assert math.isclose(sig_gq_L, 4.0 / 11.0, rel_tol=1e-14)
+    assert math.isclose(alpha_L, 4.0 / 15.0, rel_tol=1e-14)
+    assert math.isclose(lambda_H, 4.0 / 9.0, rel_tol=1e-14)
+    assert math.isclose(sig_gq_H, 2.0 / 9.0, rel_tol=1e-14)
+    assert math.isclose(alpha_H, 2.0 / 11.0, rel_tol=1e-14)
 
 
 def test_weight_bundle_blends_and_ranges() -> None:
     pol = NormalWeight(mean=0.0, var=2.0)
-    b = weight_bundle(P, pol)
-    h = P.high_share
-    assert math.isclose(b.lambda_bar, h * b.lambda_H + (1 - h) * b.lambda_L)
-    assert math.isclose(b.alpha_bar, h * b.alpha_H + (1 - h) * b.alpha_L)
-    for x in (b.alpha_H, b.alpha_L, b.lambda_H, b.lambda_L):
+    alpha_H, lambda_H, sig_gq_H = _per_type(P, pol, "H")
+    alpha_L, lambda_L, sig_gq_L = _per_type(P, pol, "L")
+    for x in (alpha_H, alpha_L, lambda_H, lambda_L):
         assert 0.0 < x < 1.0
-    assert b.sig_gq_H < P.high_var and b.sig_gq_L < P.low_var
-    b_at_s = weight_bundle(P, pol, s=1.0)
-    p = float(naive_prob_high(1.0, P, pol))
-    assert math.isclose(b_at_s.alpha_bar, p * b.alpha_H + (1 - p) * b.alpha_L)
+    assert sig_gq_H < P.high_var and sig_gq_L < P.low_var
+    # the action puts the belief-blended prior weight on the prior mean
+    s = np.array([-2.0, 1.0, 3.5])
+    p = naive_prob_high(s, P, pol)
+    alpha_bar = p * alpha_H + (1 - p) * alpha_L
+    want = alpha_bar * P.prior_mean + (1 - alpha_bar) * s
+    assert np.allclose(naive_action(s, P, pol), want, rtol=1e-14, atol=0.0)
 
 
 def test_admitted_signal_shrinks_toward_window_center() -> None:
-    pol = NormalWeight(mean=0.0, var=2.0)
-    mean, var = sampled_signal_distribution(2.0, P, pol, "L")
-    assert 0.0 < mean < 2.0
-    assert var < P.low_var
+    # the kernel's admitted type-L signal at state omega is normal with mean
+    # lambda * omega + (1 - lambda) * center and variance sig_gq2
+    s = np.linspace(-60.0, 60.0, 120001)
+    for omega, center in ((2.0, 0.0), (0.0, 3.0)):
+        pol = NormalWeight(mean=center, var=2.0)
+        _, lam, var = _per_type(P, pol, "L")
+        _, _, like_L = _log_terms(omega, s, pol, P)
+        f = np.exp(like_L - like_L.max())
+        mean = float(f @ s / f.sum())
+        assert math.isclose(mean, lam * omega + (1.0 - lam) * center, abs_tol=1e-9)
+        assert math.isclose(float(f @ (s - mean) ** 2 / f.sum()), var, rel_tol=1e-9)
+        # pulled toward the window's own center, not the prior mean
+        assert min(omega, center) < mean < max(omega, center)
+        assert var < P.low_var
     # removing the window restores the raw source distribution
-    mean_u, var_u = sampled_signal_distribution(2.0, P, NormalWeight(), "L")
-    assert mean_u == 2.0 and var_u == P.low_var
-    # an off-center window pulls toward its own center, not the prior mean
-    mean_off, _ = sampled_signal_distribution(0.0, P, NormalWeight(mean=3.0, var=2.0), "L")
-    assert mean_off > 0.0
+    assert _per_type(P, NormalWeight(), "L")[1:] == (1.0, P.low_var)
 
 
 def test_single_type_objective_values(oracle: dict) -> None:
@@ -193,22 +200,18 @@ def test_optimize_sampling_variance_low_dispersion_regime(oracle: dict) -> None:
 def test_center_check_worked_example() -> None:
     # source var 0.5, window var 1: lambda = 2/3, so an offset of 1 costs
     # (1/3)^2 = 1/9 regardless of the other terms
-    report = sampling_center_check(P_PRECISE, 1.0, [0.5, 1.0, 2.0])
-    assert report.all_dominate
-    by_offset = {row.offset: row for row in report.rows}
-    assert math.isclose(by_offset[1.0].margin, 1.0 / 9.0, rel_tol=1e-12)
-    assert math.isclose(by_offset[1.0].value_at_center, -7.0 / 16.0, rel_tol=1e-12)
-    margins = [row.margin for row in report.rows]
+    center = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 0.0)
+    margins = [
+        center - single_type_objective_offcenter(P_PRECISE, "H", 1.0, off)
+        for off in (0.5, 1.0, 2.0)
+    ]
+    assert math.isclose(margins[1], 1.0 / 9.0, rel_tol=1e-12)
+    assert math.isclose(center, -7.0 / 16.0, rel_tol=1e-12)
     assert margins == sorted(margins)
-    assert all(row.margin > 0.0 for row in report.rows)
+    assert all(m > 0.0 for m in margins)
 
 
 def test_center_check_offcenter_matches_formula() -> None:
     off = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 1.0)
     center = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 0.0)
     assert math.isclose(center - off, (1.0 / 3.0) ** 2, rel_tol=1e-12)
-
-
-def test_center_check_requires_single_type() -> None:
-    with pytest.raises(ValueError, match="high_share"):
-        sampling_center_check(P, 1.0, [1.0])

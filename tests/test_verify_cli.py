@@ -170,6 +170,20 @@ def test_cli_figures_fig2_coarse_quadrature_exits_3(capsys, tmp_path) -> None:
     assert not (tmp_path / "fig2.csv").exists()
 
 
+def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
+    # a precise high type (sigmaH2 = 0.01) has a likelihood narrower than
+    # the signal panels a few prior sds out, where the Unbounded column is
+    # 1.5e-4 off a 60-per-panel rule; fig5 self-checks both columns
+    code = main(
+        ["figures", "--only", "fig5", "--format", "csv", "--out", str(tmp_path),
+         "--params", "sigmaH2=0.01,sigmaL2=300"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "figure fig5 aborted" in err and "failed its self-check" in err
+    assert not (tmp_path / "fig5.csv").exists()
+
+
 def test_cli_verify_benchmark_checks_coarse_quadrature_fail(capsys) -> None:
     code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=3"])
     out = capsys.readouterr().out
