@@ -23,6 +23,8 @@ from scipy.optimize import minimize_scalar
 from .errors import QuadratureError, ScanBoundError
 from .inference import _log_terms, _policy_pieces, _shifted_moments, posterior_summaries
 from .model import (
+    ABS_TOL,
+    INVARIANT_TOL,
     UNBOUNDED,
     Extent,
     ModelParams,
@@ -99,14 +101,14 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) 
 def _self_checked(what: str, evaluate, cfg: NumericsConfig):
     """evaluate(cfg), a float or an array, repeated at half the nodes per
     panel, rounded up (always fewer than quad_nodes). A disagreement beyond
-    1e3 * abs_tol anywhere raises QuadratureError naming what."""
+    1e3 * ABS_TOL anywhere raises QuadratureError naming what."""
     value = evaluate(cfg)
     halved = copy.copy(cfg)  # not replace(): 3 halves to 2, below the minimum
     object.__setattr__(halved, "quad_nodes", (cfg.quad_nodes + 1) // 2)
     coarse = evaluate(halved)
     k = int(np.argmax(np.abs(np.subtract(value, coarse))))
     fine_k, coarse_k = float(np.ravel(value)[k]), float(np.ravel(coarse)[k])
-    if abs(fine_k - coarse_k) > 1e3 * cfg.abs_tol:
+    if abs(fine_k - coarse_k) > 1e3 * ABS_TOL:
         raise QuadratureError(
             f"{what} failed its self-check: {fine_k!r} at "
             f"{cfg.quad_nodes} nodes per panel vs {coarse_k!r} at half resolution"
@@ -114,23 +116,13 @@ def _self_checked(what: str, evaluate, cfg: NumericsConfig):
     return value
 
 
-def expected_utility(
-    policy: Radius, params: ModelParams, cfg: NumericsConfig, *, check: bool = True
-) -> float:
+def expected_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
     """Negative expected quadratic loss of the optimal action under the
     given censoring radius. r = 0 returns minus the prior variance
-    analytically; UNBOUNDED gives the no-restriction benchmark.
-
-    With check=True the quadrature is repeated at half the nodes per panel
-    and a disagreement beyond 1e3 * abs_tol raises QuadratureError.
-    """
+    analytically; UNBOUNDED gives the no-restriction benchmark."""
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return -params.prior_var
-
-    def utility(c: NumericsConfig) -> float:
-        return -_bayes_loss(policy, params, c)
-
-    return _self_checked("expected utility", utility, cfg) if check else utility(cfg)
+    return -_bayes_loss(policy, params, cfg)
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
@@ -143,10 +135,14 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
         raise ValueError(f"radius grid must be nonnegative and ordered, got {radii!r}")
     if not radii or radii[0] > 0.0:
         radii = [0.0] + radii
-    utilities = [
-        expected_utility(Radius(r), params, cfg, check=False) for r in radii
-    ]
-    utilities.append(expected_utility(Radius(UNBOUNDED), params, cfg))
+    utilities = [expected_utility(Radius(r), params, cfg) for r in radii]
+    utilities.append(
+        _self_checked(
+            "expected utility",
+            lambda c: expected_utility(Radius(UNBOUNDED), params, c),
+            cfg,
+        )
+    )
     return UtilityCurve(
         radii=tuple(radii) + (UNBOUNDED,),
         utilities=tuple(utilities),
@@ -155,36 +151,37 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
 
 
 def _scan_then_refine(
-    fn, grid: np.ndarray, benchmark: float, cfg: NumericsConfig, family: str
+    fn, grid: np.ndarray, cfg: NumericsConfig, family: str, what: str
 ) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
     unbounded benchmark, bounded Brent refinement of interior maxima,
     smaller-argument tie-breaking.
 
-    fn(x, check) evaluates the objective; the scan and the refinement call
-    it with check=False, and a finite optimum is evaluated once more with
-    check=True before it is returned, so a quadrature too coarse for it
-    raises QuadratureError instead of returning a bad number. The caller
-    evaluates the benchmark with the self-check on.
+    fn(x, c) is the objective at x under numerics c; fn(UNBOUNDED, c) is the
+    benchmark. The benchmark (named "expected utility" in a failure) and a
+    finite optimum (named what) pass the half-resolution self-check, so a
+    quadrature too coarse for them raises QuadratureError instead of
+    returning a bad number.
     """
-    values = np.array([fn(float(g), False) for g in grid])
-    tol = cfg.invariant_tol
+    benchmark = _self_checked("expected utility", lambda c: fn(UNBOUNDED, c), cfg)
+    values = np.array([fn(float(g), cfg) for g in grid])
+    tol = INVARIANT_TOL
 
-    # a scan peak within 10 * abs_tol of the benchmark is float noise in the
+    # a scan peak within 10 * ABS_TOL of the benchmark is float noise in the
     # converged tail, not an optimum worth refining
     brackets = [
         (float(grid[i - 1]), float(grid[i + 1]))
         for i in range(1, len(grid) - 1)
         if values[i] >= values[i - 1]
         and values[i] >= values[i + 1]
-        and abs(values[i] - benchmark) > 10.0 * cfg.abs_tol
+        and abs(values[i] - benchmark) > 10.0 * ABS_TOL
     ]
     if values[0] > values[1]:
         brackets.append((float(grid[0]), float(grid[1])))
     candidates: list[tuple[float, float, tuple[float, float]]] = []
     for lo, hi in brackets:
         res = minimize_scalar(
-            lambda x: -fn(x, False), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            lambda x: -fn(x, cfg), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
         )
         candidates.append((float(res.x), -float(res.fun), (lo, hi)))
 
@@ -216,7 +213,7 @@ def _scan_then_refine(
             is_finite=False,
             bracket=(float(grid[-1]), math.inf),
         )
-    fn(best[0], True)  # the self-check; raises QuadratureError
+    _self_checked(what, lambda c: fn(best[0], c), cfg)
     return OptimumResult(
         r_star=best[0],
         utility_at_opt=best[1],
@@ -236,17 +233,15 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     nondecreasing at the scan bound without exceeding the unbounded
     benchmark; a bound hit while the curve still rises above the benchmark
     raises ScanBoundError. The benchmark and a finite optimum pass the
-    half-resolution self-check of expected_utility, or QuadratureError is
-    raised.
+    half-resolution self-check, or QuadratureError is raised.
     """
     bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
     grid = np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)
 
-    def fn(r: float, check: bool) -> float:
-        return expected_utility(Radius(r), params, cfg, check=check)
+    def fn(r: Extent, c: NumericsConfig) -> float:
+        return expected_utility(Radius(r), params, c)
 
-    return _scan_then_refine(fn, grid, benchmark, cfg, "censoring-radius")
+    return _scan_then_refine(fn, grid, cfg, "censoring-radius", "expected utility")
 
 
 def signal_moments_vs_r(

@@ -33,10 +33,7 @@ _PARAM_KEYS = {
     "h": "high_share",
 }
 _NUMERIC_KEYS = {
-    "support_halfwidth_sd": float,
     "quad_nodes": int,
-    "abs_tol": float,
-    "invariant_tol": float,
     "mc_seed": int,
     "mc_n": int,
 }
@@ -81,6 +78,16 @@ def _load_config_file(path: str) -> dict[str, object]:
     return out
 
 
+def _strict(kind, value):
+    """kind(value), refusing what kind() would silently round: a JSON
+    boolean, or a fractional number for an integer key."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise TypeError(f"{value!r} is not {kind.__name__}")
+    return kind(value)
+
+
 def _resolve(args: argparse.Namespace) -> tuple[ModelParams, NumericsConfig]:
     merged: dict[str, object] = {}
     if getattr(args, "config", None):
@@ -94,12 +101,12 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, NumericsConfig]:
     for key, value in merged.items():
         if key in _PARAM_KEYS:
             try:
-                p_kwargs[_PARAM_KEYS[key]] = float(value)
+                p_kwargs[_PARAM_KEYS[key]] = _strict(float, value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"parameter {key}={value!r} is not a number") from exc
         elif key in _NUMERIC_KEYS:
             try:
-                n_kwargs[key] = _NUMERIC_KEYS[key](value)
+                n_kwargs[key] = _strict(_NUMERIC_KEYS[key], value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"numeric option {key}={value!r} has the wrong type") from exc
         else:

@@ -52,6 +52,9 @@ def is_unbounded(x: object) -> bool:
 
 _LOG_MASS_FLOOR = -700.0  # below this the window mass underflows double range
 
+ABS_TOL = 1e-8  # accuracy a printed number is held to
+INVARIANT_TOL = 1e-6  # slack for identities, ties and surpluses in results
+
 
 def _check_positive_finite(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
@@ -143,17 +146,11 @@ SamplingPolicy = Union[Radius, NormalWeight]
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    support_halfwidth_sd: float = 10.0
     quad_nodes: int = 20  # Gauss-Legendre nodes on each quadrature panel
-    abs_tol: float = 1e-8
-    invariant_tol: float = 1e-6
     mc_seed: int = 20250823
     mc_n: int = 1_000_000
 
     def __post_init__(self) -> None:
-        _check_positive_finite("support_halfwidth_sd", self.support_halfwidth_sd)
-        _check_positive_finite("abs_tol", self.abs_tol)
-        _check_positive_finite("invariant_tol", self.invariant_tol)
         if self.quad_nodes < 3:
             raise ValueError(f"quad_nodes must be >= 3, got {self.quad_nodes!r}")
         if self.mc_n < 1:

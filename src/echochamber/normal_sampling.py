@@ -99,11 +99,7 @@ def _closed_form_value(params: ModelParams, policy: NormalWeight) -> float:
 
 
 def closed_form_objective(
-    params: ModelParams,
-    sampling_var,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
-    *,
-    check: bool = True,
+    params: ModelParams, sampling_var, cfg: NumericsConfig = DEFAULT_NUMERICS
 ) -> float:
     """Expected utility of the soft window centered at the prior mean.
 
@@ -113,10 +109,10 @@ def closed_form_objective(
     evaluated by double quadrature of the same objective, since the blended
     prior weight then varies with the signal.
     """
-    from .censor import _naive_loss, _self_checked, expected_utility
+    from .censor import _naive_loss, expected_utility
 
     if is_unbounded(sampling_var):
-        return expected_utility(Radius(UNBOUNDED), params, cfg, check=check)
+        return expected_utility(Radius(UNBOUNDED), params, cfg)
     v = float(sampling_var)
     if v < 0.0:
         raise ValueError(f"sampling variance must be nonnegative, got {v!r}")
@@ -125,11 +121,7 @@ def closed_form_objective(
     policy = NormalWeight(mean=params.prior_mean, var=v)
     if _degenerate(params):
         return _closed_form_value(params, policy)
-
-    def objective(c: NumericsConfig) -> float:
-        return -_naive_loss(policy, params, c)
-
-    return _self_checked("soft-window objective", objective, cfg) if check else objective(cfg)
+    return -_naive_loss(policy, params, cfg)
 
 
 def single_type_objective_offcenter(
@@ -169,15 +161,15 @@ def locate_critical_point(
 
     def deriv(v: float) -> float:
         step = 1e-6 * (1.0 + v)
-        up = closed_form_objective(params, v + step, cfg, check=False)
-        dn = closed_form_objective(params, v - step, cfg, check=False)
+        up = closed_form_objective(params, v + step, cfg)
+        dn = closed_form_objective(params, v - step, cfg)
         return (up - dn) / (2.0 * step)
 
     v_star = float(brentq(deriv, lo, hi, xtol=1e-10))
-    mid = closed_form_objective(params, v_star, cfg, check=False)
+    mid = closed_form_objective(params, v_star, cfg)
     spread = 0.05 * (1.0 + v_star)
-    left = closed_form_objective(params, v_star - spread, cfg, check=False)
-    right = closed_form_objective(params, v_star + spread, cfg, check=False)
+    left = closed_form_objective(params, v_star - spread, cfg)
+    right = closed_form_objective(params, v_star + spread, cfg)
     kind = "min" if mid <= min(left, right) else "max"
     return v_star, kind
 
@@ -188,12 +180,11 @@ def optimize_sampling_variance(params: ModelParams, cfg: NumericsConfig):
     same result type as the censoring-radius optimizer, with the optimizing
     sampling variance in r_star. The benchmark and a finite optimum pass the
     half-resolution self-check, or QuadratureError is raised."""
-    from .censor import _scan_then_refine, expected_utility
+    from .censor import _scan_then_refine
 
     grid = np.geomspace(1e-3, 1e4, 57)
-    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)
 
-    def fn(v: float, check: bool) -> float:
-        return closed_form_objective(params, v, cfg, check=check)
+    def fn(v, c: NumericsConfig) -> float:
+        return closed_form_objective(params, v, c)
 
-    return _scan_then_refine(fn, grid, benchmark, cfg, "sampling-variance")
+    return _scan_then_refine(fn, grid, cfg, "sampling-variance", "soft-window objective")

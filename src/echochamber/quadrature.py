@@ -7,14 +7,14 @@ panels about w wide whether w is 0.1 or 500 (compound rules on graded
 panels; Davis & Rabinowitz, Methods of Numerical Integration, 1984, ch. 6).
 Every panel gets NumericsConfig.quad_nodes Gauss-Legendre nodes.
 
-- State axis: half-width support_halfwidth_sd x sqrt(max(prior_var,
-  low_var)); scales the prior sd, both signal sds and the high-type
-  posterior sd. Inside the prior's support_halfwidth_sd-sd band, where the
-  narrow high-type posterior of any admitted signal sits, no panel is wider
-  than STATE_CAP_SDS high-type posterior sds.
-- Signal axis: the window, or support_halfwidth_sd x sqrt(prior_var +
-  low_var) widened by a soft window's offset; scales the two marginal
-  signal sds, sqrt(high_var) and a soft window's sd.
+- State axis: half-width SUPPORT_SDS x sqrt(max(prior_var, low_var));
+  scales the prior sd, both signal sds and the high-type posterior sd.
+  Inside the prior's SUPPORT_SDS-sd band, where the narrow high-type
+  posterior of any admitted signal sits, no panel is wider than
+  STATE_CAP_SDS high-type posterior sds.
+- Signal axis: the window, or SUPPORT_SDS x sqrt(prior_var + low_var)
+  widened by a soft window's offset; scales the two marginal signal sds,
+  sqrt(high_var) and a soft window's sd.
 
 Window ends and the soft-window centre are always panel edges, never
 interior nodes, because the integrands are not smooth there.
@@ -30,6 +30,7 @@ from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPo
 
 GRADES = (0.5, 1.0, 2.0, 4.0, 8.0)
 STATE_CAP_SDS = 3.0
+SUPPORT_SDS = 10.0
 
 
 @lru_cache(maxsize=32)
@@ -69,10 +70,10 @@ def state_rule(params: ModelParams, cfg: NumericsConfig) -> tuple[np.ndarray, np
     """Quadrature rule over the state axis; see the module docstring."""
     m, pv, hv, lv = params.prior_mean, params.prior_var, params.high_var, params.low_var
     post_sd = math.sqrt(pv * hv / (pv + hv))
-    near = cfg.support_halfwidth_sd * math.sqrt(pv)
+    near = SUPPORT_SDS * math.sqrt(pv)
     lo, hi = m - near, m + near
     scales = (math.sqrt(pv), math.sqrt(hv), math.sqrt(lv), post_sd)
-    edges = panel_edges(m, cfg.support_halfwidth_sd * math.sqrt(max(pv, lv)), scales, (lo, hi))
+    edges = panel_edges(m, SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (lo, hi))
     return paneled_rule(_capped(edges, lo, hi, STATE_CAP_SDS * post_sd), cfg.quad_nodes)
 
 
@@ -80,7 +81,7 @@ def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
     """Signal rule over the support of the signals the policy admits."""
     m, pv, hv, lv = params.prior_mean, params.prior_var, params.high_var, params.low_var
     scales = (math.sqrt(pv + hv), math.sqrt(pv + lv), math.sqrt(hv))
-    halfwidth, breaks = cfg.support_halfwidth_sd * math.sqrt(pv + lv), ()
+    halfwidth, breaks = SUPPORT_SDS * math.sqrt(pv + lv), ()
     if isinstance(policy, Radius) and not policy.unbounded:
         halfwidth = policy.r
     elif isinstance(policy, NormalWeight) and not policy.unbounded:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .censor import expected_utility, optimize_radius
+from .censor import _self_checked, expected_utility, optimize_radius
 from .inference import (
     action_map,
     optimal_action,
@@ -23,6 +23,7 @@ from .inference import (
 )
 from .mc import mc_expected_utility, mc_high_prob_within_radius, simulate_draws
 from .model import (
+    INVARIANT_TOL,
     UNBOUNDED,
     DEFAULT_PARAMS,
     ModelParams,
@@ -73,18 +74,19 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             worst = max(worst, abs(summary.action - summary.combination))
     return CheckResult(
         name="lemma1",
-        passed=worst < cfg.invariant_tol,
+        passed=worst < INVARIANT_TOL,
         measured=f"max decomposition residual {worst:.3e}",
-        tolerance=f"< {cfg.invariant_tol:g}",
+        tolerance=f"< {INVARIANT_TOL:g}",
         detail="action equals the quality-probability mix of type actions",
     )
 
 
 def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    u_single = expected_utility(
-        Radius(UNBOUNDED), replace(params, high_share=1.0), cfg, check=False
+    u_single = expected_utility(Radius(UNBOUNDED), replace(params, high_share=1.0), cfg)
+    mixed = replace(params, high_share=0.5)
+    u_mixed = _self_checked(
+        "expected utility", lambda c: expected_utility(Radius(UNBOUNDED), mixed, c), cfg
     )
-    u_mixed = expected_utility(Radius(UNBOUNDED), replace(params, high_share=0.5), cfg)
     gap = u_single - u_mixed
     return CheckResult(
         name="lemma2",
@@ -161,7 +163,7 @@ def check_prop1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     p = replace(params, low_var=300.0)
     opt = optimize_radius(p, cfg)
-    passed = opt.is_finite and opt.utility_at_opt > opt.utility_uncensored + cfg.invariant_tol
+    passed = opt.is_finite and opt.utility_at_opt > opt.utility_uncensored + INVARIANT_TOL
     r_txt = "Unbounded" if not opt.is_finite else _g(float(opt.r_star))
     return CheckResult(
         name="prop2",
@@ -170,7 +172,7 @@ def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
             f"low_var=300: r* {r_txt}, U(r*) {_g(opt.utility_at_opt)}, "
             f"U(inf) {_g(opt.utility_uncensored)}"
         ),
-        tolerance=f"finite and surplus > {cfg.invariant_tol:g}",
+        tolerance=f"finite and surplus > {INVARIANT_TOL:g}",
         detail="a finite window wins once low-type dispersion is large enough",
     )
 
@@ -313,7 +315,7 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
 
 
 def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
-    ref = expected_utility(policy, params, cfg)
+    ref = _self_checked("expected utility", lambda c: expected_utility(policy, params, c), cfg)
     amap = action_map(policy, params, cfg)
     draws = simulate_draws(params, policy, cfg.mc_n, cfg.mc_seed)
     est = mc_expected_utility(draws, amap, params)

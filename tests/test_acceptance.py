@@ -40,8 +40,8 @@ def test_criterion_01_finite_optimal_radius_near_reference() -> None:
     ex = PAPER_EXAMPLE
     opt = optimize_radius(ex, C)
     opt_dbl = optimize_radius(ex, replace(C, quad_nodes=2 * C.quad_nodes - 1))
-    u_ref = expected_utility(Radius(REFERENCE_RADIUS), ex, C, check=False)
-    u_unb = expected_utility(R_UNB, ex, C, check=False)
+    u_ref = expected_utility(Radius(REFERENCE_RADIUS), ex, C)
+    u_unb = expected_utility(R_UNB, ex, C)
     headline = (
         opt.is_finite
         and abs(float(opt.r_star) - REFERENCE_RADIUS) <= 0.1
@@ -249,12 +249,12 @@ def test_criterion_11_monte_carlo_agrees_with_quadrature(oracle: dict) -> None:
             from echochamber.inference import action_map
 
             est = mc_expected_utility(draws, action_map(policy, params, C), params)
-            ref = expected_utility(policy, params, C, check=False)
+            ref = expected_utility(policy, params, C)
         else:
             est = mc_expected_utility(
                 draws, lambda s: naive_action(s, params, policy), params
             )
-            ref = closed_form_objective(params, soft_v, C, check=False)
+            ref = closed_form_objective(params, soft_v, C)
         z = (est.value - ref) / est.std_error
         zs.append(f"{label} z = {z:+.2f}")
         passed = passed and abs(z) <= 3.0

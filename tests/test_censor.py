@@ -17,8 +17,10 @@ from echochamber.censor import (
 from echochamber import censor
 from echochamber.errors import ScanBoundError
 from echochamber.model import (
+    ABS_TOL,
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
+    INVARIANT_TOL,
     Radius,
     UNBOUNDED,
     is_unbounded,
@@ -63,9 +65,10 @@ def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
 
 def test_expected_utility_self_check_consistent() -> None:
     # the half-resolution audit agrees with the full pass at defaults
-    assert expected_utility(Radius(2.0), P, C, check=True) == expected_utility(
-        Radius(2.0), P, C, check=False
+    checked = censor._self_checked(
+        "expected utility", lambda c: expected_utility(Radius(2.0), P, c), C
     )
+    assert checked == expected_utility(Radius(2.0), P, C)
 
 
 def test_utility_curve_structure() -> None:
@@ -90,7 +93,7 @@ def test_utility_curve_nondecreasing_single_type() -> None:
     p1 = replace(P, high_share=1.0)
     curve = utility_curve(p1, np.linspace(0.25, 6.0, 24), C)
     diffs = np.diff(curve.utilities)
-    assert np.all(diffs > -C.invariant_tol)
+    assert np.all(diffs > -INVARIANT_TOL)
 
 
 def test_optimizer_default_returns_unbounded() -> None:
@@ -98,7 +101,7 @@ def test_optimizer_default_returns_unbounded() -> None:
     assert not opt.is_finite
     assert is_unbounded(opt.r_star)
     assert opt.utility_at_opt == opt.utility_uncensored
-    assert opt.utility_at_opt >= opt.utility_uncensored - C.invariant_tol
+    assert opt.utility_at_opt >= opt.utility_uncensored - INVARIANT_TOL
 
 
 def test_optimizer_single_type_returns_unbounded() -> None:
@@ -126,7 +129,7 @@ def test_optimizer_finite_at_tiny_low_share() -> None:
     opt = optimize_radius(replace(P, high_share=0.999), C)
     assert opt.is_finite
     assert 5.0 < opt.r_star < 6.2
-    assert opt.utility_at_opt > opt.utility_uncensored + C.invariant_tol
+    assert opt.utility_at_opt > opt.utility_uncensored + INVARIANT_TOL
 
 
 def test_limit_configs_unbounded_and_linear_as_stated(oracle: dict) -> None:
@@ -171,29 +174,30 @@ def test_limit_configs_unbounded_and_linear_as_stated(oracle: dict) -> None:
 
 def test_scan_bound_error_when_grid_stops_short() -> None:
     p300 = replace(P, low_var=300.0)
-    benchmark = expected_utility(R_UNB, p300, C, check=False)
 
-    def fn(r: float, check: bool) -> float:
-        return expected_utility(Radius(r), p300, C, check=check)
+    def fn(r, c) -> float:
+        return expected_utility(Radius(r), p300, c)
 
     # plain floats, and the advice names the setting a user can change
     with pytest.raises(ScanBoundError, match=r"scan bound 2\.0 \(value -0\.\d+ above") as exc:
-        censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), benchmark, C, "censoring-radius")
+        censor._scan_then_refine(
+            fn, np.linspace(0.5, 2.0, 8), C, "censoring-radius", "expected utility"
+        )
     assert "raise quad_nodes" in str(exc.value)
 
 
 def test_utility_converges_at_scan_bound_as_stated() -> None:
     """The optimizer scans out to at least ten standard deviations of the
     low-type signal, sqrt(prior_var + low_var), and the utility there agrees
-    with the unrestricted benchmark within 10 * abs_tol. The bound is read
+    with the unrestricted benchmark within 10 * ABS_TOL. The bound is read
     from the Unbounded result's bracket, where the scan stopped."""
     opt = optimize_radius(P, C)
     assert not opt.is_finite
     bound = opt.bracket[0]
     assert bound >= 10.0 * math.sqrt(P.prior_var + P.low_var)
     gap = abs(expected_utility(Radius(bound), P, C) - expected_utility(R_UNB, P, C))
-    assert gap < 10.0 * C.abs_tol, (
-        f"|U({bound:.4f}) - U(unbounded)| = {gap:.3e} exceeds {10.0 * C.abs_tol:g}"
+    assert gap < 10.0 * ABS_TOL, (
+        f"|U({bound:.4f}) - U(unbounded)| = {gap:.3e} exceeds {10.0 * ABS_TOL:g}"
     )
 
 

@@ -18,6 +18,7 @@ from echochamber.inference import (
 from echochamber.model import (
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
+    INVARIANT_TOL,
     NormalWeight,
     Radius,
     UNBOUNDED,
@@ -81,7 +82,7 @@ def test_decomposition_identity_holds() -> None:
         r_cap = min(r_cap, getattr(policy, "r", 3.0) if not policy.unbounded else 3.0)
         for s in np.linspace(-0.95 * r_cap, 0.95 * r_cap, 9):
             got = optimal_action(float(s), policy, P, C)
-            assert abs(got.action - got.combination) < C.invariant_tol
+            assert abs(got.action - got.combination) < INVARIANT_TOL
 
 
 def test_decomposition_is_not_a_tautology(oracle: dict) -> None:
@@ -100,7 +101,7 @@ def test_action_symmetry() -> None:
         for delta in (0.4, 0.9, 1.6):
             up = optimal_action(P.prior_mean + delta, policy, P, C).action
             dn = optimal_action(P.prior_mean - delta, policy, P, C).action
-            assert abs((up - P.prior_mean) + (dn - P.prior_mean)) < C.invariant_tol
+            assert abs((up - P.prior_mean) + (dn - P.prior_mean)) < INVARIANT_TOL
 
 
 def test_action_at_center_is_prior_mean() -> None:
@@ -179,7 +180,7 @@ def test_quality_belief_depends_on_radius_and_matches_closed_form_unbounded(
     by the window mass D_r(omega) and r does not cancel from the type odds
     (a radius-free belief would belong to a censoring model that discards
     them). The unbounded belief equals the closed form; each finite-radius
-    belief differs from it by more than invariant_tol."""
+    belief differs from it by more than INVARIANT_TOL."""
     s = 0.3
     vals = {
         "r0.5": optimal_action(s, Radius(0.5), P, C).prob_high,
@@ -191,9 +192,9 @@ def test_quality_belief_depends_on_radius_and_matches_closed_form_unbounded(
     assert math.isclose(vals["r0.5"], want["prob_high_s03_r05"], abs_tol=1e-9)
     assert math.isclose(vals["r2"], want["prob_high_s03_r2"], abs_tol=1e-9)
     assert math.isclose(vals["unbounded"], want["prob_high_s03_unbounded"], abs_tol=1e-9)
-    assert math.isclose(vals["unbounded"], vals["closed"], abs_tol=C.invariant_tol), vals
+    assert math.isclose(vals["unbounded"], vals["closed"], abs_tol=INVARIANT_TOL), vals
     for key in ("r0.5", "r2"):
-        assert abs(vals[key] - vals["closed"]) > C.invariant_tol, (key, vals)
+        assert abs(vals[key] - vals["closed"]) > INVARIANT_TOL, (key, vals)
 
 
 def test_type_conditional_actions() -> None:
@@ -221,7 +222,7 @@ def test_uncensored_linear_action_formula() -> None:
         type_actions = optimal_action(float(s), R_UNB, P, C).type_actions
         for q, quad in zip(("H", "L"), type_actions):
             closed = uncensored_linear_action(float(s), P, q)
-            assert abs(closed - quad) < C.invariant_tol
+            assert abs(closed - quad) < INVARIANT_TOL
 
 
 def test_updating_direction_and_prior_responsiveness() -> None:

@@ -43,7 +43,7 @@ def test_unbounded_policy_accepts_every_attempt() -> None:
     assert d.n_attempts == 3000
 
 
-def test_attempt_log_consistency_across_chunk_boundary() -> None:
+def test_accepted_states_consistent_across_chunk_boundary() -> None:
     # 70000 records straddle the 65536-record chunk boundary, which is where
     # local-vs-global index bookkeeping would break
     n, seed = 70_000, 42
@@ -108,14 +108,14 @@ def test_state_marginal_is_preserved_by_redraw() -> None:
 def test_mc_utility_matches_quadrature_windowed() -> None:
     d = simulate_draws(P, Radius(2.35), 200_000, seed=C.mc_seed)
     est = mc_expected_utility(d, action_map(Radius(2.35), P, C), P)
-    quad = expected_utility(Radius(2.35), P, C, check=False)
+    quad = expected_utility(Radius(2.35), P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 
 
 def test_mc_utility_matches_quadrature_unbounded() -> None:
     d = simulate_draws(P, R_UNB, 200_000, seed=C.mc_seed)
     est = mc_expected_utility(d, action_map(R_UNB, P, C), P)
-    quad = expected_utility(R_UNB, P, C, check=False)
+    quad = expected_utility(R_UNB, P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from echochamber.censor import _self_checked
 from echochamber.inference import _log_terms, optimal_action
 from echochamber.model import (
     DEFAULT_NUMERICS,
@@ -48,7 +49,7 @@ def test_per_type_weights_hand_values() -> None:
     assert math.isclose(alpha_H, 2.0 / 11.0, rel_tol=1e-14)
 
 
-def test_weight_bundle_blends_and_ranges() -> None:
+def test_per_type_weights_in_range_and_naive_action_blends() -> None:
     pol = NormalWeight(mean=0.0, var=2.0)
     alpha_H, lambda_H, sig_gq_H = _per_type(P, pol, "H")
     alpha_L, lambda_L, sig_gq_L = _per_type(P, pol, "L")
@@ -112,14 +113,14 @@ def test_locate_critical_point_classifies_minimum() -> None:
 
 def test_mixed_objective_pinned(oracle: dict) -> None:
     for key in ("v1", "v4", "v16", "v1e6"):
-        got = closed_form_objective(P, float(key[1:]), C, check=False)
+        got = closed_form_objective(P, float(key[1:]), C)
         assert math.isclose(got, oracle["soft_objective"][key], abs_tol=1e-7), key
 
 
 def test_mixed_objective_self_check_consistent() -> None:
     assert math.isclose(
-        closed_form_objective(P, 4.0, C, check=True),
-        closed_form_objective(P, 4.0, C, check=False),
+        _self_checked("soft-window objective", lambda c: closed_form_objective(P, 4.0, c), C),
+        closed_form_objective(P, 4.0, C),
         rel_tol=1e-15,
     )
 
@@ -197,7 +198,7 @@ def test_optimize_sampling_variance_low_dispersion_regime(oracle: dict) -> None:
     assert opt.utility_at_opt > opt.utility_uncensored + 0.1
 
 
-def test_center_check_worked_example() -> None:
+def test_offcenter_objective_worked_example() -> None:
     # source var 0.5, window var 1: lambda = 2/3, so an offset of 1 costs
     # (1/3)^2 = 1/9 regardless of the other terms
     center = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 0.0)
@@ -211,7 +212,7 @@ def test_center_check_worked_example() -> None:
     assert all(m > 0.0 for m in margins)
 
 
-def test_center_check_offcenter_matches_formula() -> None:
+def test_offcenter_penalty_matches_formula() -> None:
     off = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 1.0)
     center = single_type_objective_offcenter(P_PRECISE, "H", 1.0, 0.0)
     assert math.isclose(center - off, (1.0 / 3.0) ** 2, rel_tol=1e-12)

@@ -18,10 +18,18 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from echochamber.censor import expected_utility
+from echochamber.censor import _self_checked, expected_utility
 from echochamber.inference import optimal_action, prob_high_closed, uncensored_linear_action
 from echochamber.mc import grid_posterior_oracle
-from echochamber.model import DEFAULT_NUMERICS, DEFAULT_PARAMS, ModelParams, Radius, UNBOUNDED
+from echochamber.model import (
+    ABS_TOL,
+    DEFAULT_NUMERICS,
+    DEFAULT_PARAMS,
+    INVARIANT_TOL,
+    ModelParams,
+    Radius,
+    UNBOUNDED,
+)
 from echochamber.quadrature import panel_edges, signal_rule, state_rule
 
 P = DEFAULT_PARAMS
@@ -137,8 +145,8 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
         high_share=point["high_share"],
     )
     # the benchmark, self-checked, against the 1-D oracle
-    eu = expected_utility(R_UNB, p, C)
-    assert abs(eu - eu_unbounded_oracle(p)) < C.abs_tol, (eu, eu_unbounded_oracle(p))
+    eu = _self_checked("expected utility", lambda c: expected_utility(R_UNB, p, c), C)
+    assert abs(eu - eu_unbounded_oracle(p)) < ABS_TOL, (eu, eu_unbounded_oracle(p))
 
     prior_sd = math.sqrt(p.prior_var)
     r = point["r_sd"] * prior_sd
@@ -152,4 +160,4 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
         mean, var = grid_posterior_oracle(s, policy, p, n_grid)
         assert abs(summary.action - mean) < 1e-6, (policy, s, summary.action, mean)
         assert abs(summary.posterior_var - var) < 1e-6, (policy, s, summary.posterior_var, var)
-        assert abs(summary.action - summary.combination) < C.invariant_tol
+        assert abs(summary.action - summary.combination) < INVARIANT_TOL

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -102,6 +103,10 @@ def test_cli_bad_parameter_exits_2(capsys) -> None:
     assert "unknown config key" in capsys.readouterr().err
     assert main(["figures", "--only", "fig9"]) == 2
     assert "unknown figure" in capsys.readouterr().err
+    # numeric settings that are fixed constants, not config keys
+    for key, value in (("abs_tol", "1e-8"), ("invariant_tol", "1e-6"), ("support_halfwidth_sd", "10")):
+        assert main(["verify", "--check", "lemma1", "--params", f"{key}={value}"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_cli_optimize_radius_default(capsys) -> None:
@@ -277,6 +282,19 @@ def test_cli_config_file_and_flag_precedence(capsys, tmp_path) -> None:
     capsys.readouterr()
     header2, _, _ = _read_csv(out2 / "fig1.csv")
     assert "low_var=7" in header2
+
+
+def test_cli_json_config_values_are_not_rounded(capsys, tmp_path) -> None:
+    # int() would run 20.5 as 20 nodes, float() a JSON true as h = 1, and
+    # int() of a JSON Infinity raises OverflowError, not a config error
+    cfg_json = tmp_path / "cfg.json"
+    for data in ({"quad_nodes": 20.5}, {"h": True}, {"quad_nodes": math.inf}):
+        cfg_json.write_text(json.dumps(data))
+        assert main(["verify", "--check", "lemma1", "--config", str(cfg_json)]) == 2, data
+        assert "configuration error" in capsys.readouterr().err
+    cfg_json.write_text(json.dumps({"mc_n": 1e6}))  # an integral number is an integer
+    assert main(["verify", "--check", "lemma1", "--config", str(cfg_json)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_sweep_radius_over_low_var(capsys) -> None:
