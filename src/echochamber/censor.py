@@ -223,25 +223,30 @@ def _scan_then_refine(
     )
 
 
+def scan_radii(params: ModelParams) -> np.ndarray:
+    """The optimizers' coarse scan: a 32-point geometric grid from
+    sqrt(prior_var) / 4 to ten low-type signal standard deviations,
+    10 * sqrt(prior_var + low_var), where the utility has converged to the
+    benchmark. It scales with the units of the state."""
+    bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
+    return np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
+
+
 def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     """Locate the utility-maximizing censoring radius.
 
-    Coarse scan on a 32-point geometric grid from sqrt(prior_var) / 4 to
-    ten low-type signal standard deviations, 10 * sqrt(prior_var + low_var),
-    where the utility has converged to the benchmark, then bounded Brent
-    refinement of each interior bracket. Returns UNBOUNDED when the curve is
-    nondecreasing at the scan bound without exceeding the unbounded
-    benchmark; a bound hit while the curve still rises above the benchmark
-    raises ScanBoundError. The benchmark and a finite optimum pass the
-    half-resolution self-check, or QuadratureError is raised.
+    Coarse scan on scan_radii(params), then bounded Brent refinement of each
+    interior bracket. Returns UNBOUNDED when the curve is nondecreasing at
+    the scan bound without exceeding the unbounded benchmark; a bound hit
+    while the curve still rises above the benchmark raises ScanBoundError.
+    The benchmark and a finite optimum pass the half-resolution self-check,
+    or QuadratureError is raised.
     """
-    bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
-    grid = np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
 
     def fn(r: Extent, c: NumericsConfig) -> float:
         return expected_utility(Radius(r), params, c)
 
-    return _scan_then_refine(fn, grid, cfg, "censoring-radius", "expected utility")
+    return _scan_then_refine(fn, scan_radii(params), cfg, "censoring-radius", "expected utility")
 
 
 def signal_moments_vs_r(

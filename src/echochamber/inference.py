@@ -101,10 +101,10 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
     omega = np.asarray(omega, dtype=float)
     tilt = norm_logpdf(omega, params.prior_mean, params.prior_var)
     variances = (params.high_var, params.low_var)
-    if isinstance(policy, NormalWeight) and not policy.unbounded:
+    if isinstance(policy, NormalWeight):
         # a type-q signal is admitted with probability N(omega; mean, q_var + var)
         # and is then normal with shrunk mean and the product variance
-        mean, var = policy.mean, float(policy.var)
+        mean, var = policy.mean, policy.var
         admit = [norm_logpdf(omega, mean, qv + var) for qv in variances]
         like = []
         for qv, log_admit in zip(variances, admit):

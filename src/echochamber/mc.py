@@ -75,10 +75,8 @@ def _acceptance(policy: SamplingPolicy, params: ModelParams, s: np.ndarray, rng)
             return np.ones(len(s), dtype=bool)
         return np.abs(s - params.prior_mean) < policy.r
     if isinstance(policy, NormalWeight):
-        if policy.unbounded:
-            return np.ones(len(s), dtype=bool)
         u = _uniforms(rng, len(s))
-        return u < np.exp(-((s - policy.mean) ** 2) / (2.0 * float(policy.var)))
+        return u < np.exp(-((s - policy.mean) ** 2) / (2.0 * policy.var))
     raise TypeError(f"unsupported policy {policy!r}")
 
 
@@ -228,8 +226,8 @@ def grid_posterior_oracle(
         weight = np.divide(
             prior * mix, mass, out=np.zeros_like(mass), where=mass > 0.0
         )
-    elif isinstance(policy, NormalWeight) and not policy.unbounded:
-        v = float(policy.var)
+    elif isinstance(policy, NormalWeight):
+        v = policy.var
         num = np.zeros_like(omega)
         den = np.zeros_like(omega)
         for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):

@@ -120,25 +120,17 @@ class Radius:
 @dataclass(frozen=True)
 class NormalWeight:
     """Soft policy: a signal s is admitted with probability
-    exp(-(s - mean)^2 / (2 var)); var = UNBOUNDED admits everything."""
+    exp(-(s - mean)^2 / (2 var)). No restriction is Radius(UNBOUNDED)."""
 
-    mean: float = 0.0
-    var: Extent = UNBOUNDED
+    mean: float
+    var: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean):
             raise ValueError(f"weight mean must be finite, got {self.mean!r}")
-        if is_unbounded(self.var):
-            return
         if not (isinstance(self.var, (int, float)) and math.isfinite(self.var) and self.var > 0.0):
-            raise ValueError(
-                f"weight var must be strictly positive, finite, or UNBOUNDED, got {self.var!r}"
-            )
+            raise ValueError(f"weight var must be strictly positive and finite, got {self.var!r}")
         object.__setattr__(self, "var", float(self.var))
-
-    @property
-    def unbounded(self) -> bool:
-        return is_unbounded(self.var)
 
 
 SamplingPolicy = Union[Radius, NormalWeight]

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
+from .censor import _naive_loss, _scan_then_refine, expected_utility, scan_radii
 from .model import (
     DEFAULT_NUMERICS,
     ModelParams,
@@ -37,7 +38,7 @@ def _per_type(params: ModelParams, policy: NormalWeight, q: str) -> tuple[float,
     qv = params.signal_var(q)
     p0 = 1.0 / params.prior_var
     pq = 1.0 / qv
-    pg = 0.0 if policy.unbounded else 1.0 / float(policy.var)
+    pg = 1.0 / policy.var
     alpha = p0 / (p0 + pg + pq)
     lam = pq / (pq + pg)
     sig_gq2 = 1.0 / (pg + pq)
@@ -50,11 +51,6 @@ def naive_prob_high(s, params: ModelParams, policy: NormalWeight):
 
     In the no-window limit this coincides with the closed-form source odds.
     """
-    h = params.high_share
-    if h <= 0.0:
-        return np.zeros_like(np.asarray(s, dtype=float))
-    if h >= 1.0:
-        return np.ones_like(np.asarray(s, dtype=float))
     s = np.asarray(s, dtype=float)
     logs = {}
     for q in ("H", "L"):
@@ -109,8 +105,6 @@ def closed_form_objective(
     evaluated by double quadrature of the same objective, since the blended
     prior weight then varies with the signal.
     """
-    from .censor import _naive_loss, expected_utility
-
     if is_unbounded(sampling_var):
         return expected_utility(Radius(UNBOUNDED), params, cfg)
     v = float(sampling_var)
@@ -175,16 +169,15 @@ def locate_critical_point(
 
 
 def optimize_sampling_variance(params: ModelParams, cfg: NumericsConfig):
-    """Maximize the soft-window objective over the sampling variance on a
-    logarithmic scan grid, against the no-restriction benchmark. Returns the
-    same result type as the censoring-radius optimizer, with the optimizing
-    sampling variance in r_star. The benchmark and a finite optimum pass the
-    half-resolution self-check, or QuadratureError is raised."""
-    from .censor import _scan_then_refine
-
-    grid = np.geomspace(1e-3, 1e4, 57)
+    """Maximize the soft-window objective over the sampling variance on the
+    square of the radius family's scan grid, against the no-restriction
+    benchmark. Returns the same result type as the censoring-radius
+    optimizer, with the optimizing sampling variance in r_star. The
+    benchmark and a finite optimum pass the half-resolution self-check, or
+    QuadratureError is raised."""
 
     def fn(v, c: NumericsConfig) -> float:
         return closed_form_objective(params, v, c)
 
+    grid = scan_radii(params) ** 2
     return _scan_then_refine(fn, grid, cfg, "sampling-variance", "soft-window objective")

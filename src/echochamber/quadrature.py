@@ -84,7 +84,7 @@ def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
     halfwidth, breaks = SUPPORT_SDS * math.sqrt(pv + lv), ()
     if isinstance(policy, Radius) and not policy.unbounded:
         halfwidth = policy.r
-    elif isinstance(policy, NormalWeight) and not policy.unbounded:
+    elif isinstance(policy, NormalWeight):
         # admitted signals lie between the prior mean and the window centre,
         # no wider than the unrestricted marginal, within a few window sds
         scales += (math.sqrt(policy.var),)

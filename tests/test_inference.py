@@ -79,7 +79,6 @@ def test_decomposition_identity_holds() -> None:
     policies = [Radius(0.8), Radius(2.0), Radius(5.0), R_UNB, NormalWeight(0.0, 1.3)]
     for policy in policies:
         r_cap = 0.75 if isinstance(policy, Radius) and not policy.unbounded else 3.0
-        r_cap = min(r_cap, getattr(policy, "r", 3.0) if not policy.unbounded else 3.0)
         for s in np.linspace(-0.95 * r_cap, 0.95 * r_cap, 9):
             got = optimal_action(float(s), policy, P, C)
             assert abs(got.action - got.combination) < INVARIANT_TOL

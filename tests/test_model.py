@@ -81,8 +81,8 @@ def test_normal_weight_validation() -> None:
         NormalWeight(mean=0.0, var=0.0)
     with pytest.raises(ValueError):
         NormalWeight(mean=0.0, var=-1.0)
-    assert not NormalWeight(mean=0.0, var=2.0).unbounded
-    assert NormalWeight(mean=0.0, var=UNBOUNDED).unbounded
+    with pytest.raises(ValueError):
+        NormalWeight(mean=0.0, var=UNBOUNDED)
 
 
 def test_mixture_density_value(oracle: dict) -> None:

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echochamber.censor import _self_checked
+from echochamber import normal_sampling
+from echochamber.censor import _self_checked, optimize_radius
 from echochamber.inference import _log_terms, optimal_action
 from echochamber.model import (
     DEFAULT_NUMERICS,
@@ -79,8 +80,8 @@ def test_admitted_signal_shrinks_toward_window_center() -> None:
         # pulled toward the window's own center, not the prior mean
         assert min(omega, center) < mean < max(omega, center)
         assert var < P.low_var
-    # removing the window restores the raw source distribution
-    assert _per_type(P, NormalWeight(), "L")[1:] == (1.0, P.low_var)
+    # widening the window without limit restores the raw source distribution
+    assert _per_type(P, NormalWeight(mean=0.0, var=1e300), "L")[1:] == (1.0, P.low_var)
 
 
 def test_single_type_objective_values(oracle: dict) -> None:
@@ -196,6 +197,40 @@ def test_optimize_sampling_variance_low_dispersion_regime(oracle: dict) -> None:
         opt.utility_uncensored, oracle["soft_objective"]["lowvar300_unbounded"], abs_tol=1e-7
     )
     assert opt.utility_at_opt > opt.utility_uncensored + 0.1
+
+
+def test_both_optimizers_are_scale_free() -> None:
+    # the state in units k^(1/2) times larger: variances and utilities scale
+    # by k, a radius by k^(1/2), a sampling variance by k
+    unit = replace(P, low_var=300.0)
+    for optimize, power in ((optimize_radius, 0.5), (optimize_sampling_variance, 1.0)):
+        want = optimize(unit, C)
+        for k in (1e-4, 1e4):
+            scaled = replace(
+                unit,
+                prior_var=k * unit.prior_var,
+                high_var=k * unit.high_var,
+                low_var=k * unit.low_var,
+            )
+            got = optimize(scaled, C)
+            assert got.is_finite == want.is_finite
+            assert math.isclose(got.r_star, k**power * want.r_star, rel_tol=1e-6)
+            assert math.isclose(got.utility_at_opt, k * want.utility_at_opt, rel_tol=1e-9)
+            assert math.isclose(got.utility_uncensored, k * want.utility_uncensored, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("low_var, budget", [(3.0, 40), (300.0, 55)])
+def test_optimize_sampling_variance_evaluation_budget(monkeypatch, low_var, budget) -> None:
+    calls = []
+    original = normal_sampling.closed_form_objective
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(normal_sampling, "closed_form_objective", counted)
+    optimize_sampling_variance(replace(P, low_var=low_var), C)
+    assert len(calls) <= budget
 
 
 def test_offcenter_objective_worked_example() -> None:

@@ -118,6 +118,14 @@ def test_cli_optimize_radius_default(capsys) -> None:
     assert "is_finite=False" in out
 
 
+def test_cli_optimize_normal_sampling_wide_low_var(capsys) -> None:
+    # the scan follows the model's scale, so a huge low_var neither runs off
+    # the grid nor trips the scan-bound error
+    code = main(["optimize", "normal-sampling", "--params", "sigmaL2=1e8"])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
     code = main(
         ["optimize", "radius", "--params", "sigmaL2=300", "--out", str(tmp_path)]
