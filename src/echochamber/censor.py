@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _log_terms, _policy_pieces, _shifted_moments, posterior_summaries
+from .inference import _linear_mix, _log_terms, _moments, _policy_pieces, posterior_summaries
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -32,7 +32,6 @@ from .model import (
     NumericsConfig,
     Radius,
     SamplingPolicy,
-    _log_weights,
 )
 from .quadrature import signal_rule
 
@@ -71,8 +70,8 @@ def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     probability weights of the nodes (summing to one) and mean, m2 the
     posterior first and second state moments at each node."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, _, _, b_mix, _ = _policy_pieces(s_nodes, policy, params, cfg)
-    logz, mean, m2 = _shifted_moments(b_mix, omega, w)
+    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
+    logz, mean, m2 = _moments(e_mix, shift, omega, w)
     p = s_w * np.exp(logz - logz.max())
     mass = float(p.sum())
     if not (mass > 0.0 and math.isfinite(mass)):
@@ -277,6 +276,5 @@ def expected_action(
     s_nodes, s_w = signal_rule(policy, params, cfg)
     action, _, _, _, _ = posterior_summaries(s_nodes, policy, params, cfg)
     _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
-    lh, ll = _log_weights(params)
-    _, mean, _ = _shifted_moments(np.logaddexp(lh + like_H, ll + like_L), action, s_w)
+    _, mean, _ = _moments(*_linear_mix(like_H, like_L, params), action, s_w)
     return mean

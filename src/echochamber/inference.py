@@ -122,26 +122,46 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
 
 
 def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    """Per-type log joint integrand B_q[i, j] (excluding the type share) and
-    the mixed log integrand, over state nodes i and signal values j."""
+    """The joint over state nodes i and signal values j: returns (omega, w,
+    bH, bL, e_mix, shift). bH[i, j] and bL[i, j] are the per-type log
+    integrands, type share excluded; the mixed integrand, type shares
+    included, is e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
     omega, w = state_rule(params, cfg)
-    tilt, like_H, like_L = _log_terms(omega[:, None], s_values[None, :], policy, params)
-    bH = tilt + like_H
-    bL = tilt + like_L
+    tilt, bH, bL = _log_terms(omega[:, None], s_values[None, :], policy, params)
+    bH += tilt
+    bL += tilt
+    e_mix, shift = _linear_mix(bH, bL, params)
+    return omega, w, bH, bL, e_mix, shift
+
+
+def _linear_mix(bH: np.ndarray, bL: np.ndarray, params: ModelParams):
+    """(e, shift) with e * exp(shift) = h exp(bH) + (1 - h) exp(bL), mixed
+    in the linear domain under the per-column shift of the larger type
+    term, so the largest entry of each column of e is at least 1. A type of
+    share 0 contributes exact zeros."""
     lh, ll = _log_weights(params)
-    b_mix = np.logaddexp(lh + bH, ll + bL)
-    return omega, w, bH, bL, b_mix, (lh, ll)
+    shift = np.maximum(lh + bH.max(axis=0), ll + bL.max(axis=0))
+    e = bH - (shift - lh)
+    np.exp(e, out=e)
+    e_low = bL - (shift - ll)
+    e += np.exp(e_low, out=e_low)
+    return e, shift
 
 
-def _shifted_moments(b: np.ndarray, omega: np.ndarray, w: np.ndarray):
-    """Stable (logZ, mean, second moment) columns for integrand exp(b)."""
-    m = b.max(axis=0)
-    e = np.exp(b - m[None, :])
+def _moments(e: np.ndarray, shift: np.ndarray, omega: np.ndarray, w: np.ndarray):
+    """(logZ, mean, second moment) columns for integrand e * exp(shift)."""
     s0 = e.T @ w
     s1 = e.T @ (w * omega)
     s2 = e.T @ (w * omega * omega)
-    logz = m + np.log(s0)
-    return logz, s1 / s0, s2 / s0
+    return shift + np.log(s0), s1 / s0, s2 / s0
+
+
+def _shifted_moments(b: np.ndarray, omega: np.ndarray, w: np.ndarray):
+    """_moments for a log integrand b, exponentiated under its column
+    maxima. Only the per-type passes use it, so the mixed action and the
+    type actions come from separate floating-point passes."""
+    m = b.max(axis=0)
+    return _moments(np.exp(b - m[None, :]), m, omega, w)
 
 
 def posterior_summaries(
@@ -151,12 +171,13 @@ def posterior_summaries(
     for each signal in s_values. Does not enforce the support precondition;
     callers that expose single-signal contracts do."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    omega, w, bH, bL, b_mix, (lh, ll) = _policy_pieces(s_values, policy, params, cfg)
+    omega, w, bH, bL, e_mix, shift = _policy_pieces(s_values, policy, params, cfg)
     logz_H, mean_H, _ = _shifted_moments(bH, omega, w)
     logz_L, mean_L, _ = _shifted_moments(bL, omega, w)
-    logz_mix, action, m2 = _shifted_moments(b_mix, omega, w)
+    _, action, m2 = _moments(e_mix, shift, omega, w)
     post_var = np.maximum(m2 - action**2, 0.0)
     # prob_high through the log-odds so extreme signals stay in [0, 1]
+    lh, ll = _log_weights(params)
     log_odds = (lh + logz_H) - (ll + logz_L)
     prob_high = expit(log_odds)
     return action, post_var, prob_high, mean_H, mean_L
@@ -197,10 +218,11 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    nodes, w, _, _, b_mix, (lh, ll) = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
-    log_norm, _, _ = _shifted_moments(b_mix, nodes, w)
+    nodes, w, _, _, e_mix, shift = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
+    log_norm = _moments(e_mix, shift, nodes, w)[0][0]
     tilt, like_H, like_L = _log_terms(omega, s, policy, params)
-    return np.exp(np.logaddexp(lh + (tilt + like_H), ll + (tilt + like_L)) - log_norm[0])
+    lh, ll = _log_weights(params)
+    return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
 
 
 def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):

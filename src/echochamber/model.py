@@ -10,8 +10,13 @@ until one lands inside. The signal density conditional on the state is then
 the mixture density divided by the mixture window mass, and zero outside;
 inference._log_terms builds it from the pieces here.
 
-All densities are computed in log space; values are exponentiated only at
-operation boundaries.
+Densities are computed in log space. The quadrature kernel,
+inference._policy_pieces, exponentiates once per (state, signal) tensor: it
+mixes the two types in the linear domain under a per-signal shift, the
+larger of log(high_share) + max B_H and log(1 - high_share) + max B_L over
+the state nodes (B_q is the type-q log integrand), so the largest entry of
+every signal column is at least 1 and none overflows. The per-type passes
+exponentiate under their own column maxima.
 """
 from __future__ import annotations
 
@@ -162,8 +167,15 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def norm_logpdf(x, mean, var):
-    x = np.asarray(x, dtype=float)
-    return -0.5 * (x - mean) ** 2 / var - 0.5 * np.log(var) - _LOG_SQRT_2PI
+    # in place on the one fresh array x - mean; same operations as
+    # -0.5 * (x - mean) ** 2 / var - 0.5 * log(var) - log(sqrt(2 pi))
+    out = np.subtract(x, mean, dtype=float)
+    out *= out
+    out *= -0.5
+    out /= var
+    out -= 0.5 * np.log(var)
+    out -= _LOG_SQRT_2PI
+    return out
 
 
 def _log_weights(params: ModelParams) -> tuple[float, float]:

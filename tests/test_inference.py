@@ -5,12 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import PAPER_EXAMPLE
 
+from echochamber.censor import expected_utility
 from echochamber.errors import SignalOutsideSupportError, UndefinedOddsError
 from echochamber.inference import (
+    _log_terms,
+    _moments,
+    _policy_pieces,
     action_map,
     optimal_action,
     posterior_density,
+    posterior_summaries,
     prob_high_closed,
     source_odds_closed,
     uncensored_linear_action,
@@ -22,7 +28,9 @@ from echochamber.model import (
     NormalWeight,
     Radius,
     UNBOUNDED,
+    _log_weights,
 )
+from echochamber.quadrature import signal_rule, state_rule
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
@@ -296,3 +304,53 @@ def test_posterior_density_soft_window_normalized_and_matches_oracle() -> None:
     assert abs(mean - optimal_action(1.0, policy, P, C).action) < 1e-6
     oracle_mean, _ = grid_posterior_oracle(1.0, policy, P, 200_001)
     assert abs(mean - oracle_mean) < 1e-6
+
+
+def _log_domain_moments(s_values, policy, params):
+    """(logZ, mean, m2) of the mixed integrand, mixed in the log domain with
+    np.logaddexp over the whole tensor and exponentiated under the column
+    maxima: the kernel's formula before it mixed in the linear domain."""
+    omega, w = state_rule(params, C)
+    tilt, like_H, like_L = _log_terms(omega[:, None], s_values[None, :], policy, params)
+    lh, ll = _log_weights(params)
+    b = np.logaddexp(lh + (tilt + like_H), ll + (tilt + like_L))
+    m = b.max(axis=0)
+    e = np.exp(b - m)
+    s0 = e.T @ w
+    return m + np.log(s0), (e.T @ (w * omega)) / s0, (e.T @ (w * omega**2)) / s0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        P,
+        PAPER_EXAMPLE,
+        replace(P, low_var=3e5),
+        replace(P, high_var=0.01, low_var=300.0),
+        replace(P, prior_var=25.0, high_var=2.0, low_var=50.0),
+        replace(P, high_share=0.2),
+    ],
+    ids=["defaults", "paper-example", "low_var=3e5", "high_var=0.01", "prior_var=25", "h=0.2"],
+)
+def test_linear_mix_matches_log_domain_reference(params) -> None:
+    for policy in (Radius(2.35), R_UNB, NormalWeight(0.0, 2.0)):
+        s_nodes, _ = signal_rule(policy, params, C)
+        omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, C)
+        logz, mean, m2 = _moments(e_mix, shift, omega, w)
+        want_logz, want_mean, want_m2 = _log_domain_moments(s_nodes, policy, params)
+        assert np.max(np.abs(logz - want_logz)) < 1e-10, policy
+        assert np.max(np.abs(mean - want_mean)) < 1e-10, policy
+        assert np.max(np.abs(m2 / want_m2 - 1.0)) < 1e-10, policy
+
+
+def test_zero_high_share_is_the_low_type_conjugate() -> None:
+    # high_share 0 puts the high type's log weight at -inf, so its terms
+    # must drop out as exact zeros
+    p0 = replace(P, high_share=0.0)
+    s = np.linspace(-5.0, 5.0, 11)
+    action, _, prob_high, a_h, a_l = posterior_summaries(s, R_UNB, p0, C)
+    assert np.all(prob_high == 0.0)
+    assert np.all(np.isfinite(a_h)) and np.all(np.isfinite(a_l))
+    assert np.max(np.abs(action - uncensored_linear_action(s, p0, "L"))) < 1e-12
+    want = -p0.prior_var * p0.low_var / (p0.prior_var + p0.low_var)  # -0.75
+    assert math.isclose(expected_utility(R_UNB, p0, C), want, abs_tol=1e-12)
