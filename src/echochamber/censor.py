@@ -13,7 +13,6 @@ variance. The unbounded entry is the no-restriction benchmark.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _linear_mix, _log_terms, _moments, _policy_pieces, posterior_summaries
+from .inference import _linear_mix, _log_terms, _moments, _policy_pieces
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -67,26 +66,29 @@ class OptimumResult:
 def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """The admitted-signal law on the policy's signal nodes, by double
     quadrature: returns (s_nodes, p, mean, m2), where p holds the
-    probability weights of the nodes (summing to one) and mean, m2 the
-    posterior first and second state moments at each node."""
+    probability weights of the nodes (each row summing to one) and mean, m2
+    the posterior first and second state moments at each node. p, mean and
+    m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
+    Gauss rule on both axes, both reduced from one tensor."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
     omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
     logz, mean, m2 = _moments(e_mix, shift, omega, w)
-    p = s_w * np.exp(logz - logz.max())
-    mass = float(p.sum())
-    if not (mass > 0.0 and math.isfinite(mass)):
-        raise QuadratureError(f"joint mass degenerated to {mass!r}")
+    p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
+    mass = p.sum(axis=1, keepdims=True)
+    if not np.all((mass > 0.0) & np.isfinite(mass)):
+        raise QuadratureError(f"joint mass degenerated to {mass.ravel().tolist()!r}")
     return s_nodes, p / mass, mean, m2
 
 
-def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig) -> float:
+def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
     """Expected quadratic loss of the posterior-mean action: the mean
-    posterior variance under the admitted-signal law."""
+    posterior variance under the admitted-signal law, as the pair
+    (Kronrod, embedded Gauss)."""
     _, p, mean, m2 = signal_law(policy, params, cfg)
-    return float(p @ (m2 - mean * mean))
+    return np.sum(p * (m2 - mean * mean), axis=1)
 
 
-def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) -> float:
+def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
     """Like _bayes_loss but with the action map replaced by the two-step
     shrinkage rule that treats type weights as radius-free predictive ones.
     Used by the soft-window objective; see normal_sampling."""
@@ -94,40 +96,51 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) 
 
     s_nodes, p, mean, m2 = signal_law(policy, params, cfg)
     action = naive_action(s_nodes, params, policy)
-    return float(p @ (m2 - 2.0 * action * mean + action * action))
+    return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 
-def _self_checked(what: str, evaluate, cfg: NumericsConfig):
-    """evaluate(cfg), a float or an array, repeated at half the nodes per
-    panel, rounded up (always fewer than quad_nodes). A disagreement beyond
-    1e3 * ABS_TOL anywhere raises QuadratureError naming what."""
-    value = evaluate(cfg)
-    halved = copy.copy(cfg)  # not replace(): 3 halves to 2, below the minimum
-    object.__setattr__(halved, "quad_nodes", (cfg.quad_nodes + 1) // 2)
-    coarse = evaluate(halved)
-    k = int(np.argmax(np.abs(np.subtract(value, coarse))))
-    fine_k, coarse_k = float(np.ravel(value)[k]), float(np.ravel(coarse)[k])
-    if abs(fine_k - coarse_k) > 1e3 * ABS_TOL:
+def _checked(what: str, pair, unit: float):
+    """pair[0], a Kronrod result (a float or an array), after the check
+    against pair[1], the embedded Gauss result from the same tensor. A
+    difference beyond 1e3 * ABS_TOL * unit anywhere, or a non-finite one,
+    raises QuadratureError naming what. unit is the scale of the quantity:
+    prior_var for a utility, its square root for an action."""
+    kronrod, gauss = pair
+    gap = np.abs(np.subtract(kronrod, gauss))
+    k = int(np.argmax(gap))  # the first NaN, if any
+    if not np.ravel(gap)[k] <= 1e3 * ABS_TOL * unit:
         raise QuadratureError(
-            f"{what} failed its self-check: {fine_k!r} at "
-            f"{cfg.quad_nodes} nodes per panel vs {coarse_k!r} at half resolution"
+            f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
+            f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
+            f"rule; raise quad_nodes"
         )
-    return value
+    return kronrod
+
+
+def _utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
+    """expected_utility as the pair (Kronrod, embedded Gauss)."""
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return np.full(2, -params.prior_var)
+    return -_bayes_loss(policy, params, cfg)
 
 
 def expected_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
     """Negative expected quadratic loss of the optimal action under the
     given censoring radius. r = 0 returns minus the prior variance
     analytically; UNBOUNDED gives the no-restriction benchmark."""
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return -params.prior_var
-    return -_bayes_loss(policy, params, cfg)
+    return float(_utility(policy, params, cfg)[0])
+
+
+def checked_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
+    """expected_utility after the Kronrod-Gauss self-check, in units of
+    prior_var; a quadrature too coarse for it raises QuadratureError."""
+    return float(_checked("expected utility", _utility(policy, params, cfg), params.prior_var))
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
     """Expected utility over a radius grid, with a 0.0 entry (analytic) in
     front and the UNBOUNDED benchmark appended. The benchmark passes the
-    half-resolution self-check, or QuadratureError is raised.
+    Kronrod-Gauss self-check, or QuadratureError is raised.
     """
     radii = [float(r) for r in grid]
     if any(r < 0 for r in radii) or radii != sorted(radii):
@@ -135,13 +148,7 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
     if not radii or radii[0] > 0.0:
         radii = [0.0] + radii
     utilities = [expected_utility(Radius(r), params, cfg) for r in radii]
-    utilities.append(
-        _self_checked(
-            "expected utility",
-            lambda c: expected_utility(Radius(UNBOUNDED), params, c),
-            cfg,
-        )
-    )
+    utilities.append(checked_utility(Radius(UNBOUNDED), params, cfg))
     return UtilityCurve(
         radii=tuple(radii) + (UNBOUNDED,),
         utilities=tuple(utilities),
@@ -150,37 +157,39 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
 
 
 def _scan_then_refine(
-    fn, grid: np.ndarray, cfg: NumericsConfig, family: str, what: str
+    fn, pair, grid: np.ndarray, unit: float, family: str, what: str
 ) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
     unbounded benchmark, bounded Brent refinement of interior maxima,
     smaller-argument tie-breaking.
 
-    fn(x, c) is the objective at x under numerics c; fn(UNBOUNDED, c) is the
-    benchmark. The benchmark (named "expected utility" in a failure) and a
-    finite optimum (named what) pass the half-resolution self-check, so a
-    quadrature too coarse for them raises QuadratureError instead of
-    returning a bad number.
+    fn(x) is the objective at x and fn(UNBOUNDED) the benchmark; pair(x) is
+    the same objective as (Kronrod, embedded Gauss) values. The benchmark
+    (named "expected utility" in a failure) and a finite optimum (named
+    what) pass the self-check through pair, so a quadrature too coarse for
+    them raises QuadratureError instead of returning a bad number. unit is
+    the objective's scale, prior_var: ties, surpluses, the scan tail and
+    the self-check are all judged relative to it.
     """
-    benchmark = _self_checked("expected utility", lambda c: fn(UNBOUNDED, c), cfg)
-    values = np.array([fn(float(g), cfg) for g in grid])
-    tol = INVARIANT_TOL
+    benchmark = float(_checked("expected utility", pair(UNBOUNDED), unit))
+    values = np.array([fn(float(g)) for g in grid])
+    tol = INVARIANT_TOL * unit
 
-    # a scan peak within 10 * ABS_TOL of the benchmark is float noise in the
-    # converged tail, not an optimum worth refining
+    # a scan peak within 10 * ABS_TOL * unit of the benchmark is float noise
+    # in the converged tail, not an optimum worth refining
     brackets = [
         (float(grid[i - 1]), float(grid[i + 1]))
         for i in range(1, len(grid) - 1)
         if values[i] >= values[i - 1]
         and values[i] >= values[i + 1]
-        and abs(values[i] - benchmark) > 10.0 * ABS_TOL
+        and abs(values[i] - benchmark) > 10.0 * ABS_TOL * unit
     ]
     if values[0] > values[1]:
         brackets.append((float(grid[0]), float(grid[1])))
     candidates: list[tuple[float, float, tuple[float, float]]] = []
     for lo, hi in brackets:
         res = minimize_scalar(
-            lambda x: -fn(x, cfg), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            lambda x: -fn(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
         )
         candidates.append((float(res.x), -float(res.fun), (lo, hi)))
 
@@ -212,7 +221,7 @@ def _scan_then_refine(
             is_finite=False,
             bracket=(float(grid[-1]), math.inf),
         )
-    _self_checked(what, lambda c: fn(best[0], c), cfg)
+    _checked(what, pair(best[0]), unit)
     return OptimumResult(
         r_star=best[0],
         utility_at_opt=best[1],
@@ -238,14 +247,17 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     interior bracket. Returns UNBOUNDED when the curve is nondecreasing at
     the scan bound without exceeding the unbounded benchmark; a bound hit
     while the curve still rises above the benchmark raises ScanBoundError.
-    The benchmark and a finite optimum pass the half-resolution self-check,
+    The benchmark and a finite optimum pass the Kronrod-Gauss self-check,
     or QuadratureError is raised.
     """
-
-    def fn(r: Extent, c: NumericsConfig) -> float:
-        return expected_utility(Radius(r), params, c)
-
-    return _scan_then_refine(fn, scan_radii(params), cfg, "censoring-radius", "expected utility")
+    return _scan_then_refine(
+        lambda r: expected_utility(Radius(r), params, cfg),
+        lambda r: _utility(Radius(r), params, cfg),
+        scan_radii(params),
+        params.prior_var,
+        "censoring-radius",
+        "expected utility",
+    )
 
 
 def signal_moments_vs_r(
@@ -256,6 +268,7 @@ def signal_moments_vs_r(
     if not policy.unbounded and policy.r == 0.0:
         return 0.0, 0.0
     s, p, mean, m2 = signal_law(policy, params, cfg)
+    p, mean, m2 = p[0], mean[0], m2[0]  # the Kronrod rule
     mean_s, mean_om = float(p @ s), float(p @ mean)
     var_s = max(float(p @ (s * s)) - mean_s**2, 0.0)
     var_om = max(float(p @ m2) - mean_om**2, 0.0)
@@ -264,17 +277,26 @@ def signal_moments_vs_r(
     return var_s, float(np.clip(corr, -1.0, 1.0))
 
 
+def _expected_action(
+    omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
+) -> np.ndarray:
+    """expected_action as two rows: the Kronrod rule, and the embedded
+    Gauss rule on both axes (the actions and their integral)."""
+    omegas = np.asarray(omegas, dtype=float)
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return np.full((2,) + omegas.shape, params.prior_mean)
+    s_nodes, s_w = signal_rule(policy, params, cfg)
+    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
+    _, action, _ = _moments(e_mix, shift, omega, w)
+    _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
+    _, mean, _ = _moments(*_linear_mix(like_H, like_L, params), action, s_w)
+    return mean
+
+
 def expected_action(
     omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 ) -> np.ndarray:
     """Conditional expectation of the optimal action at each true state in
     the 1-D array omegas: the action map integrated against the
     admitted-signal density."""
-    omegas = np.asarray(omegas, dtype=float)
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return np.full(omegas.shape, params.prior_mean)
-    s_nodes, s_w = signal_rule(policy, params, cfg)
-    action, _, _, _, _ = posterior_summaries(s_nodes, policy, params, cfg)
-    _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
-    _, mean, _ = _moments(*_linear_mix(like_H, like_L, params), action, s_w)
-    return mean
+    return _expected_action(omegas, policy, params, cfg)[0]

@@ -27,14 +27,18 @@ class NumericFailure(RuntimeError):
 
 
 class QuadratureError(NumericFailure):
-    """Nested quadrature failed its self-consistency tolerance."""
+    """The double quadrature degenerated, or a checked result failed its
+    self-check: its Kronrod value and the embedded Gauss value from the
+    same tensor differ by more than 1e3 * ABS_TOL in the quantity's unit
+    (prior_var for a utility, its square root for an action). Re-run with
+    more quad_nodes."""
 
 
 class ScanBoundError(NumericFailure):
-    """The objective is still rising above the no-restriction benchmark at the
-    scan boundary. The scan reaches the converged tail, so the likely cause
-    is a quadrature too coarse for the parameters; re-run with more
-    quad_nodes."""
+    """The objective is still rising above the no-restriction benchmark, by
+    more than INVARIANT_TOL * prior_var, at the scan boundary. The scan
+    reaches the converged tail, so the likely cause is a quadrature too
+    coarse for the parameters; re-run with more quad_nodes."""
 
 
 class RejectionStallError(NumericFailure):

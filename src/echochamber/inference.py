@@ -123,9 +123,10 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
 
 def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """The joint over state nodes i and signal values j: returns (omega, w,
-    bH, bL, e_mix, shift). bH[i, j] and bL[i, j] are the per-type log
-    integrands, type share excluded; the mixed integrand, type shares
-    included, is e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
+    bH, bL, e_mix, shift), with w the two weight rows of the state rule.
+    bH[i, j] and bL[i, j] are the per-type log integrands, type share
+    excluded; the mixed integrand, type shares included, is
+    e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
     omega, w = state_rule(params, cfg)
     tilt, bH, bL = _log_terms(omega[:, None], s_values[None, :], policy, params)
     bH += tilt
@@ -149,10 +150,13 @@ def _linear_mix(bH: np.ndarray, bL: np.ndarray, params: ModelParams):
 
 
 def _moments(e: np.ndarray, shift: np.ndarray, omega: np.ndarray, w: np.ndarray):
-    """(logZ, mean, second moment) columns for integrand e * exp(shift)."""
-    s0 = e.T @ w
-    s1 = e.T @ (w * omega)
-    s2 = e.T @ (w * omega * omega)
+    """(logZ, mean, second moment) of the integrand e * exp(shift) over
+    nodes omega, one column per column of e and one row per row of
+    weights w: row 0 under the Kronrod rule, row 1 under the embedded Gauss
+    rule. omega is one row of nodes, or one row per row of w. All rows come
+    from one product with e."""
+    w_omega = w * omega
+    s0, s1, s2 = np.split(np.concatenate((w, w_omega, w_omega * omega)) @ e, 3)
     return shift + np.log(s0), s1 / s0, s2 / s0
 
 
@@ -172,6 +176,7 @@ def posterior_summaries(
     callers that expose single-signal contracts do."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     omega, w, bH, bL, e_mix, shift = _policy_pieces(s_values, policy, params, cfg)
+    w = w[:1]  # the Kronrod rule alone: every result is a single row
     logz_H, mean_H, _ = _shifted_moments(bH, omega, w)
     logz_L, mean_L, _ = _shifted_moments(bL, omega, w)
     _, action, m2 = _moments(e_mix, shift, omega, w)
@@ -180,7 +185,7 @@ def posterior_summaries(
     lh, ll = _log_weights(params)
     log_odds = (lh + logz_H) - (ll + logz_L)
     prob_high = expit(log_odds)
-    return action, post_var, prob_high, mean_H, mean_L
+    return action[0], post_var[0], prob_high[0], mean_H[0], mean_L[0]
 
 
 def _check_support(s: float, policy: SamplingPolicy, params: ModelParams) -> None:
@@ -219,7 +224,7 @@ def posterior_density(
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
     nodes, w, _, _, e_mix, shift = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
-    log_norm = _moments(e_mix, shift, nodes, w)[0][0]
+    log_norm = _moments(e_mix, shift, nodes, w[:1])[0][0, 0]
     tilt, like_H, like_L = _log_terms(omega, s, policy, params)
     lh, ll = _log_weights(params)
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
@@ -228,8 +233,9 @@ def posterior_density(
 def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """Degree-7 interpolating spline of s -> optimal action over the policy
     support, for consumers that evaluate the action many times (Monte
-    Carlo). Quadrature nodes double as knots; at the defaults a monotone
-    cubic through them is up to 2.7e-6 off, this spline under 1e-12."""
+    Carlo). The Kronrod nodes of the signal rule double as knots; at the
+    defaults a monotone cubic through them is up to 4.1e-6 off, this spline
+    up to 2.5e-12."""
     windowed = isinstance(policy, Radius) and not policy.unbounded
     if windowed and policy.r == 0.0:
         raise DegenerateRadiusError("r = 0 admits no signal")

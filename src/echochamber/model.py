@@ -143,13 +143,13 @@ SamplingPolicy = Union[Radius, NormalWeight]
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    quad_nodes: int = 20  # Gauss-Legendre nodes on each quadrature panel
+    quad_nodes: int = 7  # Gauss order n of the G_n/K_(2n+1) pair on each panel
     mc_seed: int = 20250823
     mc_n: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.quad_nodes < 3:
-            raise ValueError(f"quad_nodes must be >= 3, got {self.quad_nodes!r}")
+        if self.quad_nodes < 1:
+            raise ValueError(f"quad_nodes must be >= 1, got {self.quad_nodes!r}")
         if self.mc_n < 1:
             raise ValueError(f"mc_n must be >= 1, got {self.mc_n!r}")
         if not 0 <= int(self.mc_seed) < 2**64:

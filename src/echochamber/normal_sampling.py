@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from .censor import _naive_loss, _scan_then_refine, expected_utility, scan_radii
+from .censor import _naive_loss, _scan_then_refine, _utility, scan_radii
 from .model import (
     DEFAULT_NUMERICS,
     ModelParams,
@@ -94,6 +94,22 @@ def _closed_form_value(params: ModelParams, policy: NormalWeight) -> float:
     return -(term1 + term2 + term3)
 
 
+def _objective(params: ModelParams, sampling_var, cfg: NumericsConfig) -> np.ndarray:
+    """closed_form_objective as the pair (Kronrod, embedded Gauss); a
+    closed-form value fills both."""
+    if is_unbounded(sampling_var):
+        return _utility(Radius(UNBOUNDED), params, cfg)
+    v = float(sampling_var)
+    if v < 0.0:
+        raise ValueError(f"sampling variance must be nonnegative, got {v!r}")
+    if v == 0.0:
+        return np.full(2, -params.prior_var)
+    policy = NormalWeight(mean=params.prior_mean, var=v)
+    if _degenerate(params):
+        return np.full(2, _closed_form_value(params, policy))
+    return -_naive_loss(policy, params, cfg)
+
+
 def closed_form_objective(
     params: ModelParams, sampling_var, cfg: NumericsConfig = DEFAULT_NUMERICS
 ) -> float:
@@ -105,17 +121,7 @@ def closed_form_objective(
     evaluated by double quadrature of the same objective, since the blended
     prior weight then varies with the signal.
     """
-    if is_unbounded(sampling_var):
-        return expected_utility(Radius(UNBOUNDED), params, cfg)
-    v = float(sampling_var)
-    if v < 0.0:
-        raise ValueError(f"sampling variance must be nonnegative, got {v!r}")
-    if v == 0.0:
-        return -params.prior_var
-    policy = NormalWeight(mean=params.prior_mean, var=v)
-    if _degenerate(params):
-        return _closed_form_value(params, policy)
-    return -_naive_loss(policy, params, cfg)
+    return float(_objective(params, sampling_var, cfg)[0])
 
 
 def single_type_objective_offcenter(
@@ -173,11 +179,13 @@ def optimize_sampling_variance(params: ModelParams, cfg: NumericsConfig):
     square of the radius family's scan grid, against the no-restriction
     benchmark. Returns the same result type as the censoring-radius
     optimizer, with the optimizing sampling variance in r_star. The
-    benchmark and a finite optimum pass the half-resolution self-check, or
+    benchmark and a finite optimum pass the Kronrod-Gauss self-check, or
     QuadratureError is raised."""
-
-    def fn(v, c: NumericsConfig) -> float:
-        return closed_form_objective(params, v, c)
-
-    grid = scan_radii(params) ** 2
-    return _scan_then_refine(fn, grid, cfg, "sampling-variance", "soft-window objective")
+    return _scan_then_refine(
+        lambda v: closed_form_objective(params, v, cfg),
+        lambda v: _objective(params, v, cfg),
+        scan_radii(params) ** 2,
+        params.prior_var,
+        "sampling-variance",
+        "soft-window objective",
+    )

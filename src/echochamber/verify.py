@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .censor import _self_checked, expected_utility, optimize_radius
+from .censor import checked_utility, expected_utility, optimize_radius
 from .inference import (
     action_map,
     optimal_action,
@@ -84,9 +84,7 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     u_single = expected_utility(Radius(UNBOUNDED), replace(params, high_share=1.0), cfg)
     mixed = replace(params, high_share=0.5)
-    u_mixed = _self_checked(
-        "expected utility", lambda c: expected_utility(Radius(UNBOUNDED), mixed, c), cfg
-    )
+    u_mixed = checked_utility(Radius(UNBOUNDED), mixed, cfg)
     gap = u_single - u_mixed
     return CheckResult(
         name="lemma2",
@@ -315,7 +313,7 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
 
 
 def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
-    ref = _self_checked("expected utility", lambda c: expected_utility(policy, params, c), cfg)
+    ref = checked_utility(policy, params, cfg)
     amap = action_map(policy, params, cfg)
     draws = simulate_draws(params, policy, cfg.mc_n, cfg.mc_seed)
     est = mc_expected_utility(draws, amap, params)

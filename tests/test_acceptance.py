@@ -39,7 +39,8 @@ def test_criterion_01_finite_optimal_radius_near_reference() -> None:
     # the paper's reference example; see PAPER_EXAMPLE in conftest
     ex = PAPER_EXAMPLE
     opt = optimize_radius(ex, C)
-    opt_dbl = optimize_radius(ex, replace(C, quad_nodes=2 * C.quad_nodes - 1))
+    n_dbl = 2 * C.quad_nodes - 1  # about twice the nodes per panel
+    opt_dbl = optimize_radius(ex, replace(C, quad_nodes=n_dbl))
     u_ref = expected_utility(Radius(REFERENCE_RADIUS), ex, C)
     u_unb = expected_utility(R_UNB, ex, C)
     headline = (
@@ -57,7 +58,7 @@ def test_criterion_01_finite_optimal_radius_near_reference() -> None:
     r_txt = f"{float(opt.r_star):.4f}" if opt.is_finite else "Unbounded"
     r_dbl = f"{float(opt_dbl.r_star):.4f}" if opt_dbl.is_finite else "Unbounded"
     measured = (
-        f"optimum {r_txt} at {C.quad_nodes} nodes, {r_dbl} at doubled nodes; "
+        f"optimum {r_txt} at quad_nodes={C.quad_nodes}, {r_dbl} at quad_nodes={n_dbl}; "
         f"U({REFERENCE_RADIUS}) - U(inf) = {u_ref - u_unb:.4e}"
     )
     record_criterion(1, "finite optimal radius near 2.35", passed, measured)

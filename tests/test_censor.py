@@ -64,10 +64,9 @@ def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
 
 
 def test_expected_utility_self_check_consistent() -> None:
-    # the half-resolution audit agrees with the full pass at defaults
-    checked = censor._self_checked(
-        "expected utility", lambda c: expected_utility(Radius(2.0), P, c), C
-    )
+    # the Kronrod-Gauss check passes at the defaults and returns the
+    # unchecked value, bit for bit
+    checked = censor.checked_utility(Radius(2.0), P, C)
     assert checked == expected_utility(Radius(2.0), P, C)
 
 
@@ -175,13 +174,16 @@ def test_limit_configs_unbounded_and_linear_as_stated(oracle: dict) -> None:
 def test_scan_bound_error_when_grid_stops_short() -> None:
     p300 = replace(P, low_var=300.0)
 
-    def fn(r, c) -> float:
-        return expected_utility(Radius(r), p300, c)
+    def fn(r) -> float:
+        return expected_utility(Radius(r), p300, C)
+
+    def pair(r):
+        return censor._utility(Radius(r), p300, C)
 
     # plain floats, and the advice names the setting a user can change
     with pytest.raises(ScanBoundError, match=r"scan bound 2\.0 \(value -0\.\d+ above") as exc:
         censor._scan_then_refine(
-            fn, np.linspace(0.5, 2.0, 8), C, "censoring-radius", "expected utility"
+            fn, pair, np.linspace(0.5, 2.0, 8), 1.0, "censoring-radius", "expected utility"
         )
     assert "raise quad_nodes" in str(exc.value)
 

@@ -316,8 +316,8 @@ def _log_domain_moments(s_values, policy, params):
     b = np.logaddexp(lh + (tilt + like_H), ll + (tilt + like_L))
     m = b.max(axis=0)
     e = np.exp(b - m)
-    s0 = e.T @ w
-    return m + np.log(s0), (e.T @ (w * omega)) / s0, (e.T @ (w * omega**2)) / s0
+    s0 = w @ e  # one row per rule: Kronrod, embedded Gauss
+    return m + np.log(s0), ((w * omega) @ e) / s0, ((w * omega**2) @ e) / s0
 
 
 @pytest.mark.parametrize(

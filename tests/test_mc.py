@@ -38,6 +38,33 @@ def test_draws_are_deterministic_and_seed_sensitive() -> None:
     assert a.digest() != simulate_draws(P, R_UNB, 5000, seed=7).digest()
 
 
+# DrawSet.digest() at seed 11, recorded from the simulator as it stood
+# before any optimization of it: a change to the simulator must keep every
+# draw set byte-identical. The r = 1 rungs span acceptance from 0.39 to
+# 0.11 per attempt; n = 70001 and 66000 end inside a second 65536-record
+# chunk. high_share=1 stays at r = 2.35, since at r = 1 a pure high type
+# spends one rejection round per tail attempt.
+_PINNED_DIGESTS = {
+    "unbounded": (P, R_UNB, 5000, 5000, "2c2c94c7008c574ddd6142bc28db75a20379c2192c4e33bc1894e2478390263d"),
+    "r2.35": (P, Radius(2.35), 5000, 5956, "dc0a8a207b7a02409fa87b5735e946aadb179b54631abad4bd0f7c2deb3ed91e"),
+    "r1-low_var3": (replace(P, low_var=3.0), Radius(1.0), 5000, 12850, "991e3f082a3e469d8ec3df2f52a0e5a252dd79d3d070edc0bda34c019733b5bc"),
+    "r1-low_var768": (replace(P, low_var=768.0), Radius(1.0), 5000, 27312, "75a1c97cfbb20fdb5d41080ef93221614081f75f349ca3e9b088e52d9055a264"),
+    "r1-low_var196608": (replace(P, low_var=196608.0), Radius(1.0), 2000, 18312, "47321d9ea62b9d41763db9d90b4a6a342f668c9847f2c54a048639df213f35d8"),
+    "soft-var2": (P, NormalWeight(0.0, 2.0), 5000, 7836, "200d333a337c81c7697e70c504c40e2097a6f29f11c0cf725dcdfeb0c79e772f"),
+    "high_share0-r2.35": (replace(P, high_share=0.0), Radius(2.35), 5000, 6681, "91006229ecad9a869bf6895ee056305fba1dbc610b046ce98be2e0005359e8fe"),
+    "high_share1-r2.35": (replace(P, high_share=1.0), Radius(2.35), 1000, 1087, "9e89bbc1d6879fddedac881b12ee15a6d5226b03de4c572001204b363a2a48c5"),
+    "unbounded-n70001": (P, R_UNB, 70001, 70001, "e0b3f51bd09b302d9d1b7a4c7568cbb4a08c2dca2cdc6e92b2b3c4a54edeb412"),
+    "r2.35-n66000": (P, Radius(2.35), 66000, 79572, "a69406d31e7eebe8125d3f774f7cdd1b468459c5f67b123275341b07844c0dc6"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_DIGESTS))
+def test_draw_set_digest_is_pinned(case: str) -> None:
+    params, policy, n, attempts, digest = _PINNED_DIGESTS[case]
+    d = simulate_draws(params, policy, n, seed=11)
+    assert (d.n_attempts, d.digest()) == (attempts, digest)
+
+
 def test_unbounded_policy_accepts_every_attempt() -> None:
     d = simulate_draws(P, R_UNB, 3000, seed=1)
     assert d.n_attempts == 3000

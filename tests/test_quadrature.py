@@ -15,10 +15,12 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from echochamber.censor import _self_checked, expected_utility
+from echochamber.censor import _utility, checked_utility
+from echochamber.errors import QuadratureError
 from echochamber.inference import optimal_action, prob_high_closed, uncensored_linear_action
 from echochamber.mc import grid_posterior_oracle
 from echochamber.model import (
@@ -30,7 +32,7 @@ from echochamber.model import (
     Radius,
     UNBOUNDED,
 )
-from echochamber.quadrature import panel_edges, signal_rule, state_rule
+from echochamber.quadrature import gauss_kronrod, panel_edges, signal_rule, state_rule
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
@@ -74,6 +76,86 @@ def test_eu_oracle_matches_pins_and_closed_form(oracle: dict) -> None:
     assert abs(eu_unbounded_oracle(p1) - oracle["eu"]["unbounded_h1"]) < 1e-12
 
 
+# QUADPACK's qk15 and qk21 constants (Piessens et al., 1983): the
+# nonnegative Kronrod nodes in decreasing order, their Kronrod weights, and
+# the Gauss weights of the odd-indexed ones down to the centre
+QK15 = (
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.000000000000000000000000000000000],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+     0.381830050505118944950369775488975, 0.417959183673469387755102040816327],
+)
+QK21 = (
+    [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+     0.000000000000000000000000000000000],
+    [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077600525452394, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821],
+    [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+     0.295524224714752870173892994651338],
+)
+
+
+@pytest.mark.parametrize("n, table", [(7, QK15), (10, QK21)], ids=["GK15", "GK21"])
+def test_gauss_kronrod_matches_quadpack(n: int, table) -> None:
+    x, w = gauss_kronrod(n)
+    xgk, wgk, wg = (np.array(col) for col in table)
+    assert np.max(np.abs(x[: n + 1] + xgk)) < 1e-15
+    assert np.max(np.abs(x[n:] - xgk[::-1])) < 1e-15
+    assert np.max(np.abs(w[0, : n + 1] - wgk)) < 1e-15
+    gauss = w[1, : n + 1]
+    assert np.max(np.abs(gauss[1::2] - wg[: len(gauss[1::2])])) < 1e-15
+    assert np.all(gauss[0::2] == 0.0)
+
+
+def test_gauss_kronrod_embeds_gauss_legendre() -> None:
+    for n in range(1, 16):
+        x, w = gauss_kronrod(n)
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        assert len(x) == 2 * n + 1 and np.all(np.diff(x) > 0.0), n
+        assert np.max(np.abs(x[1::2] - gx)) < 1e-15, n
+        assert np.array_equal(w[1, 1::2], gw) and np.all(w[1, 0::2] == 0.0), n
+        assert np.all(w[0] > 0.0), n
+        # K_(2n+1) is exact to degree 3n + 1
+        for k in range(3 * n + 2):
+            assert abs(w[0] @ x**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) < 1e-14, (n, k)
+
+
+def test_self_check_accepts_an_accurate_coarse_rule() -> None:
+    # at quad_nodes=3 the benchmark's Kronrod-Gauss estimate is 9.2e-7,
+    # under the 1e3 * ABS_TOL gate, and K7 itself is 2.6e-12 off the oracle
+    c3 = replace(C, quad_nodes=3)
+    kronrod, gauss = _utility(R_UNB, P, c3)
+    assert 5e-7 < abs(kronrod - gauss) < 1e3 * ABS_TOL
+    assert abs(kronrod - eu_unbounded_oracle(P)) < 1e-11
+    assert checked_utility(R_UNB, P, c3) == kronrod
+
+
+def test_self_check_refuses_an_inaccurate_coarse_rule() -> None:
+    # at sigmaL2=300 the same rule's estimate is 1.0e-4 and K7 is 3.9e-8
+    # off the oracle, beyond ABS_TOL: the check must refuse it
+    p, c3 = replace(P, low_var=300.0), replace(C, quad_nodes=3)
+    kronrod, gauss = _utility(R_UNB, p, c3)
+    assert abs(kronrod - gauss) > 1e3 * ABS_TOL
+    assert abs(kronrod - eu_unbounded_oracle(p)) > ABS_TOL
+    with pytest.raises(QuadratureError, match="failed its self-check"):
+        checked_utility(R_UNB, p, c3)
+
+
 def test_panel_edges_keep_ends_centre_and_breaks() -> None:
     edges = panel_edges(1.0, 3.0, (0.5, 2.0), (1.7, 9.0))
     assert edges[0] == -2.0 and edges[-1] == 4.0
@@ -90,8 +172,9 @@ def test_window_ends_and_centre_are_panel_edges() -> None:
     for r in (0.01, 0.3, 2.35, 20.0):
         nodes, weights = signal_rule(Radius(r), P, C)
         assert np.all(np.abs(nodes - m) < r)
-        assert abs(weights[nodes < m].sum() - r) < 1e-12 * r
-        assert abs(weights[nodes > m].sum() - r) < 1e-12 * r
+        for w in weights:  # the Kronrod rule and its embedded Gauss rule
+            assert abs(w[nodes < m].sum() - r) < 1e-12 * r
+            assert abs(w[nodes > m].sum() - r) < 1e-12 * r
 
 
 def test_state_panels_near_the_prior_resolve_the_high_type_posterior() -> None:
@@ -101,7 +184,7 @@ def test_state_panels_near_the_prior_resolve_the_high_type_posterior() -> None:
     near = np.abs(nodes - p.prior_mean) < 10.0 * math.sqrt(p.prior_var)
     gaps = np.diff(nodes[near])
     assert gaps.max() < post_sd / 2.0
-    assert abs(weights.sum() - 2.0 * 10.0 * math.sqrt(p.low_var)) < 1e-9
+    assert np.all(np.abs(weights.sum(axis=1) - 2.0 * 10.0 * math.sqrt(p.low_var)) < 1e-9)
 
 
 _BASE = dict(
@@ -145,7 +228,7 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
         high_share=point["high_share"],
     )
     # the benchmark, self-checked, against the 1-D oracle
-    eu = _self_checked("expected utility", lambda c: expected_utility(R_UNB, p, c), C)
+    eu = checked_utility(R_UNB, p, C)
     assert abs(eu - eu_unbounded_oracle(p)) < ABS_TOL, (eu, eu_unbounded_oracle(p))
 
     prior_sd = math.sqrt(p.prior_var)

@@ -126,6 +126,37 @@ def test_cli_optimize_normal_sampling_wide_low_var(capsys) -> None:
     assert code == 0
 
 
+def _optimum(argv: list[str], capsys) -> tuple[int, dict[str, str]]:
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+
+
+def test_cli_optimize_radius_surplus_is_relative_to_prior_var(capsys) -> None:
+    # h=0.999 is finite with a surplus of 4.6e-6 over the benchmark; the
+    # same model with every variance 10x smaller has a surplus of 4.6e-7,
+    # which is still 4.6e-6 prior_var, so it must be finite too
+    unit = _optimum(["optimize", "radius", "--params", "h=0.999"], capsys)
+    small = _optimum(
+        ["optimize", "radius", "--params", "h=0.999,sigma02=0.1,sigmaH2=0.05,sigmaL2=0.3"],
+        capsys,
+    )
+    assert unit[0] == small[0] == 0
+    assert unit[1]["is_finite"] == small[1]["is_finite"] == "True"
+    assert math.isclose(float(small[1]["r_star"]), float(unit[1]["r_star"]) / 10**0.5, rel_tol=1e-6)
+
+
+def test_cli_optimize_radius_self_check_is_relative_to_prior_var(capsys) -> None:
+    # the sigmaL2=300 model in units 1e4 times larger: its benchmark's
+    # Kronrod-Gauss gap is 0.79, 7.9e-9 of prior_var, and must pass
+    code, fields = _optimum(
+        ["optimize", "radius", "--params", "sigma02=1e8,sigmaH2=5e7,sigmaL2=3e10"], capsys
+    )
+    assert code == 0
+    assert fields["is_finite"] == "True"
+    assert math.isclose(float(fields["utility_uncensored"]), -0.754564728669e8, rel_tol=1e-11)
+
+
 def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
     code = main(
         ["optimize", "radius", "--params", "sigmaL2=300", "--out", str(tmp_path)]
@@ -145,17 +176,19 @@ def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=4"],
-        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=4"],
-        ["optimize", "radius", "--params", "quad_nodes=4"],
-        ["optimize", "radius", "--params", "quad_nodes=3"],
+        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=3"],
+        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=3"],
+        ["optimize", "radius", "--params", "quad_nodes=2"],
+        ["optimize", "normal-sampling", "--params", "sigmaL2=300,quad_nodes=3"],
     ],
     ids=["optimize", "sweep", "default-params", "three-nodes"],
 )
 def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
-    # too few nodes leave the unrestricted benchmark visibly wrong; the
-    # optimizer's half-resolution self-check must abort the run rather than
-    # print it, and say so instead of blaming the scan bound
+    # too coarse a rule leaves the unrestricted benchmark visibly wrong: its
+    # Kronrod-Gauss estimate is 1.0e-4 at sigmaL2=300 with quad_nodes=3 and
+    # 4.0e-5 at the defaults with quad_nodes=2, against a gate of 1e-5. Both
+    # optimizers must abort the run rather than print it, and say so instead
+    # of blaming the scan bound
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
@@ -164,18 +197,18 @@ def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
 
 
 def test_cli_verify_prop2_coarse_quadrature_fails(capsys) -> None:
-    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=4"])
+    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=3"])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL prop2") and "raised QuadratureError" in out
 
 
 def test_cli_figures_fig2_coarse_quadrature_exits_3(capsys, tmp_path) -> None:
-    # at 3 nodes per panel the unrestricted benchmark is 9e-7 off; fig2
-    # self-checks it instead of printing it
+    # at quad_nodes=2 the unrestricted benchmark's Kronrod-Gauss estimate
+    # is 4.0e-5; fig2 self-checks it instead of printing it
     code = main(
         ["figures", "--only", "fig2", "--format", "csv", "--out", str(tmp_path),
-         "--params", "quad_nodes=3"]
+         "--params", "quad_nodes=2"]
     )
     err = capsys.readouterr().err
     assert code == 3
@@ -198,7 +231,7 @@ def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
 
 
 def test_cli_verify_benchmark_checks_coarse_quadrature_fail(capsys) -> None:
-    code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=3"])
+    code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=2"])
     out = capsys.readouterr().out
     assert code == 1
     for name in ("lemma2", "mc_eu_unbounded"):
