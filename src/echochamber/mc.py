@@ -1,24 +1,36 @@
 """Seeded Monte Carlo simulation of the generative process and an
 independent discretized posterior oracle.
 
-Reproducibility design: a counter-based generator (Philox) is keyed per
-65536-record chunk as [seed, chunk_index], chunks are reduced by a serial
-ordered fold, and normal variates come from the inverse CDF applied to
-53-bit uniforms. Identical (params, policy, n, seed) therefore give
-byte-identical draws regardless of how chunks are scheduled, on any
-platform.
+Reproducibility design: each 65536-record chunk reads its own counter-based
+stream, Philox keyed [seed, chunk_index], and writes its own slice of the
+result. Chunks may therefore run concurrently (one thread per usable CPU);
+their records are placed by chunk index and their attempts summed in chunk
+order, so identical (params, policy, n, seed) give byte-identical draws
+whatever the number of workers, on any platform. Every variate comes from a
+53-bit uniform (k + 0.5) / 2**53 with k the top 53 bits of one raw 64-bit
+Philox word, and normals from its inverse CDF. The words are read in blocks
+of half a chunk to three chunks and sliced, which gives the same sequence
+as successive Generator.integers(0, 2**53) calls.
 
-Within a chunk, each round draws in a fixed order: one quality uniform, one
-standard normal, and (for a soft window) one acceptance uniform per pending
-record. A record keeps its state across rounds and redraws (quality, signal)
-until a signal is admitted, so the accepted-state marginal is the prior.
-Rejected attempts are counted but not stored, so memory is bounded by n and
-the chunk size, never by the rejection rate.
+Within a chunk, each round draws in a fixed order: one quality uniform per
+pending record, then one standard normal each, then (for a soft window) one
+acceptance uniform each. A record keeps its state across rounds and redraws
+(quality, signal) until a signal is admitted, so the accepted-state marginal
+is the prior. Rejected attempts are counted but not stored, so memory is
+bounded by n and the chunk size, never by the rejection rate.
+
+In the tail, when at most 64 records are pending, a chunk reads k rounds at
+once as if none admits a record, keeps the rounds through the first that
+does, and returns the rest of the uniforms to its stream. k doubles after a
+block with no admission, up to 256, and after an admission in round j it
+restarts at 2(j + 1). The stall guard is replayed round by round, so the
+draws, the attempt counts and the errors are those of one round at a time.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,23 +40,42 @@ from .errors import RejectionStallError
 from .model import ModelParams, NormalWeight, Radius, SamplingPolicy
 
 _CHUNK = 65536
+_BLOCK = _CHUNK // 2  # least raw words per read; no read exceeds 3 * _CHUNK
 _U53 = float(2**53)
+_TAIL = 64  # pending records at or below which rounds are read ahead
+_MAX_AHEAD = 256
 _STALL_MIN_ATTEMPTS = 1_000_000
 _STALL_RATE = 1e-6
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(chunk_index)]))
+class _Stream:
+    """A chunk's uniforms in (0, 1), read from its Philox in raw blocks.
+    take(size) hands out the next values; rewind(size) gives back the last
+    size values of the latest take."""
 
+    def __init__(self, seed: int, chunk_index: int) -> None:
+        self._bitgen = np.random.Philox(key=[int(seed), int(chunk_index)])
+        self._buf = np.empty(0)
+        self._pos = 0
 
-def _uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1) from 53-bit integers."""
-    k = rng.integers(0, 2**53, size=size, dtype=np.int64)
-    return (k + 0.5) / _U53
+    def take(self, size: int) -> np.ndarray:
+        end = self._pos + size
+        if end > len(self._buf):
+            left = len(self._buf) - self._pos
+            count = max(_BLOCK, size - left)
+            buf = np.empty(left + count)
+            buf[:left] = self._buf[self._pos :]
+            self._buf, self._pos, end = buf, 0, size
+            raw = self._bitgen.random_raw(count)
+            raw >>= 11
+            np.add(raw, 0.5, out=buf[left:])
+            buf[left:] /= _U53
+        out = self._buf[self._pos : end]
+        self._pos = end
+        return out
 
-
-def _normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    return ndtri(_uniforms(rng, size))
+    def rewind(self, size: int) -> None:
+        self._pos -= size
 
 
 @dataclass(frozen=True)
@@ -69,15 +100,80 @@ class DrawSet:
         return hasher.hexdigest()
 
 
-def _acceptance(policy: SamplingPolicy, params: ModelParams, s: np.ndarray, rng) -> np.ndarray:
+def _admission(policy: SamplingPolicy, params: ModelParams):
+    """Uniforms per attempt, and the rule mapping a block's signals and its
+    (rounds, width, m) uniforms to the admitted mask; a soft window's
+    acceptance uniforms are the third row of each round."""
     if isinstance(policy, Radius):
         if policy.unbounded:
-            return np.ones(len(s), dtype=bool)
-        return np.abs(s - params.prior_mean) < policy.r
+            return 2, lambda s, u: np.ones(s.shape, dtype=bool)
+        return 2, lambda s, u: np.abs(s - params.prior_mean) < policy.r
     if isinstance(policy, NormalWeight):
-        u = _uniforms(rng, len(s))
-        return u < np.exp(-((s - policy.mean) ** 2) / (2.0 * policy.var))
+        return 3, lambda s, u: u[:, 2] < np.exp(-((s - policy.mean) ** 2) / (2.0 * policy.var))
     raise TypeError(f"unsupported policy {policy!r}")
+
+
+def _stall_guard(attempts: int, accepted: int) -> None:
+    if attempts >= _STALL_MIN_ATTEMPTS and accepted < _STALL_RATE * attempts:
+        raise RejectionStallError(
+            f"acceptance rate {accepted / attempts:.3g} below "
+            f"{_STALL_RATE} after {attempts} attempts; the admission "
+            f"window is effectively empty"
+        )
+
+
+def _simulate_chunk(
+    params: ModelParams,
+    width: int,
+    admitted,
+    stream: _Stream,
+    states: np.ndarray,
+    qualities: np.ndarray,
+    signals: np.ndarray,
+) -> int:
+    """Fill one chunk's slices of the accepted arrays; return its attempts."""
+    sd_by_quality = np.sqrt([params.low_var, params.high_var])
+    sd0 = math.sqrt(params.prior_var)
+    states[:] = params.prior_mean + sd0 * ndtri(stream.take(len(states)))
+    pending = np.arange(len(states))
+    attempts = accepted = 0
+    ahead = 2
+    while len(pending):
+        # read `rounds` rounds as if none admits a record, keep them through
+        # the first that does and give the rest back to the stream
+        m = len(pending)
+        rounds = ahead if m <= _TAIL else 1
+        u = stream.take(rounds * width * m).reshape(rounds, width, m)
+        quality = (u[:, 0] < params.high_share).view(np.uint8)
+        s = states[pending] + sd_by_quality.take(quality) * ndtri(u[:, 1])
+        acc = admitted(s, u)
+        hit_rounds = np.flatnonzero(acc.any(axis=1))
+        used = int(hit_rounds[0]) + 1 if len(hit_rounds) else rounds
+        stream.rewind((rounds - used) * width * m)
+        admit = acc[used - 1]
+        hit_pos = np.flatnonzero(admit)
+        n_hit = len(hit_pos)
+        for i in range(used):
+            attempts += m
+            accepted += n_hit if i == used - 1 else 0
+            _stall_guard(attempts, accepted)
+        if n_hit:
+            hit = pending[hit_pos]
+            qualities[hit] = quality[used - 1, hit_pos]
+            signals[hit] = s[used - 1, hit_pos]
+            pending = pending[~admit]
+            ahead = min(2 * used, _MAX_AHEAD)
+        else:
+            ahead = min(2 * ahead, _MAX_AHEAD)
+        # a chunk holds one round's arrays at a time
+        del u, quality, s, acc, admit
+    return attempts
+
+
+def _workers() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_draws(
@@ -89,55 +185,31 @@ def simulate_draws(
     type's conditional; for a hard window the pair is redrawn until the
     signal lands inside, for a soft window acceptance is Bernoulli with the
     Gaussian weight. Raises RejectionStallError when the running acceptance
-    rate of a chunk falls below 1e-6.
+    rate of a chunk falls below 1e-6; when several chunks fail, the error
+    of the first in chunk order is raised.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         raise RejectionStallError("r = 0 admits no signal")
-    sd0 = math.sqrt(params.prior_var)
-    sd_h = math.sqrt(params.high_var)
-    sd_l = math.sqrt(params.low_var)
-    h = params.high_share
-
-    total_attempts = 0
+    width, admitted = _admission(policy, params)
     acc_state = np.empty(n)
     acc_qual = np.empty(n, dtype=np.uint8)
     acc_sig = np.empty(n)
 
+    def run(chunk: int) -> int:
+        part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
+        return _simulate_chunk(
+            params, width, admitted, _Stream(seed, chunk),
+            acc_state[part], acc_qual[part], acc_sig[part],
+        )
+
+    # imported here so that runs which never simulate do not load the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     n_chunks = (n + _CHUNK - 1) // _CHUNK
-    for chunk in range(n_chunks):
-        start = chunk * _CHUNK
-        size = min(_CHUNK, n - start)
-        rng = _chunk_rng(seed, chunk)
-        omega = params.prior_mean + sd0 * _normals(rng, size)
-        pending = np.arange(size)
-        attempts = 0
-        accepted_count = 0
-        while len(pending):
-            m = len(pending)
-            u_q = _uniforms(rng, m)
-            is_high = u_q < h
-            z = _normals(rng, m)
-            s = omega[pending] + np.where(is_high, sd_h, sd_l) * z
-            acc = _acceptance(policy, params, s, rng)
-
-            hit_local = pending[acc]
-            hit = start + hit_local
-            acc_state[hit] = omega[hit_local]
-            acc_qual[hit] = is_high[acc]
-            acc_sig[hit] = s[acc]
-
-            attempts += m
-            accepted_count += int(acc.sum())
-            pending = pending[~acc]
-            if attempts >= _STALL_MIN_ATTEMPTS and accepted_count < _STALL_RATE * attempts:
-                raise RejectionStallError(
-                    f"acceptance rate {accepted_count / attempts:.3g} below "
-                    f"{_STALL_RATE} after {attempts} attempts; the admission "
-                    f"window is effectively empty"
-                )
-        total_attempts += attempts
+    with ThreadPoolExecutor(max_workers=min(n_chunks, _workers())) as pool:
+        total_attempts = sum(pool.map(run, range(n_chunks)))
 
     return DrawSet(
         n=n,

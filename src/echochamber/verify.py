@@ -292,9 +292,9 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     # a variance statistic has a kurtosis-heavy sampling law; quadruple the
-    # draw count so the 3-SE band is tight relative to it
-    draws = simulate_draws(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed)
-    x = draws.accepted_signals
+    # draw count so the 3-SE band is tight relative to it; only the signals
+    # are kept, so states and qualities are freed before dev2 is built
+    x = simulate_draws(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed).accepted_signals
     target = params.prior_var + params.high_share * params.high_var + (
         1.0 - params.high_share
     ) * params.low_var

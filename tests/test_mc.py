@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,31 +41,50 @@ def test_draws_are_deterministic_and_seed_sensitive() -> None:
     assert a.digest() != simulate_draws(P, R_UNB, 5000, seed=7).digest()
 
 
-# DrawSet.digest() at seed 11, recorded from the simulator as it stood
-# before any optimization of it: a change to the simulator must keep every
-# draw set byte-identical. The r = 1 rungs span acceptance from 0.39 to
-# 0.11 per attempt; n = 70001 and 66000 end inside a second 65536-record
-# chunk. high_share=1 stays at r = 2.35, since at r = 1 a pure high type
-# spends one rejection round per tail attempt.
+# DrawSet.digest(), recorded from the simulator as it stood before any
+# optimization of it: a change to the simulator must keep every draw set
+# byte-identical. The r = 1 rungs span acceptance from 0.39 to 0.11 per
+# attempt; n = 70001 and 66000 end inside a second 65536-record chunk, and
+# n = 300000 spans five chunks. A pure high type at r = 1 leaves a long tail
+# of far-out states that are admitted with tiny probability (about 29
+# attempts per record at this seed).
 _PINNED_DIGESTS = {
-    "unbounded": (P, R_UNB, 5000, 5000, "2c2c94c7008c574ddd6142bc28db75a20379c2192c4e33bc1894e2478390263d"),
-    "r2.35": (P, Radius(2.35), 5000, 5956, "dc0a8a207b7a02409fa87b5735e946aadb179b54631abad4bd0f7c2deb3ed91e"),
-    "r1-low_var3": (replace(P, low_var=3.0), Radius(1.0), 5000, 12850, "991e3f082a3e469d8ec3df2f52a0e5a252dd79d3d070edc0bda34c019733b5bc"),
-    "r1-low_var768": (replace(P, low_var=768.0), Radius(1.0), 5000, 27312, "75a1c97cfbb20fdb5d41080ef93221614081f75f349ca3e9b088e52d9055a264"),
-    "r1-low_var196608": (replace(P, low_var=196608.0), Radius(1.0), 2000, 18312, "47321d9ea62b9d41763db9d90b4a6a342f668c9847f2c54a048639df213f35d8"),
-    "soft-var2": (P, NormalWeight(0.0, 2.0), 5000, 7836, "200d333a337c81c7697e70c504c40e2097a6f29f11c0cf725dcdfeb0c79e772f"),
-    "high_share0-r2.35": (replace(P, high_share=0.0), Radius(2.35), 5000, 6681, "91006229ecad9a869bf6895ee056305fba1dbc610b046ce98be2e0005359e8fe"),
-    "high_share1-r2.35": (replace(P, high_share=1.0), Radius(2.35), 1000, 1087, "9e89bbc1d6879fddedac881b12ee15a6d5226b03de4c572001204b363a2a48c5"),
-    "unbounded-n70001": (P, R_UNB, 70001, 70001, "e0b3f51bd09b302d9d1b7a4c7568cbb4a08c2dca2cdc6e92b2b3c4a54edeb412"),
-    "r2.35-n66000": (P, Radius(2.35), 66000, 79572, "a69406d31e7eebe8125d3f774f7cdd1b468459c5f67b123275341b07844c0dc6"),
+    "unbounded": (P, R_UNB, 5000, 11, 5000, "2c2c94c7008c574ddd6142bc28db75a20379c2192c4e33bc1894e2478390263d"),
+    "r2.35": (P, Radius(2.35), 5000, 11, 5956, "dc0a8a207b7a02409fa87b5735e946aadb179b54631abad4bd0f7c2deb3ed91e"),
+    "r1-low_var3": (replace(P, low_var=3.0), Radius(1.0), 5000, 11, 12850, "991e3f082a3e469d8ec3df2f52a0e5a252dd79d3d070edc0bda34c019733b5bc"),
+    "r1-low_var768": (replace(P, low_var=768.0), Radius(1.0), 5000, 11, 27312, "75a1c97cfbb20fdb5d41080ef93221614081f75f349ca3e9b088e52d9055a264"),
+    "r1-low_var196608": (replace(P, low_var=196608.0), Radius(1.0), 2000, 11, 18312, "47321d9ea62b9d41763db9d90b4a6a342f668c9847f2c54a048639df213f35d8"),
+    "soft-var2": (P, NormalWeight(0.0, 2.0), 5000, 11, 7836, "200d333a337c81c7697e70c504c40e2097a6f29f11c0cf725dcdfeb0c79e772f"),
+    "high_share0-r2.35": (replace(P, high_share=0.0), Radius(2.35), 5000, 11, 6681, "91006229ecad9a869bf6895ee056305fba1dbc610b046ce98be2e0005359e8fe"),
+    "high_share1-r2.35": (replace(P, high_share=1.0), Radius(2.35), 1000, 11, 1087, "9e89bbc1d6879fddedac881b12ee15a6d5226b03de4c572001204b363a2a48c5"),
+    "high_share1-r1": (replace(P, high_share=1.0), Radius(1.0), 10_000, 20250823, 288603, "a6961456eff79b1a156edd8ceb8435ff1fcbdc8cf3e86802fe7c4eb60b5131f1"),
+    "unbounded-n70001": (P, R_UNB, 70001, 11, 70001, "e0b3f51bd09b302d9d1b7a4c7568cbb4a08c2dca2cdc6e92b2b3c4a54edeb412"),
+    "r2.35-n66000": (P, Radius(2.35), 66000, 11, 79572, "a69406d31e7eebe8125d3f774f7cdd1b468459c5f67b123275341b07844c0dc6"),
+    "soft-var2-n300000": (P, NormalWeight(0.0, 2.0), 300_000, 11, 471704, "b1ca941609a95723c660acf0f2ab06e7e06cda461a81ccdbb963d4cc7dbd8c5d"),
 }
 
 
 @pytest.mark.parametrize("case", list(_PINNED_DIGESTS))
 def test_draw_set_digest_is_pinned(case: str) -> None:
-    params, policy, n, attempts, digest = _PINNED_DIGESTS[case]
-    d = simulate_draws(params, policy, n, seed=11)
+    params, policy, n, seed, attempts, digest = _PINNED_DIGESTS[case]
+    d = simulate_draws(params, policy, n, seed=seed)
     assert (d.n_attempts, d.digest()) == (attempts, digest)
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> None:
+    # chunks run on one thread per usable CPU: with one they run one after
+    # another; with eight, likely more threads than cores write their slices
+    # while the interpreter switches threads often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for params, policy, n, seed, attempts, digest in _PINNED_DIGESTS.values():
+            d = simulate_draws(params, policy, n, seed=seed)
+            assert (d.n_attempts, d.digest()) == (attempts, digest)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unbounded_policy_accepts_every_attempt() -> None:
@@ -99,6 +121,24 @@ def test_memory_is_bounded_by_accepted_records() -> None:
     assert sum(a.nbytes for a in arrays) == 17 * n
 
 
+def _peak_bytes(params, policy, n: int) -> int:
+    tracemalloc.start()
+    try:
+        simulate_draws(params, policy, n, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
+    # the narrow window takes about 76 attempts per record, the unbounded
+    # one exactly one; the working set is set by the chunk and block sizes
+    n = 200_000
+    narrow = _peak_bytes(replace(P, low_var=768.0), Radius(0.1), n)
+    unbounded = _peak_bytes(P, R_UNB, n)
+    assert narrow <= 1.25 * unbounded, (narrow, unbounded)
+
+
 def test_accepted_signals_respect_hard_window() -> None:
     d = simulate_draws(P, Radius(1.5), 20_000, seed=3)
     assert np.all(np.abs(d.accepted_signals - P.prior_mean) < 1.5)
@@ -114,6 +154,25 @@ def test_vanishing_window_stalls() -> None:
         simulate_draws(P, Radius(0.0), 100, seed=0)
     with pytest.raises(RejectionStallError):
         simulate_draws(P, Radius(1e-9), 1000, seed=0)
+
+
+# The stall guard's message, recorded before any optimization of the
+# simulator. n = 50 and 7 stall in the tail (at most 64 pending records):
+# the guard trips at the first round whose running attempt count reaches
+# 1e6, which for n = 7 is 1000006. At n = 70000 both chunks stall, chunk 0
+# after 16 rounds of 65536 and chunk 1 after 1004400 attempts; the error of
+# the first chunk in chunk order is the one raised.
+@pytest.mark.parametrize(
+    "n, attempts", [(50, 1_000_000), (7, 1_000_006), (70_000, 1_048_576)]
+)
+def test_stall_guard_message_is_pinned(n: int, attempts: int) -> None:
+    want = (
+        f"acceptance rate 0 below 1e-06 after {attempts} attempts; "
+        "the admission window is effectively empty"
+    )
+    with pytest.raises(RejectionStallError) as err:
+        simulate_draws(P, Radius(1e-9), n, seed=0)
+    assert str(err.value) == want
 
 
 def test_equal_variances_make_acceptance_type_blind() -> None:
