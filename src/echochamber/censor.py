@@ -63,92 +63,97 @@ class OptimumResult:
     bracket: tuple[float, float]
 
 
-def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
+def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, splits=1):
     """The admitted-signal law on the policy's signal nodes, by double
     quadrature: returns (s_nodes, p, mean, m2), where p holds the
     probability weights of the nodes (each row summing to one) and mean, m2
     the posterior first and second state moments at each node. p, mean and
     m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
-    Gauss rule on both axes, both reduced from one tensor."""
+    Gauss rule on both axes (each state panel cut in splits), both reduced
+    from one tensor. A far-tail node whose posterior falls between the
+    state nodes of a rule has no mass under that rule, and zero moments."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
-    logz, mean, m2 = _moments(e_mix, shift, omega, w)
+    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg, splits)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logz, mean, m2 = _moments(e_mix, shift, omega, w)
     p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
     mass = p.sum(axis=1, keepdims=True)
     if not np.all((mass > 0.0) & np.isfinite(mass)):
         raise QuadratureError(f"joint mass degenerated to {mass.ravel().tolist()!r}")
-    return s_nodes, p / mass, mean, m2
+    return s_nodes, p / mass, np.where(p > 0.0, mean, 0.0), np.where(p > 0.0, m2, 0.0)
 
 
-def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
+def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, splits=1):
     """Expected quadratic loss of the posterior-mean action: the mean
     posterior variance under the admitted-signal law, as the pair
     (Kronrod, embedded Gauss)."""
-    _, p, mean, m2 = signal_law(policy, params, cfg)
+    _, p, mean, m2 = signal_law(policy, params, cfg, splits)
     return np.sum(p * (m2 - mean * mean), axis=1)
 
 
-def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
+def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig, splits=1):
     """Like _bayes_loss but with the action map replaced by the two-step
     shrinkage rule that treats type weights as radius-free predictive ones.
     Used by the soft-window objective; see normal_sampling."""
     from .normal_sampling import naive_action
 
-    s_nodes, p, mean, m2 = signal_law(policy, params, cfg)
+    s_nodes, p, mean, m2 = signal_law(policy, params, cfg, splits)
     action = naive_action(s_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 
-def _checked(what: str, pair, unit: float):
-    """pair[0], a Kronrod result (a float or an array), after the check
-    against pair[1], the embedded Gauss result from the same tensor. A
-    difference beyond 1e3 * ABS_TOL * unit anywhere, or a non-finite one,
-    raises QuadratureError naming what. unit is the scale of the quantity:
-    prior_var for a utility, its square root for an action."""
-    kronrod, gauss = pair
-    gap = np.abs(np.subtract(kronrod, gauss))
-    k = int(np.argmax(gap))  # the first NaN, if any
-    if not np.ravel(gap)[k] <= 1e3 * ABS_TOL * unit:
-        raise QuadratureError(
-            f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
-            f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
-            f"rule; raise quad_nodes"
-        )
-    return kronrod
-
-
-def _utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> np.ndarray:
-    """expected_utility as the pair (Kronrod, embedded Gauss)."""
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return np.full(2, -params.prior_var)
-    return -_bayes_loss(policy, params, cfg)
+def _checked(what: str, evaluate, unit: float):
+    """The Kronrod result (a float or an array) of evaluate(splits), a
+    (Kronrod, embedded Gauss) pair from one tensor whose state panels are
+    each cut in splits, after its self-check: the two are finite and differ
+    by at most 1e3 * ABS_TOL * unit everywhere. unit is the scale of the
+    quantity: prior_var for a utility, its square root for an action. A
+    pair that fails on the state rule as built is evaluated again with
+    every state panel halved, and that pair decides; if it fails too,
+    QuadratureError names what and the first pair's worst point (its first
+    NaN, if any). Only the evaluators call it (expected_utility,
+    expected_action and the quadrature branch of
+    normal_sampling.closed_form_objective), so every value they return has
+    passed it."""
+    for splits in (1, 2):
+        pair = evaluate(splits)
+        gap = np.ravel(np.abs(np.subtract(*pair)))
+        if np.all(gap <= 1e3 * ABS_TOL * unit):
+            return pair[0]
+        if splits == 1:
+            kronrod, gauss = pair
+            k = int(np.argmax(gap))  # the first NaN, if any
+    raise QuadratureError(
+        f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
+        f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
+        f"rule; raise quad_nodes"
+    )
 
 
 def expected_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
     """Negative expected quadratic loss of the optimal action under the
     given censoring radius. r = 0 returns minus the prior variance
-    analytically; UNBOUNDED gives the no-restriction benchmark."""
-    return float(_utility(policy, params, cfg)[0])
-
-
-def checked_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
-    """expected_utility after the Kronrod-Gauss self-check, in units of
-    prior_var; a quadrature too coarse for it raises QuadratureError."""
-    return float(_checked("expected utility", _utility(policy, params, cfg), params.prior_var))
+    analytically; UNBOUNDED gives the no-restriction benchmark. The value
+    passes the Kronrod-Gauss self-check in units of prior_var, or
+    QuadratureError is raised."""
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return -params.prior_var
+    utility = lambda splits: -_bayes_loss(policy, params, cfg, splits)  # noqa: E731
+    return float(_checked("expected utility", utility, params.prior_var))
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
     """Expected utility over a radius grid, with a 0.0 entry (analytic) in
-    front and the UNBOUNDED benchmark appended. The benchmark passes the
-    Kronrod-Gauss self-check, or QuadratureError is raised.
+    front and the UNBOUNDED benchmark appended. The benchmark is evaluated
+    first, so a quadrature too coarse for the parameters fails on it.
     """
     radii = [float(r) for r in grid]
     if any(r < 0 for r in radii) or radii != sorted(radii):
         raise ValueError(f"radius grid must be nonnegative and ordered, got {radii!r}")
     if not radii or radii[0] > 0.0:
         radii = [0.0] + radii
-    utilities = [expected_utility(Radius(r), params, cfg) for r in radii]
-    utilities.append(checked_utility(Radius(UNBOUNDED), params, cfg))
+    benchmark = expected_utility(Radius(UNBOUNDED), params, cfg)
+    utilities = [expected_utility(Radius(r), params, cfg) for r in radii] + [benchmark]
     return UtilityCurve(
         radii=tuple(radii) + (UNBOUNDED,),
         utilities=tuple(utilities),
@@ -156,22 +161,19 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
     )
 
 
-def _scan_then_refine(
-    fn, pair, grid: np.ndarray, unit: float, family: str, what: str
-) -> OptimumResult:
+def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
     unbounded benchmark, bounded Brent refinement of interior maxima,
     smaller-argument tie-breaking.
 
-    fn(x) is the objective at x and fn(UNBOUNDED) the benchmark; pair(x) is
-    the same objective as (Kronrod, embedded Gauss) values. The benchmark
-    (named "expected utility" in a failure) and a finite optimum (named
-    what) pass the self-check through pair, so a quadrature too coarse for
-    them raises QuadratureError instead of returning a bad number. unit is
-    the objective's scale, prior_var: ties, surpluses, the scan tail and
-    the self-check are all judged relative to it.
+    fn(x) is the objective at x and fn(UNBOUNDED) the benchmark, evaluated
+    first. fn checks every value it returns, and the optimum is a point
+    fn has evaluated, so a quadrature too coarse for them raises
+    QuadratureError instead of returning a bad number. unit is the
+    objective's scale, prior_var: ties, surpluses and the scan tail are
+    judged relative to it.
     """
-    benchmark = float(_checked("expected utility", pair(UNBOUNDED), unit))
+    benchmark = fn(UNBOUNDED)
     values = np.array([fn(float(g)) for g in grid])
     tol = INVARIANT_TOL * unit
 
@@ -221,7 +223,6 @@ def _scan_then_refine(
             is_finite=False,
             bracket=(float(grid[-1]), math.inf),
         )
-    _checked(what, pair(best[0]), unit)
     return OptimumResult(
         r_star=best[0],
         utility_at_opt=best[1],
@@ -247,16 +248,14 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     interior bracket. Returns UNBOUNDED when the curve is nondecreasing at
     the scan bound without exceeding the unbounded benchmark; a bound hit
     while the curve still rises above the benchmark raises ScanBoundError.
-    The benchmark and a finite optimum pass the Kronrod-Gauss self-check,
-    or QuadratureError is raised.
+    Every value it compares has passed the Kronrod-Gauss self-check, or
+    QuadratureError is raised.
     """
     return _scan_then_refine(
         lambda r: expected_utility(Radius(r), params, cfg),
-        lambda r: _utility(Radius(r), params, cfg),
         scan_radii(params),
         params.prior_var,
         "censoring-radius",
-        "expected utility",
     )
 
 
@@ -277,26 +276,23 @@ def signal_moments_vs_r(
     return var_s, float(np.clip(corr, -1.0, 1.0))
 
 
-def _expected_action(
-    omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
-) -> np.ndarray:
-    """expected_action as two rows: the Kronrod rule, and the embedded
-    Gauss rule on both axes (the actions and their integral)."""
-    omegas = np.asarray(omegas, dtype=float)
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return np.full((2,) + omegas.shape, params.prior_mean)
-    s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
-    _, action, _ = _moments(e_mix, shift, omega, w)
-    _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
-    _, mean, _ = _moments(*_linear_mix(like_H, like_L, params), action, s_w)
-    return mean
-
-
 def expected_action(
     omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 ) -> np.ndarray:
     """Conditional expectation of the optimal action at each true state in
     the 1-D array omegas: the action map integrated against the
-    admitted-signal density."""
-    return _expected_action(omegas, policy, params, cfg)[0]
+    admitted-signal density. Every entry passes the Kronrod-Gauss
+    self-check (the actions and their integral, both under each rule) in
+    units of sqrt(prior_var), or QuadratureError is raised."""
+    omegas = np.asarray(omegas, dtype=float)
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return np.full(omegas.shape, params.prior_mean)
+    s_nodes, s_w = signal_rule(policy, params, cfg)
+
+    def evaluate(splits: int) -> np.ndarray:
+        omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg, splits)
+        _, action, _ = _moments(e_mix, shift, omega, w)
+        _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
+        return _moments(*_linear_mix(like_H, like_L, params), action, s_w)[1]
+
+    return _checked("expected action", evaluate, math.sqrt(params.prior_var))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .censor import _checked, _expected_action, signal_moments_vs_r, utility_curve
+from .censor import expected_action, signal_moments_vs_r, utility_curve
 from .inference import posterior_summaries, prob_high_closed
 from .model import (
     UNBOUNDED,
@@ -139,12 +139,9 @@ def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 def fig5_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     omegas = np.linspace(-4.0, 4.0, 81) + params.prior_mean
-
-    columns = np.stack(
-        [_expected_action(omegas, Radius(r), params, cfg) for r in (REFERENCE_RADIUS, UNBOUNDED)],
-        axis=1,
-    )  # (rule, column, omega)
-    ea_c, ea_u = _checked("expected action", columns, math.sqrt(params.prior_var))
+    ea_c, ea_u = (
+        expected_action(omegas, Radius(r), params, cfg) for r in (REFERENCE_RADIUS, UNBOUNDED)
+    )
     rows = [tuple(map(float, row)) for row in zip(omegas, ea_c, ea_u)]
     return FigureData(
         name="fig5",

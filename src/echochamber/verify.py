@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .censor import checked_utility, expected_utility, optimize_radius
+from .censor import expected_utility, optimize_radius
 from .inference import (
     action_map,
     optimal_action,
@@ -84,7 +84,7 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     u_single = expected_utility(Radius(UNBOUNDED), replace(params, high_share=1.0), cfg)
     mixed = replace(params, high_share=0.5)
-    u_mixed = checked_utility(Radius(UNBOUNDED), mixed, cfg)
+    u_mixed = expected_utility(Radius(UNBOUNDED), mixed, cfg)
     gap = u_single - u_mixed
     return CheckResult(
         name="lemma2",
@@ -293,14 +293,17 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     # a variance statistic has a kurtosis-heavy sampling law; quadruple the
     # draw count so the 3-SE band is tight relative to it; only the signals
-    # are kept, so states and qualities are freed before dev2 is built
+    # are kept, so states and qualities are freed before dev2 is built; the
+    # standard error reuses dev2 in place, the steps of np.std(ddof=1)
     x = simulate_draws(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed).accepted_signals
     target = params.prior_var + params.high_share * params.high_var + (
         1.0 - params.high_share
     ) * params.low_var
     dev2 = (x - x.mean()) ** 2
     vhat = float(dev2.mean())
-    se = float(dev2.std(ddof=1)) / math.sqrt(len(x))
+    dev2 -= vhat
+    dev2 *= dev2
+    se = math.sqrt(dev2.sum() / (len(x) - 1)) / math.sqrt(len(x))
     z = abs(vhat - target) / se
     return CheckResult(
         name="exante_total_var",
@@ -313,7 +316,7 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
 
 
 def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
-    ref = checked_utility(policy, params, cfg)
+    ref = expected_utility(policy, params, cfg)
     amap = action_map(policy, params, cfg)
     draws = simulate_draws(params, policy, cfg.mc_n, cfg.mc_seed)
     est = mc_expected_utility(draws, amap, params)

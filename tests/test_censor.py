@@ -65,9 +65,10 @@ def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
 
 def test_expected_utility_self_check_consistent() -> None:
     # the Kronrod-Gauss check passes at the defaults and returns the
-    # unchecked value, bit for bit
-    checked = censor.checked_utility(Radius(2.0), P, C)
-    assert checked == expected_utility(Radius(2.0), P, C)
+    # Kronrod row of the loss pair, bit for bit
+    pair = -censor._bayes_loss(Radius(2.0), P, C)
+    assert expected_utility(Radius(2.0), P, C) == pair[0]
+    assert 0.0 < abs(pair[0] - pair[1]) < 1e3 * ABS_TOL  # a live, passing estimate
 
 
 def test_utility_curve_structure() -> None:
@@ -177,14 +178,9 @@ def test_scan_bound_error_when_grid_stops_short() -> None:
     def fn(r) -> float:
         return expected_utility(Radius(r), p300, C)
 
-    def pair(r):
-        return censor._utility(Radius(r), p300, C)
-
     # plain floats, and the advice names the setting a user can change
     with pytest.raises(ScanBoundError, match=r"scan bound 2\.0 \(value -0\.\d+ above") as exc:
-        censor._scan_then_refine(
-            fn, pair, np.linspace(0.5, 2.0, 8), 1.0, "censoring-radius", "expected utility"
-        )
+        censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), 1.0, "censoring-radius")
     assert "raise quad_nodes" in str(exc.value)
 
 
@@ -260,13 +256,16 @@ def test_fig5_columns_match_pointwise_expected_action() -> None:
 
 
 def test_optimize_radius_evaluation_budget(monkeypatch) -> None:
-    calls = []
-    original = censor.expected_utility
+    calls = {"expected_utility": 0, "_bayes_loss": 0}
+    for name in calls:
+        original = getattr(censor, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(censor, "expected_utility", counted)
+        monkeypatch.setattr(censor, name, counted)
     assert optimize_radius(replace(P, low_var=300.0), C).is_finite
-    assert len(calls) <= 50
+    assert calls["expected_utility"] <= 50
+    # every kernel evaluation is an expected utility: none runs just for the check
+    assert calls["_bayes_loss"] == calls["expected_utility"], calls

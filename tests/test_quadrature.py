@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from echochamber.censor import _utility, checked_utility
+from echochamber.censor import _bayes_loss, expected_utility
 from echochamber.errors import QuadratureError
 from echochamber.inference import optimal_action, prob_high_closed, uncensored_linear_action
 from echochamber.mc import grid_posterior_oracle
@@ -139,21 +139,41 @@ def test_self_check_accepts_an_accurate_coarse_rule() -> None:
     # at quad_nodes=3 the benchmark's Kronrod-Gauss estimate is 9.2e-7,
     # under the 1e3 * ABS_TOL gate, and K7 itself is 2.6e-12 off the oracle
     c3 = replace(C, quad_nodes=3)
-    kronrod, gauss = _utility(R_UNB, P, c3)
+    kronrod, gauss = -_bayes_loss(R_UNB, P, c3)
     assert 5e-7 < abs(kronrod - gauss) < 1e3 * ABS_TOL
     assert abs(kronrod - eu_unbounded_oracle(P)) < 1e-11
-    assert checked_utility(R_UNB, P, c3) == kronrod
+    assert expected_utility(R_UNB, P, c3) == kronrod
 
 
 def test_self_check_refuses_an_inaccurate_coarse_rule() -> None:
     # at sigmaL2=300 the same rule's estimate is 1.0e-4 and K7 is 3.9e-8
     # off the oracle, beyond ABS_TOL: the check must refuse it
     p, c3 = replace(P, low_var=300.0), replace(C, quad_nodes=3)
-    kronrod, gauss = _utility(R_UNB, p, c3)
+    kronrod, gauss = -_bayes_loss(R_UNB, p, c3)
     assert abs(kronrod - gauss) > 1e3 * ABS_TOL
     assert abs(kronrod - eu_unbounded_oracle(p)) > ABS_TOL
-    with pytest.raises(QuadratureError, match="failed its self-check"):
-        checked_utility(R_UNB, p, c3)
+    # halving every state panel does not rescue it either, and the error
+    # names the pair of the rule as built
+    refined = -_bayes_loss(R_UNB, p, c3, 2)
+    assert abs(refined[0] - refined[1]) > 1e3 * ABS_TOL
+    with pytest.raises(QuadratureError, match="failed its self-check") as exc:
+        expected_utility(R_UNB, p, c3)
+    assert f"{float(kronrod)!r} under the Kronrod rule vs {float(gauss)!r}" in str(exc.value)
+
+
+def test_self_check_refines_the_state_panels_of_an_accurate_rule() -> None:
+    # a narrow window at sigmaH2=0.01, sigmaL2=3e5: the estimate, G7's
+    # error, is 1.1e-5 while K15 is 1.2e-9 off; with every state panel
+    # halved the estimate drops to 2.6e-9, and that value is returned
+    p, window = replace(P, high_var=0.01, low_var=3e5), Radius(0.25)
+    built = -_bayes_loss(window, p, C)
+    refined = -_bayes_loss(window, p, C, 2)
+    reference = -_bayes_loss(window, p, replace(C, quad_nodes=30), 4)[0]
+    assert abs(built[0] - built[1]) > 1e3 * ABS_TOL
+    assert abs(built[0] - reference) < ABS_TOL
+    assert abs(refined[0] - refined[1]) < ABS_TOL
+    assert expected_utility(window, p, C) == refined[0]
+    assert abs(refined[0] - reference) < 1e-12
 
 
 def test_panel_edges_keep_ends_centre_and_breaks() -> None:
@@ -220,6 +240,9 @@ def _points(draw):
 @example(dict(_BASE, low_var=3e5))
 @example(dict(_BASE, high_ratio=0.01, low_var=300.0))
 @example(dict(_BASE, prior_var=25.0, high_ratio=0.02, low_var=3.0))
+@example(dict(_BASE, high_ratio=1.0, low_var=8103.0, high_share=1.0, r_sd=1.0, u=0.0))
+@example(dict(_BASE, high_ratio=0.01, low_var=3e5, r_sd=0.25))
+@example(dict(_BASE, high_ratio=0.093, low_var=20.09, high_share=0.984, r_sd=0.5))
 def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
     p = ModelParams(
         prior_var=point["prior_var"],
@@ -228,11 +251,15 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
         high_share=point["high_share"],
     )
     # the benchmark, self-checked, against the 1-D oracle
-    eu = checked_utility(R_UNB, p, C)
+    eu = expected_utility(R_UNB, p, C)
     assert abs(eu - eu_unbounded_oracle(p)) < ABS_TOL, (eu, eu_unbounded_oracle(p))
 
     prior_sd = math.sqrt(p.prior_var)
     r = point["r_sd"] * prior_sd
+    # a finite window's utility passes its self-check and lies between the
+    # uninformed value and no loss
+    eu_r = expected_utility(Radius(r), p, C)
+    assert -p.prior_var <= eu_r <= 0.0, (r, eu_r)
     cases = (
         (Radius(r), p.prior_mean + point["u"] * r),
         (R_UNB, p.prior_mean + 3.0 * point["u"] * math.sqrt(p.prior_var + p.high_var)),

@@ -157,6 +157,21 @@ def test_cli_optimize_radius_self_check_is_relative_to_prior_var(capsys) -> None
     assert math.isclose(float(fields["utility_uncensored"]), -0.754564728669e8, rel_tol=1e-11)
 
 
+@pytest.mark.parametrize(
+    ("params", "r_star"),
+    [("sigmaH2=0.01,sigmaL2=3e5", "3.52042347205"), ("sigmaH2=0.03,sigmaL2=3e5", "3.30802550973")],
+)
+def test_cli_optimize_radius_refines_a_refused_scan_point(capsys, params, r_star) -> None:
+    # a scan point here fails the check on the state rule as built (the
+    # estimate, G7's error, is 1.1 and 1.6 times the gate while K15 is
+    # within 2e-9 of a 61-node rule) and passes with the state panels
+    # halved: the run prints the optimum it printed when only the
+    # benchmark and the optimum were checked
+    code, fields = _optimum(["optimize", "radius", "--params", params], capsys)
+    assert code == 0
+    assert (fields["r_star"], fields["is_finite"]) == (r_star, "True")
+
+
 def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
     code = main(
         ["optimize", "radius", "--params", "sigmaL2=300", "--out", str(tmp_path)]
@@ -216,6 +231,24 @@ def test_cli_figures_fig2_coarse_quadrature_exits_3(capsys, tmp_path) -> None:
     assert not (tmp_path / "fig2.csv").exists()
 
 
+def test_cli_figures_fig2_curve_points_are_checked(capsys, tmp_path) -> None:
+    # here the benchmark passes, but on the rule as built the r = 1.1
+    # point's Kronrod-Gauss estimate is 3.4e-4 and its Kronrod value
+    # -0.76092905821, 2.2e-7 off a 30-node rule. Every point of the curve is
+    # checked, not only the benchmark, so that value is refused and the
+    # point is evaluated again on halved state panels, which pass and give
+    # the 30-node value to ABS_TOL
+    code = main(
+        ["figures", "--only", "fig2", "--format", "csv", "--out", str(tmp_path),
+         "--params", "quad_nodes=3,sigmaH2=0.1,sigmaL2=30"]
+    )
+    capsys.readouterr()
+    assert code == 0
+    with open(tmp_path / "fig2.csv", newline="") as fh:
+        rows = {row[0]: row[1] for row in csv.reader(line for line in fh if line[0] != "#")}
+    assert abs(float(rows["1.1"]) - -0.76092883891) < 1e-8
+
+
 def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
     # a precise high type (sigmaH2 = 0.01) has a likelihood narrower than
     # the signal panels a few prior sds out, where the Unbounded column is
@@ -237,6 +270,13 @@ def test_cli_verify_benchmark_checks_coarse_quadrature_fail(capsys) -> None:
     for name in ("lemma2", "mc_eu_unbounded"):
         line = next(ln for ln in out.splitlines() if ln.split()[1:2] == [name])
         assert line.startswith("FAIL") and "raised QuadratureError" in line
+
+
+def test_exante_total_var_measured_line_is_pinned() -> None:
+    # the standard error is computed in place; it must not move a digit
+    (result,) = run_checks(P, C, ["exante_total_var"])
+    assert result.passed
+    assert result.measured == "sample var 2.7460 vs total-variance value 2.7500, z 1.81164"
 
 
 def test_cli_figures_fig4_csv(capsys, tmp_path) -> None:
@@ -371,3 +411,24 @@ def test_python_dash_m_reaches_the_cli() -> None:
     )
     assert proc.returncode == 0
     assert "echochamber" in proc.stdout
+
+
+def test_thread_pool_loads_only_with_the_simulator() -> None:
+    # importing the CLI and evaluating a utility leave the thread pool
+    # unloaded; it costs resident memory in every run that never simulates
+    import echochamber
+
+    code = (
+        "import sys; import echochamber.cli\n"
+        "from echochamber.censor import expected_utility\n"
+        "from echochamber.mc import simulate_draws\n"
+        "from echochamber.model import DEFAULT_NUMERICS as C, DEFAULT_PARAMS as P, Radius\n"
+        "expected_utility(Radius(2.0), P, C)\n"
+        "print('concurrent.futures.thread' in sys.modules)\n"
+        "simulate_draws(P, Radius(2.0), 1000, 1)\n"
+        "print('concurrent.futures.thread' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
