@@ -14,7 +14,7 @@ variance. The unbounded entry is the no-restriction benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -63,17 +63,17 @@ class OptimumResult:
     bracket: tuple[float, float]
 
 
-def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, splits=1):
+def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """The admitted-signal law on the policy's signal nodes, by double
     quadrature: returns (s_nodes, p, mean, m2), where p holds the
     probability weights of the nodes (each row summing to one) and mean, m2
     the posterior first and second state moments at each node. p, mean and
     m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
-    Gauss rule on both axes (each state panel cut in splits), both reduced
-    from one tensor. A far-tail node whose posterior falls between the
-    state nodes of a rule has no mass under that rule, and zero moments."""
+    Gauss rule on both axes, both reduced from one tensor. A far-tail node
+    whose posterior falls between the state nodes of a rule has no mass
+    under that rule, and zero moments."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg, splits)
+    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         logz, mean, m2 = _moments(e_mix, shift, omega, w)
     p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
@@ -83,44 +83,43 @@ def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig,
     return s_nodes, p / mass, np.where(p > 0.0, mean, 0.0), np.where(p > 0.0, m2, 0.0)
 
 
-def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, splits=1):
+def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """Expected quadratic loss of the posterior-mean action: the mean
     posterior variance under the admitted-signal law, as the pair
     (Kronrod, embedded Gauss)."""
-    _, p, mean, m2 = signal_law(policy, params, cfg, splits)
+    _, p, mean, m2 = signal_law(policy, params, cfg)
     return np.sum(p * (m2 - mean * mean), axis=1)
 
 
-def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig, splits=1):
+def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
     """Like _bayes_loss but with the action map replaced by the two-step
     shrinkage rule that treats type weights as radius-free predictive ones.
     Used by the soft-window objective; see normal_sampling."""
     from .normal_sampling import naive_action
 
-    s_nodes, p, mean, m2 = signal_law(policy, params, cfg, splits)
+    s_nodes, p, mean, m2 = signal_law(policy, params, cfg)
     action = naive_action(s_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 
-def _checked(what: str, evaluate, unit: float):
-    """The Kronrod result (a float or an array) of evaluate(splits), a
-    (Kronrod, embedded Gauss) pair from one tensor whose state panels are
-    each cut in splits, after its self-check: the two are finite and differ
-    by at most 1e3 * ABS_TOL * unit everywhere. unit is the scale of the
-    quantity: prior_var for a utility, its square root for an action. A
-    pair that fails on the state rule as built is evaluated again with
-    every state panel halved, and that pair decides; if it fails too,
-    QuadratureError names what and the first pair's worst point (its first
-    NaN, if any). Only the evaluators call it (expected_utility,
-    expected_action and the quadrature branch of
+def _checked(what: str, evaluate, unit: float, cfg: NumericsConfig):
+    """The Kronrod result (a float or an array) of evaluate(cfg), a
+    (Kronrod, embedded Gauss) pair from one tensor, after its self-check:
+    the two are finite and differ by at most 1e3 * ABS_TOL * unit
+    everywhere. unit is the scale of the quantity: prior_var for a utility,
+    its square root for an action. A pair that fails is evaluated again by
+    the same rule at twice the order, quad_nodes doubled on both axes, and
+    that pair decides; if it fails too, QuadratureError names what and the
+    first pair's worst point (its first NaN, if any). Only the evaluators
+    call it (expected_utility, expected_action and the quadrature branch of
     normal_sampling.closed_form_objective), so every value they return has
-    passed it."""
-    for splits in (1, 2):
-        pair = evaluate(splits)
+    passed it, and no other code re-evaluates."""
+    for c in (cfg, replace(cfg, quad_nodes=2 * cfg.quad_nodes)):
+        pair = evaluate(c)
         gap = np.ravel(np.abs(np.subtract(*pair)))
         if np.all(gap <= 1e3 * ABS_TOL * unit):
             return pair[0]
-        if splits == 1:
+        if c is cfg:
             kronrod, gauss = pair
             k = int(np.argmax(gap))  # the first NaN, if any
     raise QuadratureError(
@@ -138,8 +137,8 @@ def expected_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -
     QuadratureError is raised."""
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return -params.prior_var
-    utility = lambda splits: -_bayes_loss(policy, params, cfg, splits)  # noqa: E731
-    return float(_checked("expected utility", utility, params.prior_var))
+    utility = lambda c: -_bayes_loss(policy, params, c)  # noqa: E731
+    return float(_checked("expected utility", utility, params.prior_var, cfg))
 
 
 def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurve:
@@ -287,12 +286,12 @@ def expected_action(
     omegas = np.asarray(omegas, dtype=float)
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return np.full(omegas.shape, params.prior_mean)
-    s_nodes, s_w = signal_rule(policy, params, cfg)
 
-    def evaluate(splits: int) -> np.ndarray:
-        omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg, splits)
+    def evaluate(c: NumericsConfig) -> np.ndarray:
+        s_nodes, s_w = signal_rule(policy, params, c)
+        omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, c)
         _, action, _ = _moments(e_mix, shift, omega, w)
         _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
         return _moments(*_linear_mix(like_H, like_L, params), action, s_w)[1]
 
-    return _checked("expected action", evaluate, math.sqrt(params.prior_var))
+    return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg)

@@ -90,9 +90,9 @@ def _strict(kind, value):
 
 def _resolve(args: argparse.Namespace) -> tuple[ModelParams, NumericsConfig]:
     merged: dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(_load_config_file(args.config))
-    if getattr(args, "params", None):
+    if args.params:
         for spec in args.params:
             merged.update(_parse_pairs(spec))
 
@@ -113,9 +113,9 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, NumericsConfig]:
             known = ", ".join(sorted((*_PARAM_KEYS, *_NUMERIC_KEYS)))
             raise ConfigError(f"unknown config key {key!r}; known keys: {known}")
 
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         n_kwargs["mc_seed"] = args.seed
-    if getattr(args, "mc_n", None) is not None:
+    if args.mc_n is not None:
         n_kwargs["mc_n"] = args.mc_n
 
     try:
@@ -262,7 +262,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     from .figures import csv_header
 
-    if args.vary not in _PARAM_KEYS or args.vary not in ("sigmaL2", "h", "sigma02"):
+    if args.vary not in ("sigmaL2", "h", "sigma02"):
         raise ConfigError(f"--vary must be one of sigmaL2, h, sigma02; got {args.vary!r}")
     field = _PARAM_KEYS[args.vary]
     values = _sweep_values(args)

@@ -31,8 +31,9 @@ class QuadratureError(NumericFailure):
     expected_action or the soft-window objective failed its self-check:
     its Kronrod value and the embedded Gauss value from the same tensor
     differ by more than 1e3 * ABS_TOL in the quantity's unit (prior_var
-    for a utility, its square root for an action), on the state rule as
-    built and again with its panels halved. Re-run with more quad_nodes."""
+    for a utility, its square root for an action), under the rule as
+    configured and again with quad_nodes doubled. Re-run with more
+    quad_nodes."""
 
 
 class ScanBoundError(NumericFailure):

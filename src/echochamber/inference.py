@@ -121,13 +121,13 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
     return (tilt,) + tuple(norm_logpdf(s, omega, qv) for qv in variances)
 
 
-def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig, splits=1):
+def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """The joint over state nodes i and signal values j: returns (omega, w,
-    bH, bL, e_mix, shift), with w the two weight rows of the state rule
-    (each panel cut in splits). bH[i, j] and bL[i, j] are the per-type log
-    integrands, type share excluded; the mixed integrand, type shares
-    included, is e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
-    omega, w = state_rule(params, cfg, splits)
+    bH, bL, e_mix, shift), with w the two weight rows of the state rule.
+    bH[i, j] and bL[i, j] are the per-type log integrands, type share
+    excluded; the mixed integrand, type shares included, is
+    e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
+    omega, w = state_rule(params, cfg)
     tilt, bH, bL = _log_terms(omega[:, None], s_values[None, :], policy, params)
     bH += tilt
     bL += tilt

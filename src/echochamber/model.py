@@ -52,7 +52,7 @@ Extent = Union[float, _UnboundedType]
 
 
 def is_unbounded(x: object) -> bool:
-    return x is UNBOUNDED or isinstance(x, _UnboundedType)
+    return x is UNBOUNDED
 
 
 _LOG_MASS_FLOOR = -700.0  # below this the window mass underflows double range

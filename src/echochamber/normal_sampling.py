@@ -117,8 +117,8 @@ def closed_form_objective(
     policy = NormalWeight(mean=params.prior_mean, var=v)
     if _degenerate(params):
         return _closed_form_value(params, policy)
-    objective = lambda splits: -_naive_loss(policy, params, cfg, splits)  # noqa: E731
-    return float(_checked("soft-window objective", objective, params.prior_var))
+    objective = lambda c: -_naive_loss(policy, params, c)  # noqa: E731
+    return float(_checked("soft-window objective", objective, params.prior_var, cfg))
 
 
 def single_type_objective_offcenter(

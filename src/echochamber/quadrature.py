@@ -113,27 +113,26 @@ def panel_edges(center: float, halfwidth: float, scales, breaks=()) -> np.ndarra
     return np.unique(points[np.abs(points - center) <= halfwidth])
 
 
-def _capped(edges: np.ndarray, lo: float, hi: float, width: float, splits: int) -> np.ndarray:
+def _capped(edges: np.ndarray, lo: float, hi: float, width: float) -> np.ndarray:
     """Split every panel inside [lo, hi] into equal parts no wider than
-    width, and every panel into splits times as many parts."""
+    width."""
     out = [edges[:1]]
     for a, b in zip(edges[:-1], edges[1:]):
-        parts = splits * (math.ceil((b - a) / width) if lo <= a and b <= hi else 1)
+        parts = math.ceil((b - a) / width) if lo <= a and b <= hi else 1
         out.append(np.linspace(a, b, parts + 1)[1:])
     return np.concatenate(out)
 
 
 @lru_cache(maxsize=128)
-def state_rule(params: ModelParams, cfg: NumericsConfig, splits: int = 1):
-    """Quadrature rule over the state axis; see the module docstring. With
-    splits > 1 each panel is cut in that many: censor._checked's refinement."""
+def state_rule(params: ModelParams, cfg: NumericsConfig):
+    """Quadrature rule over the state axis; see the module docstring."""
     m, pv, hv, lv = params.prior_mean, params.prior_var, params.high_var, params.low_var
     post_sd = math.sqrt(pv * hv / (pv + hv))
     near = SUPPORT_SDS * math.sqrt(pv)
     lo, hi = m - near, m + near
     scales = (math.sqrt(pv), math.sqrt(hv), math.sqrt(lv), post_sd)
     edges = panel_edges(m, SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (lo, hi))
-    edges = _capped(edges, lo, hi, STATE_CAP_SDS * post_sd, splits)
+    edges = _capped(edges, lo, hi, STATE_CAP_SDS * post_sd)
     return paneled_rule(edges, cfg.quad_nodes)
 
 

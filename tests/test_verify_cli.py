@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from echochamber.cli import main
-from echochamber.model import DEFAULT_NUMERICS, DEFAULT_PARAMS
+from echochamber.model import ABS_TOL, DEFAULT_NUMERICS, DEFAULT_PARAMS
 from echochamber.verify import ALL_CHECKS, format_report, run_checks
 
 P = DEFAULT_PARAMS
@@ -162,11 +162,11 @@ def test_cli_optimize_radius_self_check_is_relative_to_prior_var(capsys) -> None
     [("sigmaH2=0.01,sigmaL2=3e5", "3.52042347205"), ("sigmaH2=0.03,sigmaL2=3e5", "3.30802550973")],
 )
 def test_cli_optimize_radius_refines_a_refused_scan_point(capsys, params, r_star) -> None:
-    # a scan point here fails the check on the state rule as built (the
+    # a scan point here fails the check on the rule as configured (the
     # estimate, G7's error, is 1.1 and 1.6 times the gate while K15 is
-    # within 2e-9 of a 61-node rule) and passes with the state panels
-    # halved: the run prints the optimum it printed when only the
-    # benchmark and the optimum were checked
+    # within 2e-9 of a 61-node rule) and passes at twice the order: the
+    # run prints the optimum it printed when only the benchmark and the
+    # optimum were checked
     code, fields = _optimum(["optimize", "radius", "--params", params], capsys)
     assert code == 0
     assert (fields["r_star"], fields["is_finite"]) == (r_star, "True")
@@ -191,19 +191,19 @@ def test_cli_optimize_radius_csv(capsys, tmp_path) -> None:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=3"],
-        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=3"],
-        ["optimize", "radius", "--params", "quad_nodes=2"],
-        ["optimize", "normal-sampling", "--params", "sigmaL2=300,quad_nodes=3"],
+        ["optimize", "radius", "--params", "sigmaL2=300,quad_nodes=1"],
+        ["sweep", "--vary", "sigmaL2", "--values", "300", "--params", "quad_nodes=1"],
+        ["optimize", "radius", "--params", "quad_nodes=1"],
+        ["optimize", "normal-sampling", "--params", "sigmaL2=300,quad_nodes=1"],
     ],
-    ids=["optimize", "sweep", "default-params", "three-nodes"],
+    ids=["optimize", "sweep", "default-params", "normal-sampling"],
 )
 def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
-    # too coarse a rule leaves the unrestricted benchmark visibly wrong: its
-    # Kronrod-Gauss estimate is 1.0e-4 at sigmaL2=300 with quad_nodes=3 and
-    # 4.0e-5 at the defaults with quad_nodes=2, against a gate of 1e-5. Both
-    # optimizers must abort the run rather than print it, and say so instead
-    # of blaming the scan bound
+    # too coarse a rule leaves the unrestricted benchmark visibly wrong: at
+    # quad_nodes=1 K3 is 1.0e-4 off at sigmaL2=300 and 9.2e-7 off at the
+    # defaults, and the pair at twice the order still fails the gate of
+    # 1e-5. Both optimizers must abort the run rather than print it, and say
+    # so instead of blaming the scan bound
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 3
@@ -212,18 +212,19 @@ def test_cli_optimize_coarse_quadrature_exits_3(capsys, argv) -> None:
 
 
 def test_cli_verify_prop2_coarse_quadrature_fails(capsys) -> None:
-    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=3"])
+    code = main(["verify", "--check", "prop2", "--params", "quad_nodes=1"])
     out = capsys.readouterr().out
     assert code == 1
     assert out.startswith("FAIL prop2") and "raised QuadratureError" in out
 
 
 def test_cli_figures_fig2_coarse_quadrature_exits_3(capsys, tmp_path) -> None:
-    # at quad_nodes=2 the unrestricted benchmark's Kronrod-Gauss estimate
-    # is 4.0e-5; fig2 self-checks it instead of printing it
+    # at quad_nodes=1 the unrestricted benchmark's Kronrod-Gauss estimate
+    # is 1.3e-3, and 4.0e-5 at twice the order; fig2 self-checks it instead
+    # of printing it
     code = main(
         ["figures", "--only", "fig2", "--format", "csv", "--out", str(tmp_path),
-         "--params", "quad_nodes=2"]
+         "--params", "quad_nodes=1"]
     )
     err = capsys.readouterr().err
     assert code == 3
@@ -236,7 +237,7 @@ def test_cli_figures_fig2_curve_points_are_checked(capsys, tmp_path) -> None:
     # point's Kronrod-Gauss estimate is 3.4e-4 and its Kronrod value
     # -0.76092905821, 2.2e-7 off a 30-node rule. Every point of the curve is
     # checked, not only the benchmark, so that value is refused and the
-    # point is evaluated again on halved state panels, which pass and give
+    # point is evaluated again at twice the order, which passes and gives
     # the 30-node value to ABS_TOL
     code = main(
         ["figures", "--only", "fig2", "--format", "csv", "--out", str(tmp_path),
@@ -247,6 +248,48 @@ def test_cli_figures_fig2_curve_points_are_checked(capsys, tmp_path) -> None:
     with open(tmp_path / "fig2.csv", newline="") as fh:
         rows = {row[0]: row[1] for row in csv.reader(line for line in fh if line[0] != "#")}
     assert abs(float(rows["1.1"]) - -0.76092883891) < 1e-8
+
+
+def test_cli_figures_fig2_signal_axis_gap_answers(capsys, tmp_path) -> None:
+    # at quad_nodes=3, sigmaL2=30 the Kronrod-Gauss gap of some points sits
+    # on the signal axis; the rule at twice the order refines both axes, so
+    # the figure is drawn, and every utility matches a 30-node rule
+    curves = {}
+    for nodes in (3, 30):
+        out = tmp_path / str(nodes)
+        code = main(
+            ["figures", "--only", "fig2", "--format", "csv", "--out", str(out),
+             "--params", f"quad_nodes={nodes},sigmaL2=30"]
+        )
+        assert code == 0
+        curves[nodes] = _read_csv(out / "fig2.csv")[2]
+    capsys.readouterr()
+    assert [row[0] for row in curves[3]] == [row[0] for row in curves[30]]
+    for coarse, fine in zip(curves[3], curves[30]):
+        for a, b in zip(coarse[1:], fine[1:]):
+            assert abs(float(a) - float(b)) < ABS_TOL, (coarse, fine)
+
+
+def test_cli_verify_at_quad_nodes_2_passes(capsys, tmp_path) -> None:
+    # every check the two-node rule cannot settle is settled at twice the order
+    code = main(["verify", "--out", str(tmp_path), "--params", "quad_nodes=2"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert json.loads((tmp_path / "verify_report.json").read_text())["passed"] is True
+
+
+def test_cli_optimize_radius_answers_at_a_sampled_domain_point(capsys) -> None:
+    # a random domain point where a scan value failed its check on the rule
+    # as configured and the run exited 3; at twice the order it answers
+    code, fields = _optimum(
+        ["optimize", "radius", "--params",
+         "sigma02=14.523350130266536,sigmaH2=0.18004094483670416,"
+         "sigmaL2=0.27785667542948683,h=0.020215573356146876"],
+        capsys,
+    )
+    assert code == 0
+    assert fields["r_star"] == "Unbounded"
+    assert fields["utility_uncensored"] == "-0.270736481294"
 
 
 def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
@@ -264,7 +307,7 @@ def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
 
 
 def test_cli_verify_benchmark_checks_coarse_quadrature_fail(capsys) -> None:
-    code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=2"])
+    code = main(["verify", "--check", "lemma2,mc_eu_unbounded", "--params", "quad_nodes=1"])
     out = capsys.readouterr().out
     assert code == 1
     for name in ("lemma2", "mc_eu_unbounded"):
