@@ -73,7 +73,7 @@ def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     whose posterior falls between the state nodes of a rule has no mass
     under that rule, and zero moments."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, cfg)
+    omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, params, cfg)
     with np.errstate(divide="ignore", invalid="ignore"):
         logz, mean, m2 = _moments(e_mix, shift, omega, w)
     p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
@@ -289,7 +289,7 @@ def expected_action(
 
     def evaluate(c: NumericsConfig) -> np.ndarray:
         s_nodes, s_w = signal_rule(policy, params, c)
-        omega, w, _, _, e_mix, shift = _policy_pieces(s_nodes, policy, params, c)
+        omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, params, c)
         _, action, _ = _moments(e_mix, shift, omega, w)
         _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
         return _moments(*_linear_mix(like_H, like_L, params), action, s_w)[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -352,7 +353,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         params, cfg = _resolve(args)
-        return args.func(args, params, cfg)
+        code = args.func(args, params, cfg)
+        sys.stdout.flush()  # so a reader that left early is seen here
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (say, `| head`): point stdout at devnull,
+        # so the flush at exit cannot raise again, and exit 1 as for EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .model import (
     SamplingPolicy,
     _log_weights,
     norm_logpdf,
+    sq_norm_logpdf,
     window_logmass,
 )
 from .quadrature import signal_rule, state_rule
@@ -86,6 +87,11 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 # ---------------------------------------------------------------------------
 # quadrature internals
 
+# Cells per signal block of the kernel tensor: 2^15 doubles are 256 KiB, so
+# one block's log integrands and temporaries stay in a 2 MiB L2 cache.
+_BLOCK_CELLS = 2**15
+
+
 def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
     """The policy's log joint of (state, admitted signal), in pieces.
 
@@ -96,6 +102,14 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
     integrand, type share excluded, is tilt + like_q; mixing like_q over
     types gives the admitted-signal density at omega up to a state factor.
     """
+    tilt, like = _state_terms(omega, policy, params)
+    return (tilt,) + like(s)
+
+
+def _state_terms(omega, policy: SamplingPolicy, params: ModelParams):
+    """_log_terms split at the signal: (tilt, like), where like(s) gives
+    (like_H, like_L) at signals s. Everything that depends on the state
+    alone is computed here, once, however many signal blocks like serves."""
     if not isinstance(policy, (Radius, NormalWeight)):
         raise TypeError(f"unsupported policy {policy!r}")
     omega = np.asarray(omega, dtype=float)
@@ -106,40 +120,84 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
         # and is then normal with shrunk mean and the product variance
         mean, var = policy.mean, policy.var
         admit = [norm_logpdf(omega, mean, qv + var) for qv in variances]
-        like = []
-        for qv, log_admit in zip(variances, admit):
+        shrunk = []
+        for qv in variances:
             lam = var / (var + qv)
-            shrunk = lam * omega + (1.0 - lam) * mean
-            like.append(log_admit + norm_logpdf(s, shrunk, qv * var / (qv + var)))
+            shrunk.append(lam * omega + (1.0 - lam) * mean)
         lh, ll = _log_weights(params)
         tilt = tilt - np.logaddexp(lh + admit[0], ll + admit[1])
-        return tilt, like[0], like[1]
+
+        def like(s):
+            return tuple(
+                log_admit + norm_logpdf(s, m, qv * var / (qv + var))
+                for qv, log_admit, m in zip(variances, admit, shrunk)
+            )
+
+        return tilt, like
     if not policy.unbounded:
         if policy.r == 0.0:
             raise DegenerateRadiusError("r = 0 admits no signal")
         tilt = tilt - window_logmass(omega, policy.r, params)
-    return (tilt,) + tuple(norm_logpdf(s, omega, qv) for qv in variances)
+
+    def like(s):
+        # both types are centred on omega: one squared deviation serves both
+        d2 = np.subtract(s, omega, dtype=float)
+        d2 *= d2
+        return tuple(sq_norm_logpdf(d2, qv) for qv in variances)
+
+    return tilt, like
 
 
-def _policy_pieces(s_values: np.ndarray, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
+def _policy_pieces(
+    s_values: np.ndarray,
+    policy: SamplingPolicy,
+    params: ModelParams,
+    cfg: NumericsConfig,
+    types: bool = False,
+):
     """The joint over state nodes i and signal values j: returns (omega, w,
-    bH, bL, e_mix, shift), with w the two weight rows of the state rule.
-    bH[i, j] and bL[i, j] are the per-type log integrands, type share
-    excluded; the mixed integrand, type shares included, is
-    e_mix[i, j] * exp(shift[j]) (see _linear_mix)."""
+    e_mix, shift, e_types, m_types), with w the two weight rows of the
+    state rule. The mixed integrand, type shares included, is
+    e_mix[i, j] * exp(shift[j]) (see _linear_mix). With types,
+    e_types[q, i, j] * exp(m_types[q, j]) is the type-q integrand (q = 0
+    high, 1 low), type share excluded, exponentiated under its own column
+    maxima; without, e_types and m_types have no rows.
+
+    The tensor is built in blocks of about _BLOCK_CELLS cells, so only the
+    outputs are full size. Each entry depends on its own column alone, so
+    the blocks give the same bits as one pass. Callers reduce the whole
+    tensor with one _moments product, never per block: BLAS picks its
+    kernel, and so its rounding, by the product's shape."""
     omega, w = state_rule(params, cfg)
-    tilt, bH, bL = _log_terms(omega[:, None], s_values[None, :], policy, params)
-    bH += tilt
-    bL += tilt
-    e_mix, shift = _linear_mix(bH, bL, params)
-    return omega, w, bH, bL, e_mix, shift
+    tilt, like = _state_terms(omega, policy, params)
+    n, m = len(omega), len(s_values)
+    e_mix = np.empty((n, m))
+    shift = np.empty(m)
+    e_types = np.empty((2 if types else 0, n, m))
+    m_types = np.empty((len(e_types), m))
+    step = max(1, _BLOCK_CELLS // n)
+    for j in range(0, m, step):
+        cols = slice(j, j + step)
+        # a block is laid out (signal, state), so every broadcast runs along
+        # the long state axis; .T views it as (state, signal)
+        bH, bL = like(s_values[cols, None])
+        bH += tilt
+        bL += tilt
+        bH, bL = bH.T, bL.T
+        e_mix[:, cols], shift[cols] = _linear_mix(bH, bL, params)
+        if types:
+            for q, b in enumerate((bH, bL)):
+                m_types[q, cols] = peak = b.max(axis=0)
+                e_types[q, :, cols] = np.exp(b - peak)
+    return omega, w, e_mix, shift, e_types, m_types
 
 
 def _linear_mix(bH: np.ndarray, bL: np.ndarray, params: ModelParams):
     """(e, shift) with e * exp(shift) = h exp(bH) + (1 - h) exp(bL), mixed
     in the linear domain under the per-column shift of the larger type
     term, so the largest entry of each column of e is at least 1. A type of
-    share 0 contributes exact zeros."""
+    share 0 contributes exact zeros. Columns are independent: _policy_pieces
+    calls it on one block of signal columns at a time."""
     lh, ll = _log_weights(params)
     shift = np.maximum(lh + bH.max(axis=0), ll + bL.max(axis=0))
     e = bH - (shift - lh)
@@ -160,14 +218,6 @@ def _moments(e: np.ndarray, shift: np.ndarray, omega: np.ndarray, w: np.ndarray)
     return shift + np.log(s0), s1 / s0, s2 / s0
 
 
-def _shifted_moments(b: np.ndarray, omega: np.ndarray, w: np.ndarray):
-    """_moments for a log integrand b, exponentiated under its column
-    maxima. Only the per-type passes use it, so the mixed action and the
-    type actions come from separate floating-point passes."""
-    m = b.max(axis=0)
-    return _moments(np.exp(b - m[None, :]), m, omega, w)
-
-
 def posterior_summaries(
     s_values, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -175,10 +225,14 @@ def posterior_summaries(
     for each signal in s_values. Does not enforce the support precondition;
     callers that expose single-signal contracts do."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    omega, w, bH, bL, e_mix, shift = _policy_pieces(s_values, policy, params, cfg)
+    omega, w, e_mix, shift, e_types, m_types = _policy_pieces(
+        s_values, policy, params, cfg, types=True
+    )
     w = w[:1]  # the Kronrod rule alone: every result is a single row
-    logz_H, mean_H, _ = _shifted_moments(bH, omega, w)
-    logz_L, mean_L, _ = _shifted_moments(bL, omega, w)
+    # the per-type passes reduce their own exponentials, so the mixed action
+    # and the type actions come from separate floating-point passes
+    logz_H, mean_H, _ = _moments(e_types[0], m_types[0], omega, w)
+    logz_L, mean_L, _ = _moments(e_types[1], m_types[1], omega, w)
     _, action, m2 = _moments(e_mix, shift, omega, w)
     post_var = np.maximum(m2 - action**2, 0.0)
     # prob_high through the log-odds so extreme signals stay in [0, 1]
@@ -223,7 +277,7 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    nodes, w, _, _, e_mix, shift = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
+    nodes, w, e_mix, shift, _, _ = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
     log_norm = _moments(e_mix, shift, nodes, w[:1])[0][0, 0]
     tilt, like_H, like_L = _log_terms(omega, s, policy, params)
     lh, ll = _log_weights(params)

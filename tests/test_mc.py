@@ -26,6 +26,7 @@ from echochamber.model import (
     Radius,
     UNBOUNDED,
 )
+from echochamber.quadrature import signal_rule, state_rule
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
@@ -137,6 +138,20 @@ def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
     narrow = _peak_bytes(replace(P, low_var=768.0), Radius(0.1), n)
     unbounded = _peak_bytes(P, R_UNB, n)
     assert narrow <= 1.25 * unbounded, (narrow, unbounded)
+
+
+def test_kernel_peak_memory_is_one_tensor() -> None:
+    # one full-size (state, signal) tensor is kept; the log integrands and
+    # their temporaries live one cache-sized block of signals at a time
+    params = replace(P, high_var=1e-4, low_var=300.0)
+    tensor_bytes = 8 * len(state_rule(params, C)[0]) * len(signal_rule(R_UNB, params, C)[0])
+    tracemalloc.start()
+    try:
+        expected_utility(R_UNB, params, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * tensor_bytes, peak / tensor_bytes
 
 
 def test_accepted_signals_respect_hard_window() -> None:

@@ -89,6 +89,19 @@ def test_cli_verify_failure_exits_1(capsys) -> None:
     assert "FAIL hvanish" in out
 
 
+def test_cli_closed_stdout_exits_1_quietly(capsys, monkeypatch, tmp_path) -> None:
+    # stdout is a pipe whose reader has gone, as in `echochamber ... | head -2`:
+    # every write raises BrokenPipeError
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["verify", "--check", "lemma1", "--out", str(tmp_path)])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_verify_unknown_check_exits_2(capsys) -> None:
     code = main(["verify", "--check", "nope"])
     err = capsys.readouterr().err
