@@ -32,9 +32,10 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtri
 
 from .errors import RejectionStallError
 from .model import ModelParams, NormalWeight, Radius, SamplingPolicy
@@ -272,37 +273,36 @@ def grid_posterior_oracle(
     s: float, policy: SamplingPolicy, params: ModelParams, grid_points: int
 ) -> tuple[float, float]:
     """Posterior mean and variance of the state by direct normalized
-    summation on a uniform grid: a deliberately plain, linear-space Bayes
-    rule that shares no machinery with the quadrature path."""
+    summation on a uniform grid: a deliberately plain Bayes rule that shares
+    no machinery with the quadrature path. A hard window's weights are
+    formed in log space: far from a narrow window, prior * mixture and the
+    window mass both underflow while their ratio does not."""
     if grid_points < 1001:
         raise ValueError(f"grid_points must be >= 1001, got {grid_points!r}")
     sd_max = math.sqrt(max(params.prior_var, params.low_var))
     half = 10.0 * sd_max
     omega = np.linspace(params.prior_mean - half, params.prior_mean + half, int(grid_points))
     h = params.high_share
-    prior = _npdf(omega, params.prior_mean, params.prior_var)
 
     if isinstance(policy, Radius) and not policy.unbounded:
-        mix = h * _npdf(s, omega, params.high_var) + (1.0 - h) * _npdf(
-            s, omega, params.low_var
-        )
-        lo = params.prior_mean - policy.r
-        hi = params.prior_mean + policy.r
-        mass = np.zeros_like(omega)
+        # the window mass of a type, Phi(b) - Phi(a), mirrored into the lower
+        # tail (a = -(d + r)/sd, b = (r - d)/sd), where it does not cancel
+        d = np.abs(omega - params.prior_mean)
+        log_mass, log_mix = [], []
         for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
+            if share == 0.0:
+                continue
             sd = math.sqrt(var)
-            zlo = (lo - omega) / sd
-            zhi = (hi - omega) / sd
-            # two near-one CDF values cancel to zero left of the window;
-            # mirror so both are evaluated on their small side
-            term = np.where(
-                zlo + zhi > 0.0, ndtr(-zlo) - ndtr(-zhi), ndtr(zhi) - ndtr(zlo)
-            )
-            mass += share * term
-        weight = np.divide(
-            prior * mix, mass, out=np.zeros_like(mass), where=mass > 0.0
-        )
+            la = log_ndtr(-(d + policy.r) / sd)
+            lb = log_ndtr((policy.r - d) / sd)
+            log_mass.append(math.log(share) + lb + np.log1p(-np.exp(la - lb)))
+            log_like = -((s - omega) ** 2) / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
+            log_mix.append(math.log(share) + log_like)
+        log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_mass)
+        log_weight -= d * d / (2.0 * params.prior_var)
+        weight = np.exp(log_weight - log_weight.max())
     elif isinstance(policy, NormalWeight):
+        prior = _npdf(omega, params.prior_mean, params.prior_var)
         v = policy.var
         num = np.zeros_like(omega)
         den = np.zeros_like(omega)
@@ -319,7 +319,7 @@ def grid_posterior_oracle(
         mix = h * _npdf(s, omega, params.high_var) + (1.0 - h) * _npdf(
             s, omega, params.low_var
         )
-        weight = prior * mix
+        weight = _npdf(omega, params.prior_mean, params.prior_var) * mix
 
     z = weight.sum()
     mean = float((weight * omega).sum() / z)

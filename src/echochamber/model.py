@@ -10,7 +10,10 @@ until one lands inside. The signal density conditional on the state is then
 the mixture density divided by the mixture window mass, and zero outside;
 inference._log_terms builds it from the pieces here.
 
-Densities are computed in log space. The quadrature kernel,
+Densities are computed in log space, the window mass too, with no floor:
+log_ndtr stays accurate far past the double range (log_ndtr(-1000) =
+-500007.83), so a state far from a narrow window keeps its exact tilt
+-log D_r(omega), and the admitted states' marginal is the prior. The kernel,
 inference._policy_pieces, builds the (state, signal) tensor in cache-sized
 blocks of signal columns and exponentiates each entry once: it mixes the
 two types in the linear domain under a per-signal shift, the larger of
@@ -56,8 +59,6 @@ Extent = Union[float, _UnboundedType]
 def is_unbounded(x: object) -> bool:
     return x is UNBOUNDED
 
-
-_LOG_MASS_FLOOR = -700.0  # below this the window mass underflows double range
 
 ABS_TOL = 1e-8  # accuracy a printed number is held to
 INVARIANT_TOL = 1e-6  # slack for identities, ties and surpluses in results
@@ -193,8 +194,8 @@ def _log_weights(params: ModelParams) -> tuple[float, float]:
 
 
 def _interval_logmass(lo_z, hi_z):
-    """log(Phi(hi_z) - Phi(lo_z)), evaluated through the better-conditioned
-    tail so the difference never cancels catastrophically."""
+    """log(Phi(hi_z) - Phi(lo_z)) through the better-conditioned tail: the
+    difference never cancels, and it stays exact far below the double range."""
     lo_z = np.asarray(lo_z, dtype=float)
     hi_z = np.asarray(hi_z, dtype=float)
     # mirror so that the interval sits in the lower tail
@@ -205,8 +206,7 @@ def _interval_logmass(lo_z, hi_z):
     lb = log_ndtr(b)
     with np.errstate(invalid="ignore"):
         out = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-    out = np.where(np.isnan(out), -np.inf, out)
-    return np.maximum(out, _LOG_MASS_FLOOR)
+    return np.where(np.isnan(out), -np.inf, out)
 
 
 def window_logmass_component(omega, r: float, var: float, params: ModelParams):
@@ -222,4 +222,4 @@ def window_logmass(omega, r: float, params: ModelParams):
     lh, ll = _log_weights(params)
     a = lh + window_logmass_component(omega, r, params.high_var, params)
     b = ll + window_logmass_component(omega, r, params.low_var, params)
-    return np.maximum(np.logaddexp(a, b), _LOG_MASS_FLOOR)
+    return np.logaddexp(a, b)

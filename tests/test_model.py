@@ -132,6 +132,10 @@ def test_window_mass_far_tail_finite() -> None:
     # far states must give a finite log mass, not -inf from cancelled CDFs
     lm = window_logmass(40.0, 1.0, DEFAULT_PARAMS)
     assert math.isfinite(lm) and lm < -100.0
+    # and an exact one far below the double range: mpmath at 50 digits
+    # gives -166341.469537354066 at omega = 1000
+    far = window_logmass(1000.0, 1.0, DEFAULT_PARAMS)
+    assert math.isclose(far, -166341.469537354066, rel_tol=1e-13)
 
 
 def test_truncated_density_value(oracle: dict) -> None:

@@ -19,7 +19,13 @@ import pytest
 
 from echochamber.censor import _bayes_loss, expected_utility
 from echochamber.errors import QuadratureError
-from echochamber.inference import optimal_action, prob_high_closed, uncensored_linear_action
+from echochamber.inference import (
+    _moments,
+    _policy_pieces,
+    optimal_action,
+    prob_high_closed,
+    uncensored_linear_action,
+)
 from echochamber.mc import grid_posterior_oracle
 from echochamber.model import (
     ABS_TOL,
@@ -235,7 +241,21 @@ def _points(seed: int, n: int) -> list[dict]:
     return points
 
 
-# a fixed sample: seven chosen points, then 30 drawn from a seed fixed
+# windows far narrower than the signal sds, where most states have a window
+# mass far below the double range: the sampled point of the optimizer's CLI
+# test, and two with both signal variances at most 1 % of prior_var
+_POINT_A = dict(
+    prior_var=14.523350130266536,
+    high_ratio=0.18004094483670416 / 14.523350130266536,
+    low_var=0.27785667542948683,
+    high_share=0.020215573356146876,
+    r_sd=0.1 / math.sqrt(14.523350130266536),
+    u=0.5,
+)
+_POINT_B = dict(_BASE, prior_var=1.0, high_ratio=0.005, low_var=0.01, r_sd=0.25)
+_POINT_C = dict(_BASE, prior_var=1e4, high_ratio=5e-5, low_var=3.0, r_sd=0.01)
+
+# a fixed sample: ten chosen points, then 30 drawn from a seed fixed
 # before any was looked at
 _EXAMPLES = [
     _BASE,
@@ -245,20 +265,27 @@ _EXAMPLES = [
     dict(_BASE, high_ratio=1.0, low_var=8103.0, high_share=1.0, r_sd=1.0, u=0.0),
     dict(_BASE, high_ratio=0.01, low_var=3e5, r_sd=0.25),
     dict(_BASE, high_ratio=0.093, low_var=20.09, high_share=0.984, r_sd=0.5),
+    _POINT_A,
+    _POINT_B,
+    _POINT_C,
 ]
 _DOMAIN = [pytest.param(pt, id=f"example-{i}") for i, pt in enumerate(_EXAMPLES)] + [
     pytest.param(pt, id=f"sample-{i}") for i, pt in enumerate(_points(20250823, 30))
 ]
 
 
-@pytest.mark.parametrize("point", _DOMAIN)
-def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
-    p = ModelParams(
+def _params(point: dict) -> ModelParams:
+    return ModelParams(
         prior_var=point["prior_var"],
         high_var=point["high_ratio"] * point["prior_var"],
         low_var=point["low_var"],
         high_share=point["high_share"],
     )
+
+
+@pytest.mark.parametrize("point", _DOMAIN)
+def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
+    p = _params(point)
     # the benchmark, self-checked, against the 1-D oracle
     eu = expected_utility(R_UNB, p, C)
     assert abs(eu - eu_unbounded_oracle(p)) < ABS_TOL, (eu, eu_unbounded_oracle(p))
@@ -269,6 +296,16 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
     # uninformed value and no loss
     eu_r = expected_utility(Radius(r), p, C)
     assert -p.prior_var <= eu_r <= 0.0, (r, eu_r)
+    # the tilt -log D_r(omega) gives every state back its prior mass, so
+    # the unnormalised joint mass is 1
+    for policy in (Radius(r), R_UNB):
+        s_nodes, s_w = signal_rule(policy, p, C)
+        omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, p, C)
+        # a far-tail signal node may carry no mass under the rule
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logz = _moments(e_mix, shift, omega, w)[0]
+        mass = s_w[0] @ np.exp(logz[0])
+        assert abs(mass - 1.0) < ABS_TOL, (policy, mass)
     cases = (
         (Radius(r), p.prior_mean + point["u"] * r),
         (R_UNB, p.prior_mean + 3.0 * point["u"] * math.sqrt(p.prior_var + p.high_var)),
@@ -280,3 +317,15 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
         assert abs(summary.action - mean) < 1e-6, (policy, s, summary.action, mean)
         assert abs(summary.posterior_var - var) < 1e-6, (policy, s, summary.posterior_var, var)
         assert abs(summary.action - summary.combination) < INVARIANT_TOL
+
+
+@pytest.mark.parametrize(
+    "point, r", [(_POINT_A, 0.1), (_POINT_A, 0.9527), (_POINT_B, 0.25)], ids=["A-0.1", "A-0.9527", "B"]
+)
+def test_narrow_window_utility_matches_a_finer_rule(point: dict, r: float) -> None:
+    # most states lie where the window mass is far below the double range,
+    # so the rule as configured matches a 30-node rule only if every
+    # state's tilt -log D_r(omega) is exact
+    p = _params(point)
+    reference = -_bayes_loss(Radius(r), p, replace(C, quad_nodes=30))[0]
+    assert abs(expected_utility(Radius(r), p, C) - reference) < ABS_TOL * p.prior_var
