@@ -69,13 +69,11 @@ def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     probability weights of the nodes (each row summing to one) and mean, m2
     the posterior first and second state moments at each node. p, mean and
     m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
-    Gauss rule on both axes, both reduced from one tensor. A far-tail node
-    whose posterior falls between the state nodes of a rule has no mass
-    under that rule, and zero moments."""
+    Gauss rule on both axes, both reduced from the same blocks. A far-tail
+    node whose posterior falls between the state nodes of a rule has no
+    mass under that rule, and zero moments."""
     s_nodes, s_w = signal_rule(policy, params, cfg)
-    omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, params, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz, mean, m2 = _moments(e_mix, shift, omega, w)
+    logz, mean, m2 = _policy_pieces(s_nodes, policy, params, cfg)
     p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
     mass = p.sum(axis=1, keepdims=True)
     if not np.all((mass > 0.0) & np.isfinite(mass)):
@@ -104,7 +102,7 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
 
 def _checked(what: str, evaluate, unit: float, cfg: NumericsConfig):
     """The Kronrod result (a float or an array) of evaluate(cfg), a
-    (Kronrod, embedded Gauss) pair from one tensor, after its self-check:
+    (Kronrod, embedded Gauss) pair from one kernel pass, after its self-check:
     the two are finite and differ by at most 1e3 * ABS_TOL * unit
     everywhere. unit is the scale of the quantity: prior_var for a utility,
     its square root for an action. A pair that fails is evaluated again by
@@ -170,7 +168,9 @@ def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> Optimum
     fn has evaluated, so a quadrature too coarse for them raises
     QuadratureError instead of returning a bad number. unit is the
     objective's scale, prior_var: ties, surpluses and the scan tail are
-    judged relative to it.
+    judged relative to it. The result is finite only when the best candidate
+    beats both the benchmark and the last scan value by tol = INVARIANT_TOL
+    * unit.
     """
     benchmark = fn(UNBOUNDED)
     values = np.array([fn(float(g)) for g in grid])
@@ -194,7 +194,6 @@ def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> Optimum
         )
         candidates.append((float(res.x), -float(res.fun), (lo, hi)))
 
-    boundary_rising = values[-1] - values[-2] >= -tol
     best = None
     for cand in candidates:
         if best is None or cand[1] > best[1] + tol or (
@@ -202,18 +201,14 @@ def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> Optimum
         ):
             best = cand
 
-    if best is not None and best[1] > max(values[-1], benchmark) + tol:
-        finite = True
-    elif boundary_rising:
-        if values[-1] > benchmark + tol:
-            raise ScanBoundError(
-                f"{family} objective still rising at scan bound {float(grid[-1])!r} "
-                f"(value {float(values[-1])!r} above the unrestricted benchmark "
-                f"{benchmark!r}); the quadrature is likely too coarse: raise quad_nodes"
-            )
-        finite = False
-    else:
-        finite = best is not None and best[1] >= benchmark - tol
+    finite = best is not None and best[1] > max(values[-1], benchmark) + tol
+    boundary_rising = values[-1] - values[-2] >= -tol
+    if not finite and boundary_rising and values[-1] > benchmark + tol:
+        raise ScanBoundError(
+            f"{family} objective still rising at scan bound {float(grid[-1])!r} "
+            f"(value {float(values[-1])!r} above the unrestricted benchmark "
+            f"{benchmark!r}); the quadrature is likely too coarse: raise quad_nodes"
+        )
     if not finite:
         return OptimumResult(
             r_star=UNBOUNDED,
@@ -244,9 +239,9 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
     """Locate the utility-maximizing censoring radius.
 
     Coarse scan on scan_radii(params), then bounded Brent refinement of each
-    interior bracket. Returns UNBOUNDED when the curve is nondecreasing at
-    the scan bound without exceeding the unbounded benchmark; a bound hit
-    while the curve still rises above the benchmark raises ScanBoundError.
+    interior bracket. Returns UNBOUNDED when no refined maximum beats the
+    unbounded benchmark and the scan's last value; a bound hit while the
+    curve still rises above the benchmark raises ScanBoundError.
     Every value it compares has passed the Kronrod-Gauss self-check, or
     QuadratureError is raised.
     """
@@ -289,9 +284,11 @@ def expected_action(
 
     def evaluate(c: NumericsConfig) -> np.ndarray:
         s_nodes, s_w = signal_rule(policy, params, c)
-        omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, params, c)
-        _, action, _ = _moments(e_mix, shift, omega, w)
-        _, like_H, like_L = _log_terms(omegas[None, :], s_nodes[:, None], policy, params)
-        return _moments(*_linear_mix(like_H, like_L, params), action, s_w)[1]
+        action = _policy_pieces(s_nodes, policy, params, c)[1]
+        # the admitted-signal density at each state, one state per row
+        _, like_H, like_L = _log_terms(omegas[:, None], s_nodes, policy, params)
+        peaks = (like_H.max(axis=1), like_L.max(axis=1))
+        weights = np.concatenate((s_w, s_w * action, s_w * action * action))
+        return _moments(*_linear_mix(like_H, like_L, peaks, params), weights)[1]
 
     return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg)

@@ -31,9 +31,9 @@ from .model import (
     NumericsConfig,
     Radius,
     SamplingPolicy,
+    _LOG_SQRT_2PI,
     _log_weights,
     norm_logpdf,
-    sq_norm_logpdf,
     window_logmass,
 )
 from .quadrature import signal_rule, state_rule
@@ -87,8 +87,8 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 # ---------------------------------------------------------------------------
 # quadrature internals
 
-# Cells per signal block of the kernel tensor: 2^15 doubles are 256 KiB, so
-# one block's log integrands and temporaries stay in a 2 MiB L2 cache.
+# Cells per signal block of the kernel: 2^15 doubles are 256 KiB, so one
+# block's log integrands and temporaries stay in a 2 MiB L2 cache.
 _BLOCK_CELLS = 2**15
 
 
@@ -102,14 +102,16 @@ def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
     integrand, type share excluded, is tilt + like_q; mixing like_q over
     types gives the admitted-signal density at omega up to a state factor.
     """
-    tilt, like = _state_terms(omega, policy, params)
-    return (tilt,) + like(s)
+    tilt, terms = _state_terms(omega, policy, params)
+    return (tilt, *_likes(s, terms))
 
 
 def _state_terms(omega, policy: SamplingPolicy, params: ModelParams):
-    """_log_terms split at the signal: (tilt, like), where like(s) gives
-    (like_H, like_L) at signals s. Everything that depends on the state
-    alone is computed here, once, however many signal blocks like serves."""
+    """Everything of _log_terms that depends on the state alone, computed
+    once however many signal blocks it serves: (tilt, terms), with one
+    (offset, centre, scale) per type, high first, so that like_q(omega, s)
+    is offset + scale * (s - centre)^2 (see _likes). Under a Radius both
+    types are centred on the state itself."""
     if not isinstance(policy, (Radius, NormalWeight)):
         raise TypeError(f"unsupported policy {policy!r}")
     omega = np.asarray(omega, dtype=float)
@@ -120,32 +122,39 @@ def _state_terms(omega, policy: SamplingPolicy, params: ModelParams):
         # and is then normal with shrunk mean and the product variance
         mean, var = policy.mean, policy.var
         admit = [norm_logpdf(omega, mean, qv + var) for qv in variances]
-        shrunk = []
-        for qv in variances:
-            lam = var / (var + qv)
-            shrunk.append(lam * omega + (1.0 - lam) * mean)
         lh, ll = _log_weights(params)
         tilt = tilt - np.logaddexp(lh + admit[0], ll + admit[1])
+        normals = []
+        for qv, log_admit in zip(variances, admit):
+            lam = var / (var + qv)
+            normals.append((log_admit, lam * omega + (1.0 - lam) * mean, qv * var / (qv + var)))
+    else:
+        if not policy.unbounded:
+            if policy.r == 0.0:
+                raise DegenerateRadiusError("r = 0 admits no signal")
+            tilt = tilt - window_logmass(omega, policy.r, params)
+        normals = [(0.0, omega, qv) for qv in variances]
+    # log_admit + log N(s; centre, v), with the normal's log constant folded in
+    terms = [(a - (0.5 * math.log(v) + _LOG_SQRT_2PI), c, -0.5 / v) for a, c, v in normals]
+    return tilt, terms
 
-        def like(s):
-            return tuple(
-                log_admit + norm_logpdf(s, m, qv * var / (qv + var))
-                for qv, log_admit, m in zip(variances, admit, shrunk)
-            )
 
-        return tilt, like
-    if not policy.unbounded:
-        if policy.r == 0.0:
-            raise DegenerateRadiusError("r = 0 admits no signal")
-        tilt = tilt - window_logmass(omega, policy.r, params)
-
-    def like(s):
-        # both types are centred on omega: one squared deviation serves both
-        d2 = np.subtract(s, omega, dtype=float)
-        d2 *= d2
-        return tuple(sq_norm_logpdf(d2, qv) for qv in variances)
-
-    return tilt, like
+def _likes(s, terms, out=None):
+    """like_H and like_L at signals s from _state_terms' terms:
+    offset + scale * (s - centre)^2, as fresh arrays or, given out, in
+    out[1] and out[2], with out[0] for the squared deviation. Types centred
+    on the same array share one squared deviation."""
+    d2_out, *like_out = (None, None, None) if out is None else out
+    likes, shared = [], None
+    for (offset, centre, scale), o in zip(terms, like_out):
+        if centre is not shared:
+            d2 = np.subtract(s, centre, out=d2_out, dtype=float)
+            d2 *= d2
+            shared = centre
+        like = np.multiply(d2, scale, out=o)
+        like += offset
+        likes.append(like)
+    return likes
 
 
 def _policy_pieces(
@@ -155,91 +164,91 @@ def _policy_pieces(
     cfg: NumericsConfig,
     types: bool = False,
 ):
-    """The joint over state nodes i and signal values j: returns (omega, w,
-    e_mix, shift, e_types, m_types), with w the two weight rows of the
-    state rule. The mixed integrand, type shares included, is
-    e_mix[i, j] * exp(shift[j]) (see _linear_mix). With types,
-    e_types[q, i, j] * exp(m_types[q, j]) is the type-q integrand (q = 0
-    high, 1 low), type share excluded, exponentiated under its own column
-    maxima; without, e_types and m_types have no rows.
+    """The joint over the state rule and the signals s_values, reduced
+    signal by signal: returns (logz, mean, m2), the log mass and the first
+    two state moments of each signal's integrand, one column per signal.
+    Rows 0 and 1 reduce the mixed integrand, type shares included, under
+    the Kronrod rule and its embedded Gauss rule. With types, rows 2 and 3
+    reduce the high and the low type's integrands, type share excluded,
+    each exponentiated under its own maxima, under the Kronrod rule.
 
-    The tensor is built in blocks of about _BLOCK_CELLS cells, so only the
-    outputs are full size. Each entry depends on its own column alone, so
-    the blocks give the same bits as one pass. Callers reduce the whole
-    tensor with one _moments product, never per block: BLAS picks its
-    kernel, and so its rounding, by the product's shape."""
+    The log integrands are built in blocks of about _BLOCK_CELLS cells,
+    laid out (signal, state), and each block is mixed and reduced as soon
+    as it is built, so no array of the whole (state, signal) size exists.
+    Every step treats each signal's row on its own, and _moments sums a row
+    in an order set by its length, so a signal's moments are the same bits
+    whatever block, batch or BLAS thread count computes them."""
     omega, w = state_rule(params, cfg)
-    tilt, like = _state_terms(omega, policy, params)
-    n, m = len(omega), len(s_values)
-    e_mix = np.empty((n, m))
-    shift = np.empty(m)
-    e_types = np.empty((2 if types else 0, n, m))
-    m_types = np.empty((len(e_types), m))
-    step = max(1, _BLOCK_CELLS // n)
-    for j in range(0, m, step):
+    tilt, terms = _state_terms(omega, policy, params)
+    weights = np.concatenate((w, w * omega, w * omega * omega))
+    kronrod = weights[::2]  # w has two rows: Kronrod, embedded Gauss
+    rows = np.empty((3, 4 if types else 2, len(s_values)))
+    step = max(1, _BLOCK_CELLS // len(omega))
+    # one set of block buffers serves every block: the squared deviation,
+    # the two log integrands and, with types, a per-type exponential. Fresh
+    # block-sized arrays go back to the OS when freed and fault in again,
+    # which made building a block's log integrands 4x slower
+    buffers = np.empty((4 if types else 3, min(step, len(s_values)), len(omega)))
+    for j in range(0, len(s_values), step):
         cols = slice(j, j + step)
-        # a block is laid out (signal, state), so every broadcast runs along
-        # the long state axis; .T views it as (state, signal)
-        bH, bL = like(s_values[cols, None])
-        bH += tilt
-        bL += tilt
-        bH, bL = bH.T, bL.T
-        e_mix[:, cols], shift[cols] = _linear_mix(bH, bL, params)
+        s = s_values[cols, None]
+        blocks = _likes(s, terms, out=buffers[:3, : len(s)])
+        peaks = []
+        for b in blocks:
+            b += tilt
+            peaks.append(b.max(axis=1))
         if types:
-            for q, b in enumerate((bH, bL)):
-                m_types[q, cols] = peak = b.max(axis=0)
-                e_types[q, :, cols] = np.exp(b - peak)
-    return omega, w, e_mix, shift, e_types, m_types
+            for q, (b, peak) in enumerate(zip(blocks, peaks), start=2):
+                e = np.subtract(b, peak[:, None], out=buffers[3, : len(s)])
+                rows[:, q : q + 1, cols] = _moments(np.exp(e, out=e), peak, kronrod)
+        rows[:, :2, cols] = _moments(*_linear_mix(*blocks, peaks, params), weights)
+    return tuple(rows)
 
 
-def _linear_mix(bH: np.ndarray, bL: np.ndarray, params: ModelParams):
-    """(e, shift) with e * exp(shift) = h exp(bH) + (1 - h) exp(bL), mixed
-    in the linear domain under the per-column shift of the larger type
-    term, so the largest entry of each column of e is at least 1. A type of
-    share 0 contributes exact zeros. Columns are independent: _policy_pieces
-    calls it on one block of signal columns at a time."""
+def _linear_mix(bH: np.ndarray, bL: np.ndarray, peaks, params: ModelParams):
+    """(e, shift) with e * exp(shift) = h exp(bH) + (1 - h) exp(bL), one
+    integrand per row, given peaks, the row maxima of bH and bL. Mixed in
+    place (e is bH, and bL is spent) in the linear domain under each row's
+    shift, the larger type term, so the largest entry of each row of e is
+    at least 1. A type of share 0 contributes exact zeros."""
     lh, ll = _log_weights(params)
-    shift = np.maximum(lh + bH.max(axis=0), ll + bL.max(axis=0))
-    e = bH - (shift - lh)
-    np.exp(e, out=e)
-    e_low = bL - (shift - ll)
-    e += np.exp(e_low, out=e_low)
-    return e, shift
+    shift = np.maximum(lh + peaks[0], ll + peaks[1])
+    bH -= (shift - lh)[:, None]
+    bL -= (shift - ll)[:, None]
+    np.exp(bH, out=bH)
+    bH += np.exp(bL, out=bL)
+    return bH, shift
 
 
-def _moments(e: np.ndarray, shift: np.ndarray, omega: np.ndarray, w: np.ndarray):
-    """(logZ, mean, second moment) of the integrand e * exp(shift) over
-    nodes omega, one column per column of e and one row per row of
-    weights w: row 0 under the Kronrod rule, row 1 under the embedded Gauss
-    rule. omega is one row of nodes, or one row per row of w. All rows come
-    from one product with e."""
-    w_omega = w * omega
-    s0, s1, s2 = np.split(np.concatenate((w, w_omega, w_omega * omega)) @ e, 3)
-    return shift + np.log(s0), s1 / s0, s2 / s0
+def _moments(e: np.ndarray, shift: np.ndarray, weights: np.ndarray):
+    """(logZ, mean, second moment) of each row of the integrand
+    e * exp(shift), against weights, the rows (w, w * x, w * x^2) of a rule
+    w on nodes x stacked, so every result has one row per row of w and one
+    column per row of e. einsum without BLAS sums each row of e in an order
+    fixed by its length alone. A row with no mass under a rule gives
+    -inf and NaN moments, without a warning."""
+    s0, s1, s2 = np.split(np.einsum("ki,ji->kj", weights, e, optimize=False), 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return shift + np.log(s0), s1 / s0, s2 / s0
 
 
 def posterior_summaries(
     s_values, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized core: arrays (action, posterior_var, prob_high, a_H, a_L)
-    for each signal in s_values. Does not enforce the support precondition;
-    callers that expose single-signal contracts do."""
+    for each signal in s_values, under the Kronrod rule. Does not enforce
+    the support precondition; callers that expose single-signal contracts
+    do."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    omega, w, e_mix, shift, e_types, m_types = _policy_pieces(
-        s_values, policy, params, cfg, types=True
-    )
-    w = w[:1]  # the Kronrod rule alone: every result is a single row
-    # the per-type passes reduce their own exponentials, so the mixed action
+    # the per-type rows reduce their own exponentials, so the mixed action
     # and the type actions come from separate floating-point passes
-    logz_H, mean_H, _ = _moments(e_types[0], m_types[0], omega, w)
-    logz_L, mean_L, _ = _moments(e_types[1], m_types[1], omega, w)
-    _, action, m2 = _moments(e_mix, shift, omega, w)
-    post_var = np.maximum(m2 - action**2, 0.0)
+    logz, mean, m2 = _policy_pieces(s_values, policy, params, cfg, types=True)
+    action = mean[0]
+    post_var = np.maximum(m2[0] - action**2, 0.0)
     # prob_high through the log-odds so extreme signals stay in [0, 1]
     lh, ll = _log_weights(params)
-    log_odds = (lh + logz_H) - (ll + logz_L)
-    prob_high = expit(log_odds)
-    return action[0], post_var[0], prob_high[0], mean_H[0], mean_L[0]
+    prob_high = expit((lh + logz[2]) - (ll + logz[3]))
+    return action, post_var, prob_high, mean[2], mean[3]
 
 
 def _check_support(s: float, policy: SamplingPolicy, params: ModelParams) -> None:
@@ -277,8 +286,7 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    nodes, w, e_mix, shift, _, _ = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)
-    log_norm = _moments(e_mix, shift, nodes, w[:1])[0][0, 0]
+    log_norm = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)[0][0, 0]
     tilt, like_H, like_L = _log_terms(omega, s, policy, params)
     lh, ll = _log_weights(params)
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)

@@ -14,14 +14,14 @@ Densities are computed in log space, the window mass too, with no floor:
 log_ndtr stays accurate far past the double range (log_ndtr(-1000) =
 -500007.83), so a state far from a narrow window keeps its exact tilt
 -log D_r(omega), and the admitted states' marginal is the prior. The kernel,
-inference._policy_pieces, builds the (state, signal) tensor in cache-sized
-blocks of signal columns and exponentiates each entry once: it mixes the
-two types in the linear domain under a per-signal shift, the larger of
-log(high_share) + max B_H and log(1 - high_share) + max B_L over the state
-nodes (B_q is the type-q log integrand), so the largest entry of every
-signal column is at least 1 and none overflows. Only the mixed tensor is
-kept at full size; the log integrands B_q live one block at a time. The
-per-type passes exponentiate under their own column maxima.
+inference._policy_pieces, builds the log integrands in cache-sized blocks
+of signals and reduces each block to moments as soon as it is built, so no
+array of the whole (state, signal) size exists. It exponentiates each entry
+once: it mixes the two types in the linear domain under a per-signal shift,
+the larger of log(high_share) + max B_H and log(1 - high_share) + max B_L
+over the state nodes (B_q is the type-q log integrand), so the largest
+entry of every signal's row is at least 1 and none overflows. The per-type
+passes exponentiate under their own maxima.
 """
 from __future__ import annotations
 
@@ -172,18 +172,7 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def norm_logpdf(x, mean, var):
     d2 = np.subtract(x, mean, dtype=float)
     d2 *= d2
-    return sq_norm_logpdf(d2, var)
-
-
-def sq_norm_logpdf(d2, var):
-    """norm_logpdf from the squared deviation d2 = (x - mean)^2, as one
-    fresh array: the same operations as
-    -0.5 * d2 / var - 0.5 * log(var) - log(sqrt(2 pi))."""
-    out = d2 * -0.5
-    out /= var
-    out -= 0.5 * np.log(var)
-    out -= _LOG_SQRT_2PI
-    return out
+    return -0.5 * d2 / var - 0.5 * np.log(var) - _LOG_SQRT_2PI
 
 
 def _log_weights(params: ModelParams) -> tuple[float, float]:

@@ -1,8 +1,8 @@
 """The benchmark's own self-test, run against this tree.
 
 perfbench/tracer.py wraps inference._policy_pieces by name and reads the
-three full-size tensors at positions 2-4 of its result, so a kernel change
-that breaks `perfbench/run.py --trace 1` fails here instead of silently.
+arrays at positions 2-4 of its result, so a kernel change that breaks
+`perfbench/run.py --trace 1` fails here instead of silently.
 """
 from __future__ import annotations
 

@@ -184,6 +184,21 @@ def test_scan_bound_error_when_grid_stops_short() -> None:
     assert "raise quad_nodes" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [lambda x: 5e-7 - 2.5e-6 * (x / 20.0) ** 8, lambda x: 5e-7 * math.exp(-x)],
+    ids=["falling-tail", "flat-tail"],
+)
+def test_scan_keeps_the_benchmark_unless_a_candidate_beats_it_by_tol(fn) -> None:
+    # the best candidate, near the first scan point, beats the benchmark 0
+    # by 5e-7, less than the tie tolerance INVARIANT_TOL * unit = 1e-6, so
+    # no restriction is worth it, whether the tail falls or stays flat
+    res = censor._scan_then_refine(
+        lambda x: 0.0 if x is UNBOUNDED else fn(x), np.geomspace(0.25, 20.0, 32), 1.0, "test"
+    )
+    assert res.r_star is UNBOUNDED and not res.is_finite, res
+
+
 def test_utility_converges_at_scan_bound_as_stated() -> None:
     """The optimizer scans out to at least ten standard deviations of the
     low-type signal, sqrt(prior_var + low_var), and the utility there agrees

@@ -12,7 +12,6 @@ from echochamber.censor import expected_action, expected_utility, signal_law
 from echochamber.errors import SignalOutsideSupportError, UndefinedOddsError
 from echochamber.inference import (
     _log_terms,
-    _moments,
     _policy_pieces,
     action_map,
     optimal_action,
@@ -336,8 +335,7 @@ def _log_domain_moments(s_values, policy, params):
 def test_linear_mix_matches_log_domain_reference(params) -> None:
     for policy in (Radius(2.35), R_UNB, NormalWeight(0.0, 2.0)):
         s_nodes, _ = signal_rule(policy, params, C)
-        omega, w, e_mix, shift, _, _ = _policy_pieces(s_nodes, policy, params, C)
-        logz, mean, m2 = _moments(e_mix, shift, omega, w)
+        logz, mean, m2 = _policy_pieces(s_nodes, policy, params, C)
         want_logz, want_mean, want_m2 = _log_domain_moments(s_nodes, policy, params)
         assert np.max(np.abs(logz - want_logz)) < 1e-10, policy
         assert np.max(np.abs(mean - want_mean)) < 1e-10, policy
@@ -348,27 +346,31 @@ def test_linear_mix_matches_log_domain_reference(params) -> None:
     "policy", [R_UNB, Radius(0.5), NormalWeight(0.0, 2.0)], ids=["unbounded", "r=0.5", "normal-weight"]
 )
 def test_blocked_tensor_is_bit_identical_to_one_block(policy, monkeypatch) -> None:
-    # 480, 60 and 480 signal columns at the defaults, so the whole-tensor
-    # reductions run on both sides of the width (about 240 columns) at which
-    # OpenBLAS switches kernel; a cell budget above the tensor's size builds
-    # it in one block
+    # 480, 60 and 480 signals at the defaults, in blocks of 47; a cell
+    # budget above the tensor's size builds and reduces it in one block.
+    # Each signal's row is reduced in an order fixed by its length, so a
+    # signal alone gets the bits it gets among all the others
     s_nodes, _ = signal_rule(policy, P, C)
     assert len(state_rule(P, C)[0]) * len(s_nodes) > inference._BLOCK_CELLS
     omegas = np.linspace(-3.0, 3.0, 13)
 
     def outputs():
-        pieces = _policy_pieces(s_nodes, policy, P, C, types=True)
         return (
-            pieces
+            _policy_pieces(s_nodes, policy, P, C, types=True)
             + signal_law(policy, P, C)
             + posterior_summaries(s_nodes, policy, P, C)
             + (expected_action(omegas, policy, P, C),)
         )
 
     blocked = outputs()
+    summaries = blocked[7:12]
+    for i, s in enumerate(s_nodes):
+        alone = optimal_action(float(s), policy, P, C)
+        got = (alone.action, alone.posterior_var, alone.prob_high, *alone.type_actions)
+        assert got == tuple(float(a[i]) for a in summaries), (i, s)
     monkeypatch.setattr(inference, "_BLOCK_CELLS", 2**62)
     whole = outputs()
-    assert len(blocked) == len(whole) == 16
+    assert len(blocked) == len(whole) == 13
     for i, (a, b) in enumerate(zip(blocked, whole)):
         assert np.array_equal(a, b), i
 

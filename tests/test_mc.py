@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from echochamber.censor import expected_utility
 from echochamber.errors import RejectionStallError
-from echochamber.inference import action_map, optimal_action
+from echochamber.inference import action_map, optimal_action, posterior_summaries
 from echochamber.mc import (
     grid_posterior_oracle,
     mc_expected_utility,
@@ -140,18 +140,23 @@ def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
     assert narrow <= 1.25 * unbounded, (narrow, unbounded)
 
 
-def test_kernel_peak_memory_is_one_tensor() -> None:
-    # one full-size (state, signal) tensor is kept; the log integrands and
-    # their temporaries live one cache-sized block of signals at a time
+def test_kernel_peak_memory_is_a_few_blocks() -> None:
+    # each cache-sized block of signals is reduced as soon as it is built,
+    # so no evaluation holds an array of the whole (state, signal) size
     params = replace(P, high_var=1e-4, low_var=300.0)
-    tensor_bytes = 8 * len(state_rule(params, C)[0]) * len(signal_rule(R_UNB, params, C)[0])
-    tracemalloc.start()
-    try:
-        expected_utility(R_UNB, params, C)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * tensor_bytes, peak / tensor_bytes
+    s_nodes, _ = signal_rule(R_UNB, params, C)
+    tensor_bytes = 8 * len(state_rule(params, C)[0]) * len(s_nodes)
+    for evaluate in (
+        lambda: expected_utility(R_UNB, params, C),
+        lambda: posterior_summaries(s_nodes, R_UNB, params, C),
+    ):
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * tensor_bytes, peak / tensor_bytes
 
 
 def test_accepted_signals_respect_hard_window() -> None:
