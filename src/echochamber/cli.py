@@ -193,30 +193,23 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfi
     return 0 if all(r.passed for r in results) else 1
 
 
-def _r_star_text(opt) -> str:
-    return "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
+# the fields that report an optimum: optimize prints them as name=text
+# lines, and optimum.csv and sweep.csv hold them as columns
+_OPTIMUM_FIELDS = ("family", "r_star", "utility_at_opt", "utility_uncensored", "is_finite")
 
 
-def _optimum_lines(family: str, opt) -> list[str]:
-    return [
-        f"family={family}",
-        f"r_star={_r_star_text(opt)}",
-        f"utility_at_opt={opt.utility_at_opt:.12g}",
-        f"utility_uncensored={opt.utility_uncensored:.12g}",
-        f"is_finite={opt.is_finite}",
-        f"bracket={opt.bracket[0]:.12g},{opt.bracket[1]:.12g}",
-    ]
+def _optimum_texts(family: str, opt) -> list[str]:
+    """An optimum's fields as printed, in the order of _OPTIMUM_FIELDS."""
+    r_star = "Unbounded" if is_unbounded(opt.r_star) else f"{float(opt.r_star):.12g}"
+    utilities = f"{opt.utility_at_opt:.12g}", f"{opt.utility_uncensored:.12g}"
+    return [family, r_star, *utilities, f"{opt.is_finite}"]
 
 
-def _optimum_csv(family: str, opt, params: ModelParams) -> str:
+def _csv_text(title: str, params: ModelParams, names, rows) -> str:
     from .figures import csv_header
 
-    cols = "family,r_star,utility_at_opt,utility_uncensored,is_finite,bracket_lo,bracket_hi"
-    row = (
-        f"{family},{_r_star_text(opt)},{opt.utility_at_opt:.12g},{opt.utility_uncensored:.12g},"
-        f"{opt.is_finite},{opt.bracket[0]:.12g},{opt.bracket[1]:.12g}"
-    )
-    return "\n".join([csv_header(f"optimize family={family}", params), cols, row]) + "\n"
+    lines = [csv_header(title, params), ",".join(names), *(",".join(row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
@@ -231,12 +224,16 @@ def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
 
 def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     opt = _run_family(args.family, params, cfg)
-    for line in _optimum_lines(args.family, opt):
-        print(line)
+    texts = _optimum_texts(args.family, opt)
+    lo, hi = (f"{b:.12g}" for b in opt.bracket)
+    for name, text in zip(_OPTIMUM_FIELDS, texts):
+        print(f"{name}={text}")
+    print(f"bracket={lo},{hi}")
     if args.out:
         out = _out_dir(args)
         path = out / "optimum.csv"
-        path.write_text(_optimum_csv(args.family, opt, params))
+        cols = (*_OPTIMUM_FIELDS, "bracket_lo", "bracket_hi")
+        path.write_text(_csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]]))
         print(path)
     return 0
 
@@ -261,8 +258,6 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
-    from .figures import csv_header
-
     if args.vary not in ("sigmaL2", "h", "sigma02"):
         raise ConfigError(f"--vary must be one of sigmaL2, h, sigma02; got {args.vary!r}")
     field = _PARAM_KEYS[args.vary]
@@ -274,13 +269,9 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig
         except ValueError as exc:
             raise ConfigError(f"{args.vary}={value!r}: {exc}") from exc
         opt = _run_family(args.family, p, cfg)
-        rows.append(
-            f"{args.vary},{value:.12g},{args.family},{_r_star_text(opt)},"
-            f"{opt.utility_at_opt:.12g},{opt.utility_uncensored:.12g},{opt.is_finite}"
-        )
-    header = csv_header(f"sweep vary={args.vary} family={args.family}", params)
-    cols = "vary,value,family,r_star,utility_at_opt,utility_uncensored,is_finite"
-    text = "\n".join([header, cols, *rows]) + "\n"
+        rows.append([args.vary, f"{value:.12g}", *_optimum_texts(args.family, opt)])
+    title = f"sweep vary={args.vary} family={args.family}"
+    text = _csv_text(title, params, ("vary", "value", *_OPTIMUM_FIELDS), rows)
     sys.stdout.write(text)
     if args.out:
         out = _out_dir(args)

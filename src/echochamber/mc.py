@@ -25,6 +25,10 @@ does, and returns the rest of the uniforms to its stream. k doubles after a
 block with no admission, up to 256, and after an admission in round j it
 restarts at 2(j + 1). The stall guard is replayed round by round, so the
 draws, the attempt counts and the errors are those of one round at a time.
+
+The grid oracle is Bayes' rule on a uniform state grid, one log-space
+formula for every policy, which takes no density, window mass or kernel
+from model or inference, so it checks the quadrature path.
 """
 from __future__ import annotations
 
@@ -265,8 +269,9 @@ def mc_high_prob_within_radius(
     return _estimate(draws.accepted_qualities.astype(float))
 
 
-def _npdf(x, mean, var):
-    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+def _log_npdf(sq, var):
+    """log N(x; m, var), given sq = (x - m)^2."""
+    return -sq / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
 
 
 def grid_posterior_oracle(
@@ -274,54 +279,49 @@ def grid_posterior_oracle(
 ) -> tuple[float, float]:
     """Posterior mean and variance of the state by direct normalized
     summation on a uniform grid: a deliberately plain Bayes rule that shares
-    no machinery with the quadrature path. A hard window's weights are
-    formed in log space: far from a narrow window, prior * mixture and the
-    window mass both underflow while their ratio does not."""
+    no machinery with the quadrature path. Every policy takes one formula,
+    in log space, where far from the window or the signal the densities and
+    admission probabilities underflow while their ratio does not:
+
+        log w(omega) = log prior(omega) + logsumexp_q[log h_q + log N(s; omega, v_q)]
+                       - logsumexp_q[log h_q + log A_q(omega)],
+
+    with A_q(omega) the probability that a type-q source at state omega is
+    admitted: 1 without a window, the window mass for a hard window, and
+    N(omega; mean, v_q + var), up to a factor shared by the types, for a
+    soft one. The signal's own admission weight is the same for every state
+    and cancels."""
     if grid_points < 1001:
         raise ValueError(f"grid_points must be >= 1001, got {grid_points!r}")
-    sd_max = math.sqrt(max(params.prior_var, params.low_var))
-    half = 10.0 * sd_max
+    half = 10.0 * math.sqrt(max(params.prior_var, params.low_var))
     omega = np.linspace(params.prior_mean - half, params.prior_mean + half, int(grid_points))
     h = params.high_share
-
-    if isinstance(policy, Radius) and not policy.unbounded:
-        # the window mass of a type, Phi(b) - Phi(a), mirrored into the lower
-        # tail (a = -(d + r)/sd, b = (r - d)/sd), where it does not cancel
-        d = np.abs(omega - params.prior_mean)
-        log_mass, log_mix = [], []
-        for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
-            if share == 0.0:
-                continue
+    d = np.abs(omega - params.prior_mean)
+    sq = (s - omega) ** 2
+    if isinstance(policy, NormalWeight):
+        sq_window = (omega - policy.mean) ** 2
+    log_mix, log_admit = [], []
+    for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
+        if share == 0.0:
+            continue
+        log_mix.append(math.log(share) + _log_npdf(sq, var))
+        if isinstance(policy, NormalWeight):
+            log_mass = _log_npdf(sq_window, var + policy.var)
+        elif policy.unbounded:
+            log_mass = 0.0
+        else:
+            # the window mass Phi(b) - Phi(a), mirrored into the lower tail
+            # (a = -(d + r)/sd, b = (r - d)/sd), where it does not cancel
             sd = math.sqrt(var)
             la = log_ndtr(-(d + policy.r) / sd)
             lb = log_ndtr((policy.r - d) / sd)
-            log_mass.append(math.log(share) + lb + np.log1p(-np.exp(la - lb)))
-            log_like = -((s - omega) ** 2) / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
-            log_mix.append(math.log(share) + log_like)
-        log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_mass)
-        log_weight -= d * d / (2.0 * params.prior_var)
-        weight = np.exp(log_weight - log_weight.max())
-    elif isinstance(policy, NormalWeight):
-        prior = _npdf(omega, params.prior_mean, params.prior_var)
-        v = policy.var
-        num = np.zeros_like(omega)
-        den = np.zeros_like(omega)
-        for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
-            lam = v / (v + var)
-            admit = _npdf(omega, policy.mean, var + v)
-            g = _npdf(s, lam * omega + (1.0 - lam) * policy.mean, var * lam)
-            num += share * admit * g
-            den += share * admit
-        weight = np.divide(
-            prior * num, den, out=np.zeros_like(den), where=den > 0.0
-        )
-    else:
-        mix = h * _npdf(s, omega, params.high_var) + (1.0 - h) * _npdf(
-            s, omega, params.low_var
-        )
-        weight = _npdf(omega, params.prior_mean, params.prior_var) * mix
+            log_mass = lb + np.log1p(-np.exp(la - lb))
+        log_admit.append(math.log(share) + log_mass)
+    log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_admit)
+    log_weight -= d * d / (2.0 * params.prior_var)  # the log prior, up to a constant
+    weight = np.exp(log_weight - log_weight.max())
 
     z = weight.sum()
     mean = float((weight * omega).sum() / z)
-    second = float((weight * omega * omega).sum() / z)
-    return mean, max(second - mean * mean, 0.0)
+    # the second moment about the mean, which does not cancel far from 0
+    return mean, float((weight * (omega - mean) ** 2).sum() / z)

@@ -53,6 +53,14 @@ def test_expected_utility_degenerate_endpoints(oracle: dict) -> None:
     assert math.isclose(got, oracle["eu"]["unbounded_h1"], abs_tol=1e-9)
 
 
+def test_zero_radius_admits_nothing() -> None:
+    # r = 0 admits no signal: no signal variance to speak of, and the action
+    # is the prior mean at every state
+    assert signal_moments_vs_r(P, Radius(0.0), C) == (0.0, 0.0)
+    omegas = np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(expected_action(omegas, Radius(0.0), P, C), np.full(7, P.prior_mean))
+
+
 def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
     p300 = replace(P, low_var=300.0)
     for key, want in oracle["eu_lowvar300"].items():

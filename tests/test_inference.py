@@ -9,7 +9,11 @@ from conftest import PAPER_EXAMPLE
 
 from echochamber import inference
 from echochamber.censor import expected_action, expected_utility, signal_law
-from echochamber.errors import SignalOutsideSupportError, UndefinedOddsError
+from echochamber.errors import (
+    DegenerateRadiusError,
+    SignalOutsideSupportError,
+    UndefinedOddsError,
+)
 from echochamber.inference import (
     _log_terms,
     _policy_pieces,
@@ -291,6 +295,11 @@ def test_action_map_matches_pointwise_and_extends() -> None:
     for s in (-3.3, 0.9, 4.7):
         direct = optimal_action(s, R_UNB, P, C).action
         assert abs(float(amap_u(s)) - direct) < 1e-6
+
+
+def test_action_map_refuses_a_zero_radius() -> None:
+    with pytest.raises(DegenerateRadiusError):
+        action_map(Radius(0.0), P, C)
 
 
 def test_posterior_density_soft_window_normalized_and_matches_oracle() -> None:

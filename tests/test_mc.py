@@ -22,6 +22,7 @@ from echochamber.mc import (
 from echochamber.model import (
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
+    ModelParams,
     NormalWeight,
     Radius,
     UNBOUNDED,
@@ -267,24 +268,27 @@ def test_soft_window_conditional_moments() -> None:
     assert abs(d.accepted_qualities.mean() - share) < 3.0 * se
 
 
-def test_grid_oracle_agrees_with_quadrature_windowed() -> None:
-    mean, var = grid_posterior_oracle(1.0, Radius(2.0), P, 200_001)
-    summ = optimal_action(1.0, Radius(2.0), P, C)
-    assert abs(mean - summ.action) < 1e-6
-    assert abs(var - summ.posterior_var) < 1e-6
+# the last three put the signal where a soft window's densities underflow in
+# linear arithmetic over much of the grid: far from the prior under a wide
+# prior, and far outside a narrow window
+_FAR_PRIOR = ModelParams(prior_var=1e4)
 
 
-def test_grid_oracle_agrees_with_quadrature_soft() -> None:
-    pol = NormalWeight(mean=0.0, var=2.0)
-    mean, var = grid_posterior_oracle(1.0, pol, P, 200_001)
-    summ = optimal_action(1.0, pol, P, C)
-    assert abs(mean - summ.action) < 1e-6
-    assert abs(var - summ.posterior_var) < 1e-6
-
-
-def test_grid_oracle_agrees_with_quadrature_unbounded() -> None:
-    mean, var = grid_posterior_oracle(2.0, R_UNB, P, 200_001)
-    summ = optimal_action(2.0, R_UNB, P, C)
+@pytest.mark.parametrize(
+    "s, policy, params",
+    [
+        (1.0, Radius(2.0), P),
+        (1.0, NormalWeight(mean=0.0, var=2.0), P),
+        (2.0, R_UNB, P),
+        (30.0, NormalWeight(mean=0.0, var=2.0), _FAR_PRIOR),
+        (60.0, NormalWeight(mean=0.0, var=2.0), _FAR_PRIOR),
+        (5.0, NormalWeight(mean=0.0, var=1e-3), P),
+    ],
+    ids=["windowed", "soft", "unbounded", "soft-far-s30", "soft-far-s60", "soft-narrow-s5"],
+)
+def test_grid_oracle_agrees_with_quadrature(s, policy, params) -> None:
+    mean, var = grid_posterior_oracle(s, policy, params, 200_001)
+    summ = optimal_action(s, policy, params, C)
     assert abs(mean - summ.action) < 1e-6
     assert abs(var - summ.posterior_var) < 1e-6
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +76,16 @@ def test_unbounded_radius_flag() -> None:
     assert r.unbounded
     assert is_unbounded(r.r)
     assert not is_unbounded(2.0)
+
+
+def test_unbounded_radius_survives_pickle_and_deepcopy() -> None:
+    # the tag is a singleton, so a copy must be the tag itself; protocols 0
+    # and 1 rebuild an object without calling __new__ unless told how
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [pickle.loads(pickle.dumps(Radius(UNBOUNDED), protocol=k)) for k in protocols]
+    for copied in (*copies, copy.deepcopy(Radius(UNBOUNDED))):
+        assert copied.r is UNBOUNDED
+        assert copied.unbounded
 
 
 def test_normal_weight_validation() -> None:

@@ -26,12 +26,14 @@ from echochamber.inference import (
     uncensored_linear_action,
 )
 from echochamber.mc import grid_posterior_oracle
+from echochamber.normal_sampling import closed_form_objective
 from echochamber.model import (
     ABS_TOL,
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
     INVARIANT_TOL,
     ModelParams,
+    NormalWeight,
     Radius,
     UNBOUNDED,
 )
@@ -297,14 +299,20 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
     assert -p.prior_var <= eu_r <= 0.0, (r, eu_r)
     # the tilt -log D_r(omega) gives every state back its prior mass, so
     # the unnormalised joint mass is 1
-    for policy in (Radius(r), R_UNB):
+    soft = NormalWeight(mean=p.prior_mean, var=r * r)
+    for policy in (Radius(r), R_UNB, soft):
         s_nodes, s_w = signal_rule(policy, p, C)
         logz = _policy_pieces(s_nodes, policy, p, C)[0]
         mass = s_w[0] @ np.exp(logz[0])
         assert abs(mass - 1.0) < ABS_TOL, (policy, mass)
+    # the soft window's objective passes its self-check; its two-step rule
+    # is not a posterior mean, so it may lose more than the prior variance
+    objective = closed_form_objective(p, soft.var, C)
+    assert math.isfinite(objective) and objective <= 0.0, objective
     cases = (
         (Radius(r), p.prior_mean + point["u"] * r),
         (R_UNB, p.prior_mean + 3.0 * point["u"] * math.sqrt(p.prior_var + p.high_var)),
+        (soft, p.prior_mean + 3.0 * point["u"] * r),
     )
     n_grid = _grid_points(p)
     for policy, s in cases:

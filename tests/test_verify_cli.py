@@ -442,10 +442,14 @@ def test_cli_json_config_values_are_not_rounded(capsys, tmp_path) -> None:
     capsys.readouterr()
 
 
-def test_cli_sweep_radius_over_low_var(capsys) -> None:
-    code = main(["sweep", "--vary", "sigmaL2", "--values", "3,300", "--family", "radius"])
+def test_cli_sweep_radius_over_low_var(capsys, tmp_path) -> None:
+    argv = ["sweep", "--vary", "sigmaL2", "--values", "3,300", "--family", "radius"]
+    code = main([*argv, "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
+    # stdout is the table sweep.csv holds, then that file's path
+    path = tmp_path / "sweep.csv"
+    assert out == f"{path.read_text()}{path}\n"
     lines = out.splitlines()
     assert lines[0].startswith("# sweep vary=sigmaL2")
     assert lines[1] == "vary,value,family,r_star,utility_at_opt,utility_uncensored,is_finite"
