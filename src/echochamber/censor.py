@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _linear_mix, _log_terms, _moments, _policy_pieces
+from .inference import _centred, _linear_mix, _log_terms, _moments, _policy_pieces
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -64,21 +64,22 @@ class OptimumResult:
 
 
 def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    """The admitted-signal law on the policy's signal nodes, by double
-    quadrature: returns (s_nodes, p, mean, m2), where p holds the
-    probability weights of the nodes (each row summing to one) and mean, m2
-    the posterior first and second state moments at each node. p, mean and
+    """The admitted-signal law on the signal nodes of a centred policy
+    (inference._centred), by double quadrature: returns (x_nodes, p, mean,
+    m2), where p holds the probability weights of the nodes (each row
+    summing to one) and mean, m2 the posterior first and second state
+    moments at each node, all in deviations from the prior mean. p, mean and
     m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
     Gauss rule on both axes, both reduced from the same blocks. A far-tail
     node whose posterior falls between the state nodes of a rule has no
     mass under that rule, and zero moments."""
-    s_nodes, s_w = signal_rule(policy, params, cfg)
-    logz, mean, m2 = _policy_pieces(s_nodes, policy, params, cfg)
-    p = s_w * np.exp(logz - logz.max(axis=1, keepdims=True))
+    x_nodes, x_w = signal_rule(policy, params, cfg)
+    logz, mean, m2 = _policy_pieces(x_nodes, policy, params, cfg)
+    p = x_w * np.exp(logz - logz.max(axis=1, keepdims=True))
     mass = p.sum(axis=1, keepdims=True)
     if not np.all((mass > 0.0) & np.isfinite(mass)):
         raise QuadratureError(f"joint mass degenerated to {mass.ravel().tolist()!r}")
-    return s_nodes, p / mass, np.where(p > 0.0, mean, 0.0), np.where(p > 0.0, m2, 0.0)
+    return x_nodes, p / mass, np.where(p > 0.0, mean, 0.0), np.where(p > 0.0, m2, 0.0)
 
 
 def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
@@ -95,8 +96,8 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
     Used by the soft-window objective; see normal_sampling."""
     from .normal_sampling import naive_action
 
-    s_nodes, p, mean, m2 = signal_law(policy, params, cfg)
-    action = naive_action(s_nodes, params, policy)
+    x_nodes, p, mean, m2 = signal_law(_centred(policy, params), params, cfg)
+    action = naive_action(x_nodes + params.prior_mean, params, policy) - params.prior_mean
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 
@@ -278,17 +279,19 @@ def expected_action(
     admitted-signal density. Every entry passes the Kronrod-Gauss
     self-check (the actions and their integral, both under each rule) in
     units of sqrt(prior_var), or QuadratureError is raised."""
+    m = params.prior_mean
     omegas = np.asarray(omegas, dtype=float)
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return np.full(omegas.shape, params.prior_mean)
+        return np.full(omegas.shape, m)
+    policy, d = _centred(policy, params), omegas[:, None] - m
 
     def evaluate(c: NumericsConfig) -> np.ndarray:
-        s_nodes, s_w = signal_rule(policy, params, c)
-        action = _policy_pieces(s_nodes, policy, params, c)[1]
+        x_nodes, x_w = signal_rule(policy, params, c)
+        action = _policy_pieces(x_nodes, policy, params, c)[1]
         # the admitted-signal density at each state, one state per row
-        _, like_H, like_L = _log_terms(omegas[:, None], s_nodes, policy, params)
+        _, like_H, like_L = _log_terms(d, x_nodes, policy, params)
         peaks = (like_H.max(axis=1), like_L.max(axis=1))
-        weights = np.concatenate((s_w, s_w * action, s_w * action * action))
+        weights = np.concatenate((x_w, x_w * action, x_w * action * action))
         return _moments(*_linear_mix(like_H, like_L, peaks, params), weights)[1]
 
-    return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg)
+    return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg) + m

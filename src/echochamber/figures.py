@@ -87,52 +87,27 @@ def fig3_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 
 def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
-    s = np.linspace(-6.0, 6.0, 121) + params.prior_mean
-    unb = Radius(UNBOUNDED)
-    a_u, _, _, ah_u, al_u = posterior_summaries(s, unb, params, cfg)
-    cen = Radius(REFERENCE_RADIUS)
-    inside = np.abs(s - params.prior_mean) < REFERENCE_RADIUS
-    a_c = np.full(len(s), np.nan)
-    ah_c = np.full(len(s), np.nan)
-    al_c = np.full(len(s), np.nan)
-    if inside.any():
-        a_in, _, _, ah_in, al_in = posterior_summaries(s[inside], cen, params, cfg)
-        a_c[inside] = a_in
-        ah_c[inside] = ah_in
-        al_c[inside] = al_in
+    x = np.linspace(-6.0, 6.0, 121)  # the signal less the prior mean
+    s = x + params.prior_mean
+    a_u, _, _, ah_u, al_u = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
+    inside = np.abs(x) < REFERENCE_RADIUS
+    a_c, _, _, ah_c, al_c = posterior_summaries(s[inside], Radius(REFERENCE_RADIUS), params, cfg)
+    censored = zip(a_c.tolist(), ah_c.tolist(), al_c.tolist())
     if 0.0 < params.high_share < 1.0:
         p_h = np.asarray(prob_high_closed(s, params), dtype=float)
     else:
         p_h = np.full(len(s), params.high_share)
+    uncensored = zip(s.tolist(), a_u.tolist(), ah_u.tolist(), al_u.tolist(), p_h.tolist())
     rows = []
-    for j in range(len(s)):
-        rows.append(
-            (
-                float(s[j]),
-                float(a_u[j]),
-                None if not inside[j] else float(a_c[j]),
-                float(ah_u[j]),
-                float(al_u[j]),
-                None if not inside[j] else float(ah_c[j]),
-                None if not inside[j] else float(al_c[j]),
-                float(p_h[j]),
-            )
-        )
+    for (s_j, a, a_h, a_l, p), keep in zip(uncensored, inside):
+        a_cen, h_cen, l_cen = next(censored) if keep else (None, None, None)
+        rows.append((s_j, a, a_cen, a_h, a_l, h_cen, l_cen, p))
     return FigureData(
         name="fig4",
         title=f"Optimal action against the signal (window r={REFERENCE_RADIUS:g})",
         x_label="signal s",
         y_label="action",
-        columns=(
-            "s",
-            "a_uncensored",
-            "a_censored",
-            "aH_unc",
-            "aL_unc",
-            "aH_cen",
-            "aL_cen",
-            "pH",
-        ),
+        columns=("s", "a_uncensored", "a_censored", "aH_unc", "aL_unc", "aH_cen", "aL_cen", "pH"),
         rows=rows,
     )
 

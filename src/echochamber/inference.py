@@ -92,63 +92,72 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 _BLOCK_CELLS = 2**15
 
 
-def _log_terms(omega, s, policy: SamplingPolicy, params: ModelParams):
-    """The policy's log joint of (state, admitted signal), in pieces.
+def _centred(policy: SamplingPolicy, params: ModelParams) -> SamplingPolicy:
+    """The policy as the kernel takes it: in deviations from the prior mean,
+    like the kernel's states and signals. Only a soft window's mean moves."""
+    if isinstance(policy, NormalWeight):
+        return NormalWeight(policy.mean - params.prior_mean, policy.var)
+    return policy
 
-    Returns (tilt, like_H, like_L) with omega and s broadcast against each
-    other: tilt(omega) is the log prior less the log admission probability
-    of the state, and like_q(omega, s) is the log density of an admitted
+
+def _log_terms(d, x, policy: SamplingPolicy, params: ModelParams):
+    """The policy's log joint of (state, admitted signal), in pieces, at the
+    state's and the signal's deviations d and x from the prior mean.
+
+    Returns (tilt, like_H, like_L) with d and x broadcast against each
+    other: tilt(d) is the log prior less the log admission probability
+    of the state, and like_q(d, x) is the log density of an admitted
     type-q signal times that type's admission probability. The type-q joint
     integrand, type share excluded, is tilt + like_q; mixing like_q over
-    types gives the admitted-signal density at omega up to a state factor.
+    types gives the admitted-signal density at d up to a state factor.
     """
-    tilt, terms = _state_terms(omega, policy, params)
-    return (tilt, *_likes(s, terms))
+    tilt, terms = _state_terms(d, policy, params)
+    return (tilt, *_likes(x, terms))
 
 
-def _state_terms(omega, policy: SamplingPolicy, params: ModelParams):
+def _state_terms(d, policy: SamplingPolicy, params: ModelParams):
     """Everything of _log_terms that depends on the state alone, computed
     once however many signal blocks it serves: (tilt, terms), with one
-    (offset, centre, scale) per type, high first, so that like_q(omega, s)
-    is offset + scale * (s - centre)^2 (see _likes). Under a Radius both
+    (offset, centre, scale) per type, high first, so that like_q(d, x)
+    is offset + scale * (x - centre)^2 (see _likes). Under a Radius both
     types are centred on the state itself."""
     if not isinstance(policy, (Radius, NormalWeight)):
         raise TypeError(f"unsupported policy {policy!r}")
-    omega = np.asarray(omega, dtype=float)
-    tilt = norm_logpdf(omega, params.prior_mean, params.prior_var)
+    d = np.asarray(d, dtype=float)
+    tilt = norm_logpdf(d, 0.0, params.prior_var)
     variances = (params.high_var, params.low_var)
     if isinstance(policy, NormalWeight):
-        # a type-q signal is admitted with probability N(omega; mean, q_var + var)
+        # a type-q signal is admitted with probability N(d; mean, q_var + var)
         # and is then normal with shrunk mean and the product variance
         mean, var = policy.mean, policy.var
-        admit = [norm_logpdf(omega, mean, qv + var) for qv in variances]
+        admit = [norm_logpdf(d, mean, qv + var) for qv in variances]
         lh, ll = _log_weights(params)
         tilt = tilt - np.logaddexp(lh + admit[0], ll + admit[1])
         normals = []
         for qv, log_admit in zip(variances, admit):
             lam = var / (var + qv)
-            normals.append((log_admit, lam * omega + (1.0 - lam) * mean, qv * var / (qv + var)))
+            normals.append((log_admit, lam * d + (1.0 - lam) * mean, qv * var / (qv + var)))
     else:
         if not policy.unbounded:
             if policy.r == 0.0:
                 raise DegenerateRadiusError("r = 0 admits no signal")
-            tilt = tilt - window_logmass(omega, policy.r, params)
-        normals = [(0.0, omega, qv) for qv in variances]
-    # log_admit + log N(s; centre, v), with the normal's log constant folded in
+            tilt = tilt - window_logmass(d, policy.r, params)
+        normals = [(0.0, d, qv) for qv in variances]
+    # log_admit + log N(x; centre, v), with the normal's log constant folded in
     terms = [(a - (0.5 * math.log(v) + _LOG_SQRT_2PI), c, -0.5 / v) for a, c, v in normals]
     return tilt, terms
 
 
-def _likes(s, terms, out=None):
-    """like_H and like_L at signals s from _state_terms' terms:
-    offset + scale * (s - centre)^2, as fresh arrays or, given out, in
+def _likes(x, terms, out=None):
+    """like_H and like_L at signal deviations x from _state_terms' terms:
+    offset + scale * (x - centre)^2, as fresh arrays or, given out, in
     out[1] and out[2], with out[0] for the squared deviation. Types centred
     on the same array share one squared deviation."""
     d2_out, *like_out = (None, None, None) if out is None else out
     likes, shared = [], None
     for (offset, centre, scale), o in zip(terms, like_out):
         if centre is not shared:
-            d2 = np.subtract(s, centre, out=d2_out, dtype=float)
+            d2 = np.subtract(x, centre, out=d2_out, dtype=float)
             d2 *= d2
             shared = centre
         like = np.multiply(d2, scale, out=o)
@@ -158,19 +167,20 @@ def _likes(s, terms, out=None):
 
 
 def _policy_pieces(
-    s_values: np.ndarray,
+    x_values: np.ndarray,
     policy: SamplingPolicy,
     params: ModelParams,
     cfg: NumericsConfig,
     types: bool = False,
 ):
-    """The joint over the state rule and the signals s_values, reduced
-    signal by signal: returns (logz, mean, m2), the log mass and the first
-    two state moments of each signal's integrand, one column per signal.
-    Rows 0 and 1 reduce the mixed integrand, type shares included, under
-    the Kronrod rule and its embedded Gauss rule. With types, rows 2 and 3
-    reduce the high and the low type's integrands, type share excluded,
-    each exponentiated under its own maxima, under the Kronrod rule.
+    """The joint over the state rule and the signal deviations x_values,
+    reduced signal by signal: returns (logz, mean, m2), the log mass and
+    the first two moments of the state's deviation under each signal's
+    integrand, one column per signal. Rows 0 and 1 reduce the mixed
+    integrand, type shares included, under the Kronrod rule and its
+    embedded Gauss rule. With types, rows 2 and 3 reduce the high and the
+    low type's integrands, type share excluded, each exponentiated under
+    its own maxima, under the Kronrod rule.
 
     The log integrands are built in blocks of about _BLOCK_CELLS cells,
     laid out (signal, state), and each block is mixed and reduced as soon
@@ -178,28 +188,28 @@ def _policy_pieces(
     Every step treats each signal's row on its own, and _moments sums a row
     in an order set by its length, so a signal's moments are the same bits
     whatever block, batch or BLAS thread count computes them."""
-    omega, w = state_rule(params, cfg)
-    tilt, terms = _state_terms(omega, policy, params)
-    weights = np.concatenate((w, w * omega, w * omega * omega))
+    d, w = state_rule(params, cfg)
+    tilt, terms = _state_terms(d, policy, params)
+    weights = np.concatenate((w, w * d, w * d * d))
     kronrod = weights[::2]  # w has two rows: Kronrod, embedded Gauss
-    rows = np.empty((3, 4 if types else 2, len(s_values)))
-    step = max(1, _BLOCK_CELLS // len(omega))
+    rows = np.empty((3, 4 if types else 2, len(x_values)))
+    step = max(1, _BLOCK_CELLS // len(d))
     # one set of block buffers serves every block: the squared deviation,
     # the two log integrands and, with types, a per-type exponential. Fresh
     # block-sized arrays go back to the OS when freed and fault in again,
     # which made building a block's log integrands 4x slower
-    buffers = np.empty((4 if types else 3, min(step, len(s_values)), len(omega)))
-    for j in range(0, len(s_values), step):
+    buffers = np.empty((4 if types else 3, min(step, len(x_values)), len(d)))
+    for j in range(0, len(x_values), step):
         cols = slice(j, j + step)
-        s = s_values[cols, None]
-        blocks = _likes(s, terms, out=buffers[:3, : len(s)])
+        x = x_values[cols, None]
+        blocks = _likes(x, terms, out=buffers[:3, : len(x)])
         peaks = []
         for b in blocks:
             b += tilt
             peaks.append(b.max(axis=1))
         if types:
             for q, (b, peak) in enumerate(zip(blocks, peaks), start=2):
-                e = np.subtract(b, peak[:, None], out=buffers[3, : len(s)])
+                e = np.subtract(b, peak[:, None], out=buffers[3, : len(x)])
                 rows[:, q : q + 1, cols] = _moments(np.exp(e, out=e), peak, kronrod)
         rows[:, :2, cols] = _moments(*_linear_mix(*blocks, peaks, params), weights)
     return tuple(rows)
@@ -239,16 +249,16 @@ def posterior_summaries(
     for each signal in s_values, under the Kronrod rule. Does not enforce
     the support precondition; callers that expose single-signal contracts
     do."""
-    s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
+    m = params.prior_mean
+    x = np.atleast_1d(np.asarray(s_values, dtype=float)) - m
     # the per-type rows reduce their own exponentials, so the mixed action
     # and the type actions come from separate floating-point passes
-    logz, mean, m2 = _policy_pieces(s_values, policy, params, cfg, types=True)
-    action = mean[0]
-    post_var = np.maximum(m2[0] - action**2, 0.0)
+    logz, mean, m2 = _policy_pieces(x, _centred(policy, params), params, cfg, types=True)
+    post_var = np.maximum(m2[0] - mean[0] ** 2, 0.0)
     # prob_high through the log-odds so extreme signals stay in [0, 1]
     lh, ll = _log_weights(params)
     prob_high = expit((lh + logz[2]) - (ll + logz[3]))
-    return action, post_var, prob_high, mean[2], mean[3]
+    return mean[0] + m, post_var, prob_high, mean[2] + m, mean[3] + m
 
 
 def _check_support(s: float, policy: SamplingPolicy, params: ModelParams) -> None:
@@ -286,8 +296,9 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    log_norm = _policy_pieces(np.array([s], dtype=float), policy, params, cfg)[0][0, 0]
-    tilt, like_H, like_L = _log_terms(omega, s, policy, params)
+    m, policy = params.prior_mean, _centred(policy, params)
+    log_norm = _policy_pieces(np.array([s - m], dtype=float), policy, params, cfg)[0][0, 0]
+    tilt, like_H, like_L = _log_terms(np.subtract(omega, m), s - m, policy, params)
     lh, ll = _log_weights(params)
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
 
@@ -301,11 +312,10 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     windowed = isinstance(policy, Radius) and not policy.unbounded
     if windowed and policy.r == 0.0:
         raise DegenerateRadiusError("r = 0 admits no signal")
-    nodes, _ = signal_rule(policy, params, cfg)
+    nodes, _ = signal_rule(_centred(policy, params), params, cfg)
     if windowed:
         # the window edges are knots too, so no admitted signal extrapolates
-        m, r = params.prior_mean, policy.r
-        nodes = np.concatenate(([m - r], nodes, [m + r]))
-    grid = np.unique(nodes)
+        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
+    grid = np.unique(nodes + params.prior_mean)
     action, _, _, _, _ = posterior_summaries(grid, policy, params, cfg)
     return make_interp_spline(grid, action, k=7)

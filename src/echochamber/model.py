@@ -8,7 +8,10 @@ variance high_var or low_var. An agent may restrict sampling to the window
 (prior_mean - r, prior_mean + r): signals are redrawn, source type included,
 until one lands inside. The signal density conditional on the state is then
 the mixture density divided by the mixture window mass, and zero outside;
-inference._log_terms builds it from the pieces here.
+inference._log_terms builds it from the pieces here. Every density and mass
+depends on omega and s only through their deviations from the prior mean,
+so the kernel and window_logmass take deviations, and only the public
+functions of inference and censor add the prior mean back.
 
 Densities are computed in log space, the window mass too, with no floor:
 log_ndtr stays accurate far past the double range (log_ndtr(-1000) =
@@ -198,17 +201,11 @@ def _interval_logmass(lo_z, hi_z):
     return np.where(np.isnan(out), -np.inf, out)
 
 
-def window_logmass_component(omega, r: float, var: float, params: ModelParams):
-    """log P(|s - prior_mean| < r | omega, one component of variance var)."""
-    sd = math.sqrt(var)
-    lo = (params.prior_mean - r - np.asarray(omega, dtype=float)) / sd
-    hi = (params.prior_mean + r - np.asarray(omega, dtype=float)) / sd
-    return _interval_logmass(lo, hi)
-
-
-def window_logmass(omega, r: float, params: ModelParams):
-    """log of the mixture window mass F(prior_mean + r | omega) - F(prior_mean - r | omega)."""
-    lh, ll = _log_weights(params)
-    a = lh + window_logmass_component(omega, r, params.high_var, params)
-    b = ll + window_logmass_component(omega, r, params.low_var, params)
+def window_logmass(d, r: float, params: ModelParams):
+    """log of the mixture window mass P(|s - prior_mean| < r | omega), at
+    the state's deviation d = omega - prior_mean from the prior mean."""
+    d = np.asarray(d, dtype=float)
+    lw = _log_weights(params)
+    sds = (math.sqrt(params.high_var), math.sqrt(params.low_var))
+    a, b = (w + _interval_logmass((-r - d) / sd, (r - d) / sd) for w, sd in zip(lw, sds))
     return np.logaddexp(a, b)

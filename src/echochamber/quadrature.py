@@ -1,10 +1,13 @@
 """Compound Gauss-Kronrod rules on graded, scale-aware panels.
 
 Both axes of the package's double quadrature, (state, signal), use rules
-from one edge builder, panel_edges: around the prior mean it puts edges at
-GRADES x each length scale of the integrand, so a feature of width w meets
-panels about w wide whether w is 0.1 or 500 (compound rules on graded
-panels; Davis & Rabinowitz, Methods of Numerical Integration, 1984, ch. 6).
+from one edge builder, panel_edges. Rules live in deviations from the prior
+mean, where the model is translation invariant (sources are unbiased, and
+a window is centred on the prior mean), so nothing here knows where the
+prior sits. Around 0 panel_edges puts edges at GRADES x each length scale
+of the integrand, so a feature of width w meets panels about w wide
+whether w is 0.1 or 500 (compound rules on graded panels; Davis &
+Rabinowitz, Methods of Numerical Integration, 1984, ch. 6).
 
 Every panel carries the Gauss-Kronrod pair G_n/K_(2n+1), n =
 NumericsConfig.quad_nodes: 2n + 1 Kronrod nodes, n of which are the
@@ -22,7 +25,8 @@ same evaluations, the coarser Gauss result that checks it.
   STATE_CAP_SDS high-type posterior sds.
 - Signal axis: the window, or SUPPORT_SDS x sqrt(prior_var + low_var)
   widened by a soft window's offset; scales the two marginal signal sds,
-  sqrt(high_var) and a soft window's sd.
+  sqrt(high_var) and a soft window's sd. A soft window's mean is given
+  in deviations too, as its offset from the prior mean.
 
 Window ends and the soft-window centre are always panel edges, never
 interior nodes, because the integrands are not smooth there.
@@ -103,14 +107,13 @@ def paneled_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, (half * w[:, None, :]).reshape(2, -1)
 
 
-def panel_edges(center: float, halfwidth: float, scales, breaks=()) -> np.ndarray:
-    """Sorted panel edges on [center - halfwidth, center + halfwidth]: both
-    ends, the centre, each break inside, and center +/- g * scale for every
-    grade g in GRADES and every scale."""
+def panel_edges(halfwidth: float, scales, breaks=()) -> np.ndarray:
+    """Sorted panel edges on [-halfwidth, halfwidth]: both ends, 0, each
+    break inside, and +/- g * scale for every grade g in GRADES and every
+    scale."""
     offsets = np.outer(scales, GRADES).ravel()
-    points = np.concatenate(([-halfwidth, 0.0, halfwidth], -offsets, offsets))
-    points = np.concatenate((center + points, breaks))
-    return np.unique(points[np.abs(points - center) <= halfwidth])
+    points = np.concatenate(([-halfwidth, 0.0, halfwidth], -offsets, offsets, breaks))
+    return np.unique(points[np.abs(points) <= halfwidth])
 
 
 def _capped(edges: np.ndarray, lo: float, hi: float, width: float) -> np.ndarray:
@@ -125,20 +128,21 @@ def _capped(edges: np.ndarray, lo: float, hi: float, width: float) -> np.ndarray
 
 @lru_cache(maxsize=128)
 def state_rule(params: ModelParams, cfg: NumericsConfig):
-    """Quadrature rule over the state axis; see the module docstring."""
-    m, pv, hv, lv = params.prior_mean, params.prior_var, params.high_var, params.low_var
+    """Quadrature rule over the state's deviation from the prior mean; see
+    the module docstring."""
+    pv, hv, lv = params.prior_var, params.high_var, params.low_var
     post_sd = math.sqrt(pv * hv / (pv + hv))
     near = SUPPORT_SDS * math.sqrt(pv)
-    lo, hi = m - near, m + near
     scales = (math.sqrt(pv), math.sqrt(hv), math.sqrt(lv), post_sd)
-    edges = panel_edges(m, SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (lo, hi))
-    edges = _capped(edges, lo, hi, STATE_CAP_SDS * post_sd)
+    edges = panel_edges(SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (-near, near))
+    edges = _capped(edges, -near, near, STATE_CAP_SDS * post_sd)
     return paneled_rule(edges, cfg.quad_nodes)
 
 
 def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    """Signal rule over the support of the signals the policy admits."""
-    m, pv, hv, lv = params.prior_mean, params.prior_var, params.high_var, params.low_var
+    """Signal rule over the deviations from the prior mean of the signals
+    the policy, given in deviations, admits."""
+    pv, hv, lv = params.prior_var, params.high_var, params.low_var
     scales = (math.sqrt(pv + hv), math.sqrt(pv + lv), math.sqrt(hv))
     halfwidth, breaks = SUPPORT_SDS * math.sqrt(pv + lv), ()
     if isinstance(policy, Radius) and not policy.unbounded:
@@ -147,5 +151,5 @@ def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
         # admitted signals lie between the prior mean and the window centre,
         # no wider than the unrestricted marginal, within a few window sds
         scales += (math.sqrt(policy.var),)
-        halfwidth, breaks = halfwidth + abs(policy.mean - m), (policy.mean,)
-    return paneled_rule(panel_edges(m, halfwidth, scales, breaks), cfg.quad_nodes)
+        halfwidth, breaks = halfwidth + abs(policy.mean), (policy.mean,)
+    return paneled_rule(panel_edges(halfwidth, scales, breaks), cfg.quad_nodes)

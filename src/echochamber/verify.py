@@ -49,11 +49,11 @@ def _g(x: float) -> str:
 
 def _linearity_dev(params: ModelParams, cfg: NumericsConfig) -> float:
     """Max residual of the unrestricted action map against its least-squares
-    line over s in [-4, 4]."""
-    s = np.linspace(-4.0, 4.0, 21)
-    a, _, _, _, _ = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
-    slope, intercept = np.polyfit(s, a, 1)
-    return float(np.max(np.abs(a - (intercept + slope * s))))
+    line over s within 4 of the prior mean."""
+    x = np.linspace(-4.0, 4.0, 21)
+    a, _, _, _, _ = posterior_summaries(params.prior_mean + x, Radius(UNBOUNDED), params, cfg)
+    slope, intercept = np.polyfit(x, a, 1)
+    return float(np.max(np.abs(a - (intercept + slope * x))))
 
 
 def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
@@ -63,14 +63,12 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         Radius(UNBOUNDED),
         NormalWeight(mean=params.prior_mean, var=1.0),
     ]
-    s_grid = [-3.0, -1.5, -0.5, 0.0, 0.7, 1.3, 2.2, 3.1]
     worst = 0.0
     for policy in policies:
-        for s in s_grid:
-            if isinstance(policy, Radius) and not policy.unbounded:
-                if abs(s - params.prior_mean) >= policy.r:
-                    continue
-            summary = optimal_action(s, policy, params, cfg)
+        for x in (-3.0, -1.5, -0.5, 0.0, 0.7, 1.3, 2.2, 3.1):  # signal less prior mean
+            if isinstance(policy, Radius) and not policy.unbounded and abs(x) >= policy.r:
+                continue
+            summary = optimal_action(params.prior_mean + x, policy, params, cfg)
             worst = max(worst, abs(summary.action - summary.combination))
     return CheckResult(
         name="lemma1",
@@ -111,14 +109,12 @@ def check_lemma3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_lemma5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    s = np.linspace(-6.0, 6.0, 25)
+    s = params.prior_mean + np.linspace(-6.0, 6.0, 25)
     path_dev = math.nan
     mono_ok = True
     if 0.0 < params.high_share < 1.0:
-        closed = prob_high_closed(s + params.prior_mean, params)
-        _, _, quad, _, _ = posterior_summaries(
-            s + params.prior_mean, Radius(UNBOUNDED), params, cfg
-        )
+        closed = prob_high_closed(s, params)
+        _, _, quad, _, _ = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
         path_dev = float(np.max(np.abs(closed - quad)))
         right = prob_high_closed(params.prior_mean + np.linspace(0.0, 6.0, 25), params)
         mono_ok = bool(np.all(np.diff(right) < 0.0))
@@ -178,7 +174,7 @@ def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     values = {}
     for label, policy in (("r=2", Radius(2.0)), ("r=4", Radius(4.0)), ("inf", Radius(UNBOUNDED))):
-        values[label] = optimal_action(1.0, policy, params, cfg).action
+        values[label] = optimal_action(params.prior_mean + 1.0, policy, params, cfg).action
     g1 = values["r=2"] - values["r=4"]
     g2 = values["r=4"] - values["inf"]
     passed = g1 > 1e-4 and g2 > 1e-4
@@ -196,18 +192,18 @@ def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_prop4(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     p = replace(params, low_var=30.0)
-    s = np.linspace(0.0, 8.0, 41)
-    a, _, _, _, _ = posterior_summaries(s, Radius(UNBOUNDED), p, cfg)
+    x = np.linspace(0.0, 8.0, 41)  # the signal's distance above the prior mean
+    a, _, _, _, _ = posterior_summaries(p.prior_mean + x, Radius(UNBOUNDED), p, cfg)
     i = int(np.argmax(a))
-    interior = 0 < i < len(s) - 1
-    a2 = float(np.interp(2.0, s, a))
-    a3 = float(np.interp(3.0, s, a))
+    interior = 0 < i < len(x) - 1
+    a2 = float(np.interp(2.0, x, a))
+    a3 = float(np.interp(3.0, x, a))
     passed = interior and a2 > a3
     return CheckResult(
         name="prop4",
         passed=passed,
         measured=(
-            f"low_var=30: action peaks at s={s[i]:.2f} (interior={interior}); "
+            f"low_var=30: action peaks at s={x[i]:.2f} (interior={interior}); "
             f"a(2) {a2:.4f} > a(3) {a3:.4f}"
         ),
         tolerance="interior peak; a(2) > a(3)",
@@ -279,7 +275,7 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     s = params.prior_mean + 10.0
     value = abs(
         float(prob_high_closed(s, params))
-        * float(uncensored_linear_action(s, params, "H"))
+        * float(uncensored_linear_action(s, params, "H") - params.prior_mean)
     )
     return CheckResult(
         name="hvanish",

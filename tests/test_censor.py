@@ -61,6 +61,18 @@ def test_zero_radius_admits_nothing() -> None:
     assert np.array_equal(expected_action(omegas, Radius(0.0), P, C), np.full(7, P.prior_mean))
 
 
+@pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5])
+def test_utilities_and_signal_moments_do_not_depend_on_the_prior_mean(prior_mean) -> None:
+    # every integral is taken in deviations from the prior mean, so moving
+    # the prior gives the same bits. Built about the prior mean instead, the
+    # rule at 1000 lost the end panels of r = 2.35 (-0.63806 for -0.65971),
+    # and at 1e5 the uncentred m2 - mean^2 put the benchmark 1.8e-7 off
+    moved = replace(P, prior_mean=prior_mean)
+    for policy in (R_UNB, Radius(2.35), Radius(float(censor.scan_radii(P)[10]))):
+        assert expected_utility(policy, moved, C) == expected_utility(policy, P, C), policy
+        assert signal_moments_vs_r(moved, policy, C) == signal_moments_vs_r(P, policy, C), policy
+
+
 def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
     p300 = replace(P, low_var=300.0)
     for key, want in oracle["eu_lowvar300"].items():

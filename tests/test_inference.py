@@ -297,6 +297,32 @@ def test_action_map_matches_pointwise_and_extends() -> None:
         assert abs(float(amap_u(s)) - direct) < 1e-6
 
 
+@pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5])
+def test_absolute_actions_move_with_the_prior_mean(prior_mean) -> None:
+    # prior_mean + d is exact at these d, and the kernel sees d itself, so
+    # an action may differ only by the rounding of prior_mean + action, at
+    # most a spacing of the doubles near prior_mean (1.5e-11 at 1e5). The
+    # posterior variance is a centred moment: uncentred, it was 1.1e-5 off
+    # at 1e5
+    moved = replace(P, prior_mean=prior_mean)
+    tol = 1e-12 + np.spacing(prior_mean)
+    omegas = np.array([-1.2, 0.0, 2.5])
+    for policy, shifted in (
+        (R_UNB, R_UNB),
+        (Radius(2.35), Radius(2.35)),
+        (NormalWeight(0.5, 2.0), NormalWeight(prior_mean + 0.5, 2.0)),
+    ):
+        for d in (-1.5, 0.0, 1.0, 2.25):
+            want = optimal_action(d, policy, P, C)
+            got = optimal_action(prior_mean + d, shifted, moved, C)
+            assert abs((got.action - prior_mean) - want.action) <= tol, (policy, d)
+            assert abs(got.posterior_var - want.posterior_var) <= 1e-12, (policy, d)
+        got = expected_action(prior_mean + omegas, shifted, moved, C) - prior_mean
+        assert np.max(np.abs(got - expected_action(omegas, policy, P, C))) <= tol, policy
+        density = posterior_density(prior_mean + omegas, prior_mean + 1.0, shifted, moved, C)
+        assert np.allclose(density, posterior_density(omegas, 1.0, policy, P, C), rtol=1e-9)
+
+
 def test_action_map_refuses_a_zero_radius() -> None:
     with pytest.raises(DegenerateRadiusError):
         action_map(Radius(0.0), P, C)

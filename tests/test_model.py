@@ -134,9 +134,10 @@ def test_window_mass_value(oracle: dict) -> None:
 
 
 def test_window_mass_symmetric_in_state() -> None:
+    # the state enters as its deviation from the prior mean
     for w in (0.7, 1.9, 4.2):
-        left = window_logmass(DEFAULT_PARAMS.prior_mean - w, 2.0, DEFAULT_PARAMS)
-        right = window_logmass(DEFAULT_PARAMS.prior_mean + w, 2.0, DEFAULT_PARAMS)
+        left = window_logmass(-w, 2.0, DEFAULT_PARAMS)
+        right = window_logmass(w, 2.0, DEFAULT_PARAMS)
         assert math.isclose(left, right, rel_tol=1e-12)
 
 

@@ -20,6 +20,7 @@ import pytest
 from echochamber.censor import _bayes_loss, expected_utility
 from echochamber.errors import QuadratureError
 from echochamber.inference import (
+    _centred,
     _policy_pieces,
     optimal_action,
     prob_high_closed,
@@ -182,31 +183,35 @@ def test_self_check_refines_an_accurate_rule_by_doubling_its_order() -> None:
 
 
 def test_panel_edges_keep_ends_centre_and_breaks() -> None:
-    edges = panel_edges(1.0, 3.0, (0.5, 2.0), (1.7, 9.0))
-    assert edges[0] == -2.0 and edges[-1] == 4.0
-    assert 1.0 in edges and 1.7 in edges and 9.0 not in edges
+    edges = panel_edges(3.0, (0.5, 2.0), (0.7, 8.0))
+    assert edges[0] == -3.0 and edges[-1] == 3.0
+    assert 0.0 in edges and 0.7 in edges and 8.0 not in edges
     assert np.all(np.diff(edges) > 0.0)
     # 8 x 0.5 = 4 and the grades of 2.0 past 1 x 2.0 fall outside
-    assert set(np.round(edges - 1.0, 12)) == {
-        -3.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 3.0
-    }
+    assert set(edges) == {-3.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.7, 1.0, 2.0, 3.0}
+    # built about 0, the edges of a window are exactly symmetric
+    edges = panel_edges(2.35, (0.3, 1.7))
+    assert np.array_equal(edges, -edges[::-1]) and edges[-1] == 2.35
 
 
 def test_window_ends_and_centre_are_panel_edges() -> None:
-    m = P.prior_mean
-    for r in (0.01, 0.3, 2.35, 20.0):
-        nodes, weights = signal_rule(Radius(r), P, C)
-        assert np.all(np.abs(nodes - m) < r)
-        for w in weights:  # the Kronrod rule and its embedded Gauss rule
-            assert abs(w[nodes < m].sum() - r) < 1e-12 * r
-            assert abs(w[nodes > m].sum() - r) < 1e-12 * r
+    # the rule lives in deviations from the prior mean, so it is the same
+    # wherever the prior sits: built about prior_mean 1000, 1002.35 - 1000
+    # rounded past 2.35 and both window-end panels were dropped
+    for p in (P, replace(P, prior_mean=1000.0)):
+        for r in (0.01, 0.3, 2.35, 20.0):
+            nodes, weights = signal_rule(Radius(r), p, C)
+            assert np.all(np.abs(nodes) < r)
+            for w in weights:  # the Kronrod rule and its embedded Gauss rule
+                assert abs(w[nodes < 0.0].sum() - r) < 1e-12 * r
+                assert abs(w[nodes > 0.0].sum() - r) < 1e-12 * r
 
 
 def test_state_panels_near_the_prior_resolve_the_high_type_posterior() -> None:
     p = replace(P, high_var=0.01, low_var=300.0)
     nodes, weights = state_rule(p, C)
     post_sd = math.sqrt(p.prior_var * p.high_var / (p.prior_var + p.high_var))
-    near = np.abs(nodes - p.prior_mean) < 10.0 * math.sqrt(p.prior_var)
+    near = np.abs(nodes) < 10.0 * math.sqrt(p.prior_var)
     gaps = np.diff(nodes[near])
     assert gaps.max() < post_sd / 2.0
     assert np.all(np.abs(weights.sum(axis=1) - 2.0 * 10.0 * math.sqrt(p.low_var)) < 1e-9)
@@ -256,8 +261,10 @@ _POINT_A = dict(
 _POINT_B = dict(_BASE, prior_var=1.0, high_ratio=0.005, low_var=0.01, r_sd=0.25)
 _POINT_C = dict(_BASE, prior_var=1e4, high_ratio=5e-5, low_var=3.0, r_sd=0.01)
 
-# a fixed sample: ten chosen points, then 30 drawn from a seed fixed
-# before any was looked at
+# a fixed sample: twelve chosen points, then 30 drawn from a seed fixed
+# before any was looked at. The last two move the prior mean to 1e3: the
+# 1-D and the grid oracle work in absolute coordinates, so they check the
+# kernel's translation to deviations from the prior mean independently
 _EXAMPLES = [
     _BASE,
     dict(_BASE, low_var=3e5),
@@ -269,6 +276,8 @@ _EXAMPLES = [
     _POINT_A,
     _POINT_B,
     _POINT_C,
+    dict(_BASE, prior_mean=1e3),
+    dict(_POINT_A, prior_mean=1e3),
 ]
 _DOMAIN = [pytest.param(pt, id=f"example-{i}") for i, pt in enumerate(_EXAMPLES)] + [
     pytest.param(pt, id=f"sample-{i}") for i, pt in enumerate(_points(20250823, 30))
@@ -277,6 +286,7 @@ _DOMAIN = [pytest.param(pt, id=f"example-{i}") for i, pt in enumerate(_EXAMPLES)
 
 def _params(point: dict) -> ModelParams:
     return ModelParams(
+        prior_mean=point.get("prior_mean", 0.0),
         prior_var=point["prior_var"],
         high_var=point["high_ratio"] * point["prior_var"],
         low_var=point["low_var"],
@@ -298,9 +308,10 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
     eu_r = expected_utility(Radius(r), p, C)
     assert -p.prior_var <= eu_r <= 0.0, (r, eu_r)
     # the tilt -log D_r(omega) gives every state back its prior mass, so
-    # the unnormalised joint mass is 1
+    # the unnormalised joint mass is 1; the kernel takes policies in
+    # deviations from the prior mean
     soft = NormalWeight(mean=p.prior_mean, var=r * r)
-    for policy in (Radius(r), R_UNB, soft):
+    for policy in (Radius(r), R_UNB, _centred(soft, p)):
         s_nodes, s_w = signal_rule(policy, p, C)
         logz = _policy_pieces(s_nodes, policy, p, C)[0]
         mass = s_w[0] @ np.exp(logz[0])

@@ -18,6 +18,7 @@ from echochamber.verify import ALL_CHECKS, format_report, run_checks
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
+_MC_CHECKS = ("prop1", "exante_total_var", "mc_eu_unbounded", "mc_eu_radius")
 
 
 def _read_csv(path):
@@ -302,6 +303,41 @@ def test_cli_optimize_radius_answers_at_a_sampled_domain_point(capsys) -> None:
     assert code == 0
     assert fields["r_star"] == "Unbounded"
     assert fields["utility_uncensored"] == "-0.270736481294"
+
+
+def test_cli_optimize_radius_does_not_depend_on_the_prior_mean(capsys) -> None:
+    # built about the prior mean, the rules dropped window-end panels, and
+    # omega0=10 printed r_star=2.03400631766 with no error
+    assert main(["optimize", "radius", "--params", "sigmaL2=300"]) == 0
+    want = capsys.readouterr().out
+    for omega0 in ("10", "1000", "1e5"):
+        assert main(["optimize", "radius", "--params", f"omega0={omega0},sigmaL2=300"]) == 0
+        assert capsys.readouterr().out == want, omega0
+
+
+def test_cli_verify_does_not_depend_on_the_prior_mean(capsys) -> None:
+    # the checks without Monte Carlo place their signals about the prior mean
+    names = ",".join(n for n in ALL_CHECKS if n not in _MC_CHECKS)
+    verdicts = []
+    for params in ("omega0=0", "omega0=1000"):
+        code = main(["verify", "--check", names, "--params", params])
+        lines = capsys.readouterr().out.splitlines()
+        verdicts.append((code, [ln.split()[:2] for ln in lines if ln.startswith(("PASS", "FAIL"))]))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 0 and len(verdicts[0][1]) == len(ALL_CHECKS) - len(_MC_CHECKS)
+
+
+def test_cli_figures_radius_curves_do_not_depend_on_the_prior_mean(capsys, tmp_path) -> None:
+    # fig2 (utility) and fig3 (signal moments) are curves over the radius,
+    # the same rows wherever the prior sits; omega0=10 used to exit 1
+    rows = []
+    for omega0 in ("0", "10"):
+        out = tmp_path / omega0
+        argv = ["figures", "--only", "fig2,fig3", "--format", "csv", "--out", str(out)]
+        assert main(argv + ["--params", f"omega0={omega0}"]) == 0
+        rows.append([_read_csv(out / f"{fig}.csv")[1:] for fig in ("fig2", "fig3")])
+    capsys.readouterr()
+    assert rows[0] == rows[1]
 
 
 def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
