@@ -93,11 +93,13 @@ def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
 def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
     """Like _bayes_loss but with the action map replaced by the two-step
     shrinkage rule that treats type weights as radius-free predictive ones.
-    Used by the soft-window objective; see normal_sampling."""
+    Used by the soft-window objective; see normal_sampling. The rule takes
+    the centred model, like the posterior moments it is scored against."""
     from .normal_sampling import naive_action
 
-    x_nodes, p, mean, m2 = signal_law(_centred(policy, params), params, cfg)
-    action = naive_action(x_nodes + params.prior_mean, params, policy) - params.prior_mean
+    policy, params = _centred(policy, params), replace(params, prior_mean=0.0)
+    x_nodes, p, mean, m2 = signal_law(policy, params, cfg)
+    action = naive_action(x_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 

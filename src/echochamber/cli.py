@@ -53,6 +53,15 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return out
 
 
+def _items(text: str, option: str) -> list[str]:
+    """The comma-separated items of an option's value; naming none is a
+    configuration error, since the command would then do nothing."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise ConfigError(f"{option} names nothing: {text!r}")
+    return items
+
+
 def _load_config_file(path: str) -> dict[str, object]:
     try:
         text = Path(path).read_text()
@@ -139,12 +148,11 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     from .figures import FIGURES, build_figure, csv_text, svg_text
 
-    formats = {f.strip() for f in (args.format or "csv,svg").split(",") if f.strip()}
-    bad = formats - {"csv", "svg"}
-    if bad or not formats:
+    formats = set(_items(args.format or "csv,svg", "--format"))
+    if formats - {"csv", "svg"}:
         raise ConfigError(f"--format takes a subset of csv,svg; got {args.format!r}")
-    if args.only:
-        selection = [f.strip() for f in args.only.split(",") if f.strip()]
+    if args.only is not None:
+        selection = _items(args.only, "--only")
         unknown = [f for f in selection if f not in FIGURES]
         if unknown:
             raise ConfigError(
@@ -175,9 +183,7 @@ def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConf
 def cmd_verify(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     from .verify import format_report, report_json, run_checks
 
-    names = None
-    if args.check:
-        names = [c.strip() for c in args.check.split(",") if c.strip()]
+    names = None if args.check is None else _items(args.check, "--check")
     try:
         results = run_checks(params, cfg, names)
     except KeyError as exc:
@@ -239,9 +245,10 @@ def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsCon
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
-    if args.values:
+    if args.values is not None:
+        values = _items(args.values, "--values")
         try:
-            return [float(v) for v in args.values.split(",") if v.strip()]
+            return [float(v) for v in values]
         except ValueError as exc:
             raise ConfigError(f"--values must be numbers, got {args.values!r}") from exc
     if args.lo is None or args.hi is None or args.steps is None:

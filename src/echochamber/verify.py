@@ -4,7 +4,9 @@ Each check states a measurable property of the implementation, measures it,
 and reports pass/fail together with the measured quantity, the tolerance
 applied, and the seed when Monte Carlo is involved. Checks that only hold
 in a specific parameter regime evaluate there and say so in their detail
-line; the default battery passes on the default parameters.
+line. Every check takes the standardized model (see run_checks), so its
+signals, radii and thresholds count in prior sds from the prior mean, and
+the default battery passes wherever the defaults' shape holds.
 """
 from __future__ import annotations
 
@@ -51,25 +53,18 @@ def _linearity_dev(params: ModelParams, cfg: NumericsConfig) -> float:
     """Max residual of the unrestricted action map against its least-squares
     line over s within 4 of the prior mean."""
     x = np.linspace(-4.0, 4.0, 21)
-    a, _, _, _, _ = posterior_summaries(params.prior_mean + x, Radius(UNBOUNDED), params, cfg)
+    a, _, _, _, _ = posterior_summaries(x, Radius(UNBOUNDED), params, cfg)
     slope, intercept = np.polyfit(x, a, 1)
     return float(np.max(np.abs(a - (intercept + slope * x))))
 
 
 def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    policies = [
-        Radius(0.8),
-        Radius(2.0),
-        Radius(UNBOUNDED),
-        NormalWeight(mean=params.prior_mean, var=1.0),
-    ]
+    s = np.array([-3.0, -1.5, -0.5, 0.0, 0.7, 1.3, 2.2, 3.1])
     worst = 0.0
-    for policy in policies:
-        for x in (-3.0, -1.5, -0.5, 0.0, 0.7, 1.3, 2.2, 3.1):  # signal less prior mean
-            if isinstance(policy, Radius) and not policy.unbounded and abs(x) >= policy.r:
-                continue
-            summary = optimal_action(params.prior_mean + x, policy, params, cfg)
-            worst = max(worst, abs(summary.action - summary.combination))
+    for policy in (Radius(0.8), Radius(2.0), Radius(UNBOUNDED), NormalWeight(mean=0.0, var=1.0)):
+        inside = s if not isinstance(policy, Radius) or policy.unbounded else s[abs(s) < policy.r]
+        a, _, p_h, a_h, a_l = posterior_summaries(inside, policy, params, cfg)
+        worst = max(worst, float(np.max(np.abs(a - (p_h * a_h + (1.0 - p_h) * a_l)))))
     return CheckResult(
         name="lemma1",
         passed=worst < INVARIANT_TOL,
@@ -96,7 +91,7 @@ def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 def check_lemma3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     worst = math.inf
     for policy, lo, hi in ((Radius(1.5), -1.4, 1.4), (Radius(UNBOUNDED), -4.0, 4.0)):
-        s = np.linspace(lo, hi, 17) + params.prior_mean
+        s = np.linspace(lo, hi, 17)
         _, _, _, a_h, a_l = posterior_summaries(s, policy, params, cfg)
         worst = min(worst, float(np.diff(a_h).min()), float(np.diff(a_l).min()))
     return CheckResult(
@@ -109,14 +104,14 @@ def check_lemma3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_lemma5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    s = params.prior_mean + np.linspace(-6.0, 6.0, 25)
+    s = np.linspace(-6.0, 6.0, 25)
     path_dev = math.nan
     mono_ok = True
     if 0.0 < params.high_share < 1.0:
         closed = prob_high_closed(s, params)
         _, _, quad, _, _ = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
         path_dev = float(np.max(np.abs(closed - quad)))
-        right = prob_high_closed(params.prior_mean + np.linspace(0.0, 6.0, 25), params)
+        right = prob_high_closed(np.linspace(0.0, 6.0, 25), params)
         mono_ok = bool(np.all(np.diff(right) < 0.0))
     p0 = prob_high_closed(0.0, DEFAULT_PARAMS)
     p2 = prob_high_closed(2.0, DEFAULT_PARAMS)
@@ -172,19 +167,13 @@ def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    values = {}
-    for label, policy in (("r=2", Radius(2.0)), ("r=4", Radius(4.0)), ("inf", Radius(UNBOUNDED))):
-        values[label] = optimal_action(params.prior_mean + 1.0, policy, params, cfg).action
-    g1 = values["r=2"] - values["r=4"]
-    g2 = values["r=4"] - values["inf"]
-    passed = g1 > 1e-4 and g2 > 1e-4
+    a2, a4, a_inf = (
+        optimal_action(1.0, Radius(r), params, cfg).action for r in (2.0, 4.0, UNBOUNDED)
+    )
     return CheckResult(
         name="prop3",
-        passed=passed,
-        measured=(
-            f"a(1, r=2) {values['r=2']:.6f} > a(1, r=4) {values['r=4']:.6f} > "
-            f"a(1, inf) {values['inf']:.6f}"
-        ),
+        passed=a2 - a4 > 1e-4 and a4 - a_inf > 1e-4,
+        measured=f"a(1, r=2) {a2:.6f} > a(1, r=4) {a4:.6f} > a(1, inf) {a_inf:.6f}",
         tolerance="each gap > 1e-4",
         detail="tighter windows amplify the response to an admitted signal",
     )
@@ -192,8 +181,8 @@ def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_prop4(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     p = replace(params, low_var=30.0)
-    x = np.linspace(0.0, 8.0, 41)  # the signal's distance above the prior mean
-    a, _, _, _, _ = posterior_summaries(p.prior_mean + x, Radius(UNBOUNDED), p, cfg)
+    x = np.linspace(0.0, 8.0, 41)
+    a, _, _, _, _ = posterior_summaries(x, Radius(UNBOUNDED), p, cfg)
     i = int(np.argmax(a))
     interior = 0 < i < len(x) - 1
     a2 = float(np.interp(2.0, x, a))
@@ -240,11 +229,9 @@ def check_prop5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    worst = math.inf
-    for ds in (-2.0, -0.5, 0.5, 2.0):
-        s = params.prior_mean + ds
-        for a in optimal_action(s, Radius(UNBOUNDED), params, cfg).type_actions:
-            worst = min(worst, (a - params.prior_mean) * ds)
+    s = np.array([-2.0, -0.5, 0.5, 2.0])
+    _, _, _, a_h, a_l = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
+    worst = float(min(np.min(a_h * s), np.min(a_l * s)))
     return CheckResult(
         name="uds",
         passed=worst > 0.0,
@@ -255,13 +242,10 @@ def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_priorvar(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    s = params.prior_mean + 1.5
     wider = replace(params, prior_var=2.0 * params.prior_var)
-    base = optimal_action(s, Radius(UNBOUNDED), params, cfg).type_actions
-    wide = optimal_action(s, Radius(UNBOUNDED), wider, cfg).type_actions
-    worst = min(
-        abs(w - params.prior_mean) - abs(b - params.prior_mean) for b, w in zip(base, wide)
-    )
+    base = optimal_action(1.5, Radius(UNBOUNDED), params, cfg).type_actions
+    wide = optimal_action(1.5, Radius(UNBOUNDED), wider, cfg).type_actions
+    worst = min(abs(w) - abs(b) for b, w in zip(base, wide))
     return CheckResult(
         name="priorvar",
         passed=worst > 0.0,
@@ -272,10 +256,8 @@ def check_priorvar(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    s = params.prior_mean + 10.0
     value = abs(
-        float(prob_high_closed(s, params))
-        * float(uncensored_linear_action(s, params, "H") - params.prior_mean)
+        float(prob_high_closed(10.0, params)) * float(uncensored_linear_action(10.0, params, "H"))
     )
     return CheckResult(
         name="hvanish",
@@ -369,6 +351,12 @@ ALL_CHECKS = {
 def run_checks(
     params: ModelParams, cfg: NumericsConfig, names: list[str] | None = None
 ) -> list[CheckResult]:
+    """Run the named checks, all by default, on the standardized model:
+    prior mean 0, prior variance 1, signal variances divided by prior_var.
+    The model does not change when the state is moved or rescaled, so the
+    report is the same at any prior mean and in any unit of the state."""
+    high_var, low_var = params.high_var / params.prior_var, params.low_var / params.prior_var
+    standard = replace(params, prior_mean=0.0, prior_var=1.0, high_var=high_var, low_var=low_var)
     if names is None:
         names = list(ALL_CHECKS)
     unknown = [n for n in names if n not in ALL_CHECKS]
@@ -379,7 +367,7 @@ def run_checks(
     results = []
     for name in names:
         try:
-            results.append(ALL_CHECKS[name](params, cfg))
+            results.append(ALL_CHECKS[name](standard, cfg))
         except Exception as exc:  # a blown-up check is a failed check, not a crash
             results.append(
                 CheckResult(

@@ -25,6 +25,7 @@ from echochamber.model import (
     UNBOUNDED,
     is_unbounded,
 )
+from echochamber.normal_sampling import closed_form_objective
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
@@ -61,7 +62,7 @@ def test_zero_radius_admits_nothing() -> None:
     assert np.array_equal(expected_action(omegas, Radius(0.0), P, C), np.full(7, P.prior_mean))
 
 
-@pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5])
+@pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5, 1e10])
 def test_utilities_and_signal_moments_do_not_depend_on_the_prior_mean(prior_mean) -> None:
     # every integral is taken in deviations from the prior mean, so moving
     # the prior gives the same bits. Built about the prior mean instead, the
@@ -71,6 +72,11 @@ def test_utilities_and_signal_moments_do_not_depend_on_the_prior_mean(prior_mean
     for policy in (R_UNB, Radius(2.35), Radius(float(censor.scan_radii(P)[10]))):
         assert expected_utility(policy, moved, C) == expected_utility(policy, P, C), policy
         assert signal_moments_vs_r(moved, policy, C) == signal_moments_vs_r(P, policy, C), policy
+    # the soft window's quadrature branch: its two-step rule, taken in
+    # absolute signals and back, moved by 6.2e-8 at a prior mean of 1e10
+    p300 = replace(P, low_var=300.0)
+    moved = replace(p300, prior_mean=prior_mean)
+    assert closed_form_objective(moved, 2.0, C) == closed_form_objective(p300, 2.0, C)
 
 
 def test_expected_utility_low_dispersion_regime(oracle: dict) -> None:
@@ -217,6 +223,22 @@ def test_scan_keeps_the_benchmark_unless_a_candidate_beats_it_by_tol(fn) -> None
         lambda x: 0.0 if x is UNBOUNDED else fn(x), np.geomspace(0.25, 20.0, 32), 1.0, "test"
     )
     assert res.r_star is UNBOUNDED and not res.is_finite, res
+
+
+@pytest.mark.parametrize("surplus, peak", [(0.5e-6, 0.25), (2e-6, 5.0)])
+def test_scan_prefers_the_smaller_argument_within_tol(surplus, peak) -> None:
+    # a peak at the first scan point (the boundary bracket, refined last)
+    # and an interior peak at 5 that is higher by surplus: within the tie
+    # tolerance INVARIANT_TOL * unit = 1e-6 the smaller argument wins
+    def fn(x) -> float:
+        if x is UNBOUNDED:
+            return 0.0
+        return math.exp(-(((x - 0.25) / 0.1) ** 2)) + (1.0 + surplus) * math.exp(
+            -(((x - 5.0) / 0.5) ** 2)
+        )
+
+    res = censor._scan_then_refine(fn, np.geomspace(0.25, 20.0, 32), 1.0, "test")
+    assert res.is_finite and abs(res.r_star - peak) < 1e-3, res
 
 
 def test_utility_converges_at_scan_bound_as_stated() -> None:
