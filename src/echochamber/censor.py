@@ -108,21 +108,22 @@ def _checked(what: str, evaluate, unit: float, cfg: NumericsConfig):
     (Kronrod, embedded Gauss) pair from one kernel pass, after its self-check:
     the two are finite and differ by at most 1e3 * ABS_TOL * unit
     everywhere. unit is the scale of the quantity: prior_var for a utility,
-    its square root for an action. A pair that fails is evaluated again by
+    its square root for an action, or an array of scales, one per entry of
+    a result of several quantities. A pair that fails is evaluated again by
     the same rule at twice the order, quad_nodes doubled on both axes, and
     that pair decides; if it fails too, QuadratureError names what and the
     first pair's worst point (its first NaN, if any). Only the evaluators
-    call it (expected_utility, expected_action and the quadrature branch of
-    normal_sampling.closed_form_objective), so every value they return has
-    passed it, and no other code re-evaluates."""
+    call it (expected_utility, signal_moments_vs_r, expected_action and the
+    quadrature branch of normal_sampling.closed_form_objective), so every
+    value they return has passed it, and no other code re-evaluates."""
     for c in (cfg, replace(cfg, quad_nodes=2 * cfg.quad_nodes)):
         pair = evaluate(c)
-        gap = np.ravel(np.abs(np.subtract(*pair)))
+        gap = np.abs(np.subtract(*pair))
         if np.all(gap <= 1e3 * ABS_TOL * unit):
             return pair[0]
         if c is cfg:
             kronrod, gauss = pair
-            k = int(np.argmax(gap))  # the first NaN, if any
+            k = int(np.argmax(np.ravel(gap / unit)))  # the first NaN, if any
     raise QuadratureError(
         f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
         f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
@@ -260,17 +261,27 @@ def signal_moments_vs_r(
     params: ModelParams, policy: Radius, cfg: NumericsConfig
 ) -> tuple[float, float]:
     """Variance of the admitted signal and its correlation with the state,
-    under the state-marginal-preserving joint, by double quadrature."""
+    under the state-marginal-preserving joint, by double quadrature. Both
+    pass the Kronrod-Gauss self-check, the variance in units of prior_var
+    and the correlation in units of 1, or QuadratureError is raised."""
     if not policy.unbounded and policy.r == 0.0:
         return 0.0, 0.0
-    s, p, mean, m2 = signal_law(policy, params, cfg)
-    p, mean, m2 = p[0], mean[0], m2[0]  # the Kronrod rule
-    mean_s, mean_om = float(p @ s), float(p @ mean)
-    var_s = max(float(p @ (s * s)) - mean_s**2, 0.0)
-    var_om = max(float(p @ m2) - mean_om**2, 0.0)
-    cov = float(p @ (s * mean)) - mean_s * mean_om
-    corr = cov / math.sqrt(var_s * var_om) if var_s > 0.0 and var_om > 0.0 else 0.0
-    return var_s, float(np.clip(corr, -1.0, 1.0))
+
+    def moments(s, p, mean, m2):
+        mean_s, mean_om = float(p @ s), float(p @ mean)
+        var_s = max(float(p @ (s * s)) - mean_s**2, 0.0)
+        var_om = max(float(p @ m2) - mean_om**2, 0.0)
+        cov = float(p @ (s * mean)) - mean_s * mean_om
+        corr = cov / math.sqrt(var_s * var_om) if var_s > 0.0 and var_om > 0.0 else 0.0
+        return var_s, float(np.clip(corr, -1.0, 1.0))
+
+    def evaluate(c: NumericsConfig) -> np.ndarray:
+        s, *law = signal_law(policy, params, c)
+        return np.array([moments(s, *rule) for rule in zip(*law)])  # Kronrod, Gauss
+
+    units = np.array([params.prior_var, 1.0])
+    var_s, corr = _checked("signal moments", evaluate, units, cfg)
+    return float(var_s), float(corr)
 
 
 def expected_action(

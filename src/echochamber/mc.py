@@ -250,13 +250,9 @@ def _estimate(stat: np.ndarray) -> McEstimate:
 
 def mc_expected_utility(draws: DrawSet, action_map, params: ModelParams) -> McEstimate:
     """Mean quadratic loss (negated) of an action rule over the accepted
-    records. action_map must accept a signal array. It is evaluated on the
-    sorted signals, where a spline's interval search is cheap, and each
-    action goes back to its record, so the sum runs in record order."""
-    order = np.argsort(draws.accepted_signals)
-    actions = np.empty(len(order))
-    actions[order] = action_map(draws.accepted_signals[order])
-    loss = -((draws.accepted_states - actions) ** 2)
+    records, summed in record order. action_map must accept a signal
+    array."""
+    loss = -((draws.accepted_states - action_map(draws.accepted_signals)) ** 2)
     return _estimate(loss)
 
 

@@ -147,6 +147,14 @@ class NormalWeight:
 SamplingPolicy = Union[Radius, NormalWeight]
 
 
+def is_even(policy: SamplingPolicy) -> bool:
+    """Whether the policy, given in deviations from the prior mean, admits
+    a signal x exactly as it admits -x: every Radius, and a soft window
+    centred on the prior mean. Sources are unbiased, so under such a policy
+    the joint of (state, admitted signal) is even under (d, x) -> (-d, -x)."""
+    return isinstance(policy, Radius) or (isinstance(policy, NormalWeight) and policy.mean == 0.0)
+
+
 @dataclass(frozen=True)
 class NumericsConfig:
     quad_nodes: int = 7  # Gauss order n of the G_n/K_(2n+1) pair on each panel

@@ -30,6 +30,11 @@ same evaluations, the coarser Gauss result that checks it.
 
 Window ends and the soft-window centre are always panel edges, never
 interior nodes, because the integrands are not smooth there.
+
+For an even policy (model.is_even: every Radius, and a soft window centred
+on the prior mean) the signal rule is built on the non-negative panels and
+mirrored, so its nodes come in exact +/- pairs with mirrored weights. The
+kernel then reduces each |signal| once (inference._policy_pieces).
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy
+from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy, is_even
 
 GRADES = (0.5, 1.0, 2.0, 4.0, 8.0)
 STATE_CAP_SDS = 3.0
@@ -152,4 +157,9 @@ def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
         # no wider than the unrestricted marginal, within a few window sds
         scales += (math.sqrt(policy.var),)
         halfwidth, breaks = halfwidth + abs(policy.mean), (policy.mean,)
-    return paneled_rule(panel_edges(halfwidth, scales, breaks), cfg.quad_nodes)
+    edges = panel_edges(halfwidth, scales, breaks)
+    if not is_even(policy):
+        return paneled_rule(edges, cfg.quad_nodes)
+    # the edges are symmetric about 0: rule the non-negative half, mirror it
+    nodes, w = paneled_rule(edges[edges >= 0.0], cfg.quad_nodes)
+    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((w[:, ::-1], w), axis=1)

@@ -368,7 +368,10 @@ def _log_domain_moments(s_values, policy, params):
     ids=["defaults", "paper-example", "low_var=3e5", "high_var=0.01", "prior_var=25", "h=0.2"],
 )
 def test_linear_mix_matches_log_domain_reference(params) -> None:
-    for policy in (Radius(2.35), R_UNB, NormalWeight(0.0, 2.0)):
+    # the reference reduces every signal as it is; the kernel folds the
+    # three even policies onto |x| and reduces the soft window off the
+    # prior mean, NormalWeight(1.5, 2.0), over every signal
+    for policy in (Radius(2.35), R_UNB, NormalWeight(0.0, 2.0), NormalWeight(1.5, 2.0)):
         s_nodes, _ = signal_rule(policy, params, C)
         logz, mean, m2 = _policy_pieces(s_nodes, policy, params, C)
         want_logz, want_mean, want_m2 = _log_domain_moments(s_nodes, policy, params)
@@ -381,12 +384,16 @@ def test_linear_mix_matches_log_domain_reference(params) -> None:
     "policy", [R_UNB, Radius(0.5), NormalWeight(0.0, 2.0)], ids=["unbounded", "r=0.5", "normal-weight"]
 )
 def test_blocked_tensor_is_bit_identical_to_one_block(policy, monkeypatch) -> None:
-    # 480, 60 and 480 signals at the defaults, in blocks of 47; a cell
-    # budget above the tensor's size builds and reduces it in one block.
-    # Each signal's row is reduced in an order fixed by its length, so a
-    # signal alone gets the bits it gets among all the others
+    # 480, 60 and 510 signals at the defaults, folded onto 240, 30 and 255
+    # magnitudes, in blocks of 11 at a budget of 2^13 cells (the default
+    # budget takes r = 0.5 in one block); a cell budget above the tensor's
+    # size builds and reduces it in one block. Each signal's row is reduced
+    # in an order fixed by its length, so a signal alone gets the bits it
+    # gets among all the others
+    monkeypatch.setattr(inference, "_BLOCK_CELLS", 2**13)
     s_nodes, _ = signal_rule(policy, P, C)
-    assert len(state_rule(P, C)[0]) * len(s_nodes) > inference._BLOCK_CELLS
+    magnitudes = np.unique(np.abs(s_nodes))
+    assert len(state_rule(P, C)[0]) * len(magnitudes) > 2 * inference._BLOCK_CELLS
     omegas = np.linspace(-3.0, 3.0, 13)
 
     def outputs():
@@ -408,6 +415,24 @@ def test_blocked_tensor_is_bit_identical_to_one_block(policy, monkeypatch) -> No
     assert len(blocked) == len(whole) == 13
     for i, (a, b) in enumerate(zip(blocked, whole)):
         assert np.array_equal(a, b), i
+
+
+@pytest.mark.parametrize(
+    "policy", [R_UNB, Radius(0.5), NormalWeight(0.0, 2.0)], ids=["unbounded", "r=0.5", "normal-weight"]
+)
+def test_policy_pieces_mirror_exactly_under_an_even_policy(policy) -> None:
+    # the joint is even under (d, x) -> (-d, -x), so the kernel reduces |x|
+    # once: -x gets the log mass and second moment of x and its mean
+    # negated, bit for bit, alone or in a batch with x
+    x = np.array([0.45, 0.3, 0.2, 0.3])
+    for types in (False, True):
+        plus = _policy_pieces(x, policy, P, C, types=types)
+        minus = _policy_pieces(-x, policy, P, C, types=types)
+        both = _policy_pieces(np.concatenate((-x, x)), policy, P, C, types=types)
+        assert np.array_equal(minus[0], plus[0]) and np.array_equal(minus[2], plus[2])
+        assert np.array_equal(minus[1], -plus[1])
+        for a, b, ab in zip(minus, plus, both):
+            assert np.array_equal(np.concatenate((a, b), axis=1), ab)
 
 
 def test_zero_high_share_is_the_low_type_conjugate() -> None:

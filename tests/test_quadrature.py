@@ -207,6 +207,21 @@ def test_window_ends_and_centre_are_panel_edges() -> None:
                 assert abs(w[nodes > 0.0].sum() - r) < 1e-12 * r
 
 
+@pytest.mark.parametrize("params", [P, replace(P, low_var=300.0)], ids=["defaults", "sigmaL2=300"])
+def test_even_policies_have_mirrored_signal_rules(params) -> None:
+    # an even policy's rule is built on the non-negative panels and
+    # mirrored: nodes in exact +/- pairs, mirrored weights, and the node
+    # counts of the whole-axis rule (480, 60, 240 and 510 at the defaults)
+    policies = {Radius(UNBOUNDED): 480, Radius(0.5): 60, Radius(2.35): 240, NormalWeight(0.0, 2.0): 510}
+    for policy, count in policies.items():
+        nodes, weights = signal_rule(policy, params, C)
+        assert np.array_equal(nodes, -nodes[::-1]), policy
+        assert np.array_equal(weights, weights[:, ::-1]), policy
+        assert np.all(np.diff(nodes) > 0.0), policy
+        if params is P:
+            assert len(nodes) == count, policy
+
+
 def test_state_panels_near_the_prior_resolve_the_high_type_posterior() -> None:
     p = replace(P, high_var=0.01, low_var=300.0)
     nodes, weights = state_rule(p, C)

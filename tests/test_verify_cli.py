@@ -180,7 +180,7 @@ def test_cli_optimize_radius_self_check_is_relative_to_prior_var(capsys) -> None
 
 @pytest.mark.parametrize(
     ("params", "r_star"),
-    [("sigmaH2=0.01,sigmaL2=3e5", "3.52042357924"), ("sigmaH2=0.03,sigmaL2=3e5", "3.30802550949")],
+    [("sigmaH2=0.01,sigmaL2=3e5", "3.52042358085"), ("sigmaH2=0.03,sigmaL2=3e5", "3.30802550942")],
 )
 def test_cli_optimize_radius_refines_a_refused_scan_point(capsys, params, r_star) -> None:
     # a scan point here fails the check on the rule as configured (the
@@ -355,6 +355,20 @@ def test_cli_figures_radius_curves_do_not_depend_on_the_prior_mean(capsys, tmp_p
         rows.append([_read_csv(out / f"{fig}.csv")[1:] for fig in ("fig2", "fig3")])
     capsys.readouterr()
     assert rows[0] == rows[1]
+
+
+def test_cli_figures_fig3_signal_axis_gap_exits_3(capsys, tmp_path) -> None:
+    # at r = 1.7 fig3's signal variance is 0.746 under the Kronrod rule, for
+    # 0.848 under a 29822-node uniform rule; its Kronrod-Gauss gap is 0.081,
+    # and 0.114 at twice the order, so fig3 refuses it instead of printing it
+    code = main(
+        ["figures", "--only", "fig3", "--format", "csv", "--out", str(tmp_path),
+         "--params", "sigmaH2=5e-5,sigmaL2=3e-4"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "figure fig3 aborted" in err and "signal moments failed its self-check" in err
+    assert not (tmp_path / "fig3.csv").exists()
 
 
 def test_cli_figures_fig5_far_from_prior_exits_3(capsys, tmp_path) -> None:
