@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _centred, _linear_mix, _log_terms, _moments, _policy_pieces
+from .inference import _linear_mix, _log_terms, _moments, _policy_pieces
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -64,13 +64,13 @@ class OptimumResult:
 
 
 def signal_law(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    """The admitted-signal law on the signal nodes of a centred policy
-    (inference._centred), by double quadrature: returns (x_nodes, p, mean,
-    m2), where p holds the probability weights of the nodes (each row
-    summing to one) and mean, m2 the posterior first and second state
-    moments at each node, all in deviations from the prior mean. p, mean and
-    m2 have two rows: row 0 from the Kronrod rule, row 1 from the embedded
-    Gauss rule on both axes, both reduced from the same blocks. A far-tail
+    """The admitted-signal law on the policy's signal nodes, by double
+    quadrature: returns (x_nodes, p, mean, m2), where p holds the
+    probability weights of the nodes (each row summing to one) and mean, m2
+    the posterior first and second state moments at each node, all in
+    deviations from the prior mean, as a soft window's mean is given. p,
+    mean and m2 have two rows: row 0 from the Kronrod rule, row 1 from the
+    embedded Gauss rule on both axes, both reduced from the same blocks. A far-tail
     node whose posterior falls between the state nodes of a rule has no
     mass under that rule, and zero moments."""
     x_nodes, x_w = signal_rule(policy, params, cfg)
@@ -97,7 +97,7 @@ def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
     the centred model, like the posterior moments it is scored against."""
     from .normal_sampling import naive_action
 
-    policy, params = _centred(policy, params), replace(params, prior_mean=0.0)
+    params = replace(params, prior_mean=0.0)
     x_nodes, p, mean, m2 = signal_law(policy, params, cfg)
     action = naive_action(x_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
@@ -296,7 +296,7 @@ def expected_action(
     omegas = np.asarray(omegas, dtype=float)
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return np.full(omegas.shape, m)
-    policy, d = _centred(policy, params), omegas[:, None] - m
+    d = omegas[:, None] - m
 
     def evaluate(c: NumericsConfig) -> np.ndarray:
         x_nodes, x_w = signal_rule(policy, params, c)

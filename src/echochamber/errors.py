@@ -27,7 +27,8 @@ class NumericFailure(RuntimeError):
 
 
 class QuadratureError(NumericFailure):
-    """The double quadrature degenerated, or a value of expected_utility,
+    """The double quadrature degenerated, its state rule would exceed
+    quadrature.MAX_STATE_NODES nodes, or a value of expected_utility,
     expected_action or the soft-window objective failed its self-check:
     its Kronrod value and the embedded Gauss value from the same tensor
     differ by more than 1e3 * ABS_TOL in the quantity's unit (prior_var

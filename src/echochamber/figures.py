@@ -1,10 +1,14 @@
 """Figure data builders and their CSV/SVG serializations.
 
+Every figure is drawn on the standardized model (model.standard), so it
+is the same at any prior mean and in any unit of the state: signals,
+states, radii and actions are in prior sds from the prior mean, utilities
+and variances in units of prior_var, and fig1's densities per prior sd.
 Comparison figures that need a fixed finite window use REFERENCE_RADIUS,
 the half-width highlighted throughout the default parameterization. CSV
-output carries a single comment header with the full parameter set and the
-package version, then the column row, then values at 12 significant digits;
-no timestamps, so reruns are byte-identical.
+output carries a single comment header with the parameter set as given
+and the package version, then the column row, then values at 12
+significant digits; no timestamps, so reruns are byte-identical.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from .model import (
     NumericsConfig,
     Radius,
     norm_logpdf,
+    standard,
 )
 from .svgplot import render_lines
 
@@ -40,9 +45,9 @@ class FigureData:
 
 def fig1_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     hw = 4.0 * math.sqrt(max(params.high_var, params.low_var))
-    s = np.linspace(params.prior_mean - hw, params.prior_mean + hw, 321)
-    f_h = np.exp(norm_logpdf(s, params.prior_mean, params.high_var))
-    f_l = np.exp(norm_logpdf(s, params.prior_mean, params.low_var))
+    s = np.linspace(-hw, hw, 321)
+    f_h = np.exp(norm_logpdf(s, 0.0, params.high_var))
+    f_l = np.exp(norm_logpdf(s, 0.0, params.low_var))
     f_mix = params.high_share * f_h + (1.0 - params.high_share) * f_l
     rows = [tuple(map(float, row)) for row in zip(s, f_h, f_l, f_mix)]
     return FigureData(
@@ -87,10 +92,9 @@ def fig3_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 
 def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
-    x = np.linspace(-6.0, 6.0, 121)  # the signal less the prior mean
-    s = x + params.prior_mean
+    s = np.linspace(-6.0, 6.0, 121)
     a_u, _, _, ah_u, al_u = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
-    inside = np.abs(x) < REFERENCE_RADIUS
+    inside = np.abs(s) < REFERENCE_RADIUS
     a_c, _, _, ah_c, al_c = posterior_summaries(s[inside], Radius(REFERENCE_RADIUS), params, cfg)
     censored = zip(a_c.tolist(), ah_c.tolist(), al_c.tolist())
     if 0.0 < params.high_share < 1.0:
@@ -113,7 +117,7 @@ def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 
 def fig5_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
-    omegas = np.linspace(-4.0, 4.0, 81) + params.prior_mean
+    omegas = np.linspace(-4.0, 4.0, 81)
     ea_c, ea_u = (
         expected_action(omegas, Radius(r), params, cfg) for r in (REFERENCE_RADIUS, UNBOUNDED)
     )
@@ -140,7 +144,7 @@ FIGURES = {
 def build_figure(fig_id: str, params: ModelParams, cfg: NumericsConfig) -> FigureData:
     if fig_id not in FIGURES:
         raise KeyError(f"unknown figure {fig_id!r}; available: {', '.join(FIGURES)}")
-    return FIGURES[fig_id](params, cfg)
+    return FIGURES[fig_id](standard(params), cfg)
 
 
 def _cell(value) -> str:

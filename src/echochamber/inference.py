@@ -93,14 +93,6 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 _BLOCK_CELLS = 2**15
 
 
-def _centred(policy: SamplingPolicy, params: ModelParams) -> SamplingPolicy:
-    """The policy as the kernel takes it: in deviations from the prior mean,
-    like the kernel's states and signals. Only a soft window's mean moves."""
-    if isinstance(policy, NormalWeight):
-        return NormalWeight(policy.mean - params.prior_mean, policy.var)
-    return policy
-
-
 def _log_terms(d, x, policy: SamplingPolicy, params: ModelParams):
     """The policy's log joint of (state, admitted signal), in pieces, at the
     state's and the signal's deviations d and x from the prior mean.
@@ -266,7 +258,7 @@ def posterior_summaries(
     x = np.atleast_1d(np.asarray(s_values, dtype=float)) - m
     # the per-type rows reduce their own exponentials, so the mixed action
     # and the type actions come from separate floating-point passes
-    logz, mean, m2 = _policy_pieces(x, _centred(policy, params), params, cfg, types=True)
+    logz, mean, m2 = _policy_pieces(x, policy, params, cfg, types=True)
     post_var = np.maximum(m2[0] - mean[0] ** 2, 0.0)
     # prob_high through the log-odds so extreme signals stay in [0, 1]
     lh, ll = _log_weights(params)
@@ -309,7 +301,7 @@ def posterior_density(
 ):
     """Normalized posterior density of the state at omega, given signal s."""
     _check_support(s, policy, params)
-    m, policy = params.prior_mean, _centred(policy, params)
+    m = params.prior_mean
     log_norm = _policy_pieces(np.array([s - m], dtype=float), policy, params, cfg)[0][0, 0]
     tilt, like_H, like_L = _log_terms(np.subtract(omega, m), s - m, policy, params)
     lh, ll = _log_weights(params)
@@ -327,7 +319,7 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     windowed = isinstance(policy, Radius) and not policy.unbounded
     if windowed and policy.r == 0.0:
         raise DegenerateRadiusError("r = 0 admits no signal")
-    nodes, _ = signal_rule(_centred(policy, params), params, cfg)
+    nodes, _ = signal_rule(policy, params, cfg)
     if windowed:
         # the window edges are knots too, so no admitted signal extrapolates
         nodes = np.concatenate(([-policy.r], nodes, [policy.r]))

@@ -114,7 +114,8 @@ def _admission(policy: SamplingPolicy, params: ModelParams):
             return 2, lambda s, u: np.ones(s.shape, dtype=bool)
         return 2, lambda s, u: np.abs(s - params.prior_mean) < policy.r
     if isinstance(policy, NormalWeight):
-        return 3, lambda s, u: u[:, 2] < np.exp(-((s - policy.mean) ** 2) / (2.0 * policy.var))
+        centre = params.prior_mean + policy.mean
+        return 3, lambda s, u: u[:, 2] < np.exp(-((s - centre) ** 2) / (2.0 * policy.var))
     raise TypeError(f"unsupported policy {policy!r}")
 
 
@@ -295,7 +296,7 @@ def grid_posterior_oracle(
     d = np.abs(omega - params.prior_mean)
     sq = (s - omega) ** 2
     if isinstance(policy, NormalWeight):
-        sq_window = (omega - policy.mean) ** 2
+        sq_window = (omega - (params.prior_mean + policy.mean)) ** 2
     log_mix, log_admit = [], []
     for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
         if share == 0.0:

@@ -29,7 +29,7 @@ passes exponentiate under their own maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -92,6 +92,9 @@ class ModelParams:
         _check_positive_finite("prior_var", self.prior_var)
         _check_positive_finite("high_var", self.high_var)
         _check_positive_finite("low_var", self.low_var)
+        # every result depends on the variances only through these ratios
+        _check_positive_finite("high_var/prior_var", self.high_var / self.prior_var)
+        _check_positive_finite("low_var/prior_var", self.low_var / self.prior_var)
         if not 0.0 <= self.high_share <= 1.0:
             raise ValueError(f"high_share must lie in [0, 1], got {self.high_share!r}")
         if self.high_var > self.low_var:
@@ -131,7 +134,9 @@ class Radius:
 @dataclass(frozen=True)
 class NormalWeight:
     """Soft policy: a signal s is admitted with probability
-    exp(-(s - mean)^2 / (2 var)). No restriction is Radius(UNBOUNDED)."""
+    exp(-(s - prior_mean - mean)^2 / (2 var)), so mean is the offset of the
+    window centre from the prior mean, as Radius.r is a half-width about
+    it. No restriction is Radius(UNBOUNDED)."""
 
     mean: float
     var: float
@@ -148,10 +153,10 @@ SamplingPolicy = Union[Radius, NormalWeight]
 
 
 def is_even(policy: SamplingPolicy) -> bool:
-    """Whether the policy, given in deviations from the prior mean, admits
-    a signal x exactly as it admits -x: every Radius, and a soft window
-    centred on the prior mean. Sources are unbiased, so under such a policy
-    the joint of (state, admitted signal) is even under (d, x) -> (-d, -x)."""
+    """Whether the policy admits a signal x from the prior mean exactly as
+    it admits -x: every Radius, and a soft window centred on the prior mean
+    (offset 0). Sources are unbiased, so under such a policy the joint of
+    (state, admitted signal) is even under (d, x) -> (-d, -x)."""
     return isinstance(policy, Radius) or (isinstance(policy, NormalWeight) and policy.mean == 0.0)
 
 
@@ -172,6 +177,13 @@ class NumericsConfig:
 
 DEFAULT_PARAMS = ModelParams()
 DEFAULT_NUMERICS = NumericsConfig()
+
+
+def standard(params: ModelParams) -> ModelParams:
+    """The same model in prior sds from the prior mean: prior mean 0,
+    prior variance 1, signal variances divided by prior_var."""
+    high_var, low_var = params.high_var / params.prior_var, params.low_var / params.prior_var
+    return replace(params, prior_mean=0.0, prior_var=1.0, high_var=high_var, low_var=low_var)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def naive_prob_high(s, params: ModelParams, policy: NormalWeight):
     logs = {}
     for q in ("H", "L"):
         _, lam, sig_gq2 = _per_type(params, policy, q)
-        mean = lam * params.prior_mean + (1.0 - lam) * policy.mean
+        mean = params.prior_mean + (1.0 - lam) * policy.mean
         var = lam * lam * params.prior_var + sig_gq2
         logs[q] = norm_logpdf(s, mean, var)
     lh, ll = _log_weights(params)
@@ -114,7 +114,7 @@ def closed_form_objective(
         raise ValueError(f"sampling variance must be nonnegative, got {v!r}")
     if v == 0.0:
         return -params.prior_var
-    policy = NormalWeight(mean=params.prior_mean, var=v)
+    policy = NormalWeight(mean=0.0, var=v)
     if _degenerate(params):
         return _closed_form_value(params, policy)
     objective = lambda c: -_naive_loss(policy, params, c)  # noqa: E731
@@ -127,7 +127,7 @@ def single_type_objective_offcenter(
     """Single-type closed form for a window centered offset away from the
     prior mean; the off-center penalty enters through the attenuation
     factor."""
-    policy = NormalWeight(mean=params.prior_mean + offset, var=sampling_var)
+    policy = NormalWeight(mean=offset, var=sampling_var)
     alpha, lam, sig_gq2 = _per_type(params, policy, q)
     s0 = params.prior_var
     return -(

@@ -22,11 +22,13 @@ same evaluations, the coarser Gauss result that checks it.
   scales the prior sd, both signal sds and the high-type posterior sd.
   Inside the prior's SUPPORT_SDS-sd band, where the narrow high-type
   posterior of any admitted signal sits, no panel is wider than
-  STATE_CAP_SDS high-type posterior sds.
+  STATE_CAP_SDS high-type posterior sds. That grows as
+  sqrt(prior_var/high_var), so a rule of more than MAX_STATE_NODES nodes
+  is refused.
 - Signal axis: the window, or SUPPORT_SDS x sqrt(prior_var + low_var)
   widened by a soft window's offset; scales the two marginal signal sds,
-  sqrt(high_var) and a soft window's sd. A soft window's mean is given
-  in deviations too, as its offset from the prior mean.
+  sqrt(high_var) and a soft window's sd. A soft window's mean is its
+  offset from the prior mean (model.NormalWeight), a deviation already.
 
 Window ends and the soft-window centre are always panel edges, never
 interior nodes, because the integrands are not smooth there.
@@ -43,11 +45,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import QuadratureError
 from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy, is_even
 
 GRADES = (0.5, 1.0, 2.0, 4.0, 8.0)
 STATE_CAP_SDS = 3.0
 SUPPORT_SDS = 10.0
+MAX_STATE_NODES = 2**20  # 8 MiB a row; larger rules are refused, not built
 
 
 @lru_cache(maxsize=32)
@@ -121,32 +125,34 @@ def panel_edges(halfwidth: float, scales, breaks=()) -> np.ndarray:
     return np.unique(points[np.abs(points) <= halfwidth])
 
 
-def _capped(edges: np.ndarray, lo: float, hi: float, width: float) -> np.ndarray:
-    """Split every panel inside [lo, hi] into equal parts no wider than
-    width."""
-    out = [edges[:1]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        parts = math.ceil((b - a) / width) if lo <= a and b <= hi else 1
-        out.append(np.linspace(a, b, parts + 1)[1:])
-    return np.concatenate(out)
-
-
 @lru_cache(maxsize=128)
 def state_rule(params: ModelParams, cfg: NumericsConfig):
     """Quadrature rule over the state's deviation from the prior mean; see
-    the module docstring."""
+    the module docstring. A rule of more than MAX_STATE_NODES nodes raises
+    QuadratureError before any of it is built."""
     pv, hv, lv = params.prior_var, params.high_var, params.low_var
     post_sd = math.sqrt(pv * hv / (pv + hv))
     near = SUPPORT_SDS * math.sqrt(pv)
     scales = (math.sqrt(pv), math.sqrt(hv), math.sqrt(lv), post_sd)
     edges = panel_edges(SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (-near, near))
-    edges = _capped(edges, -near, near, STATE_CAP_SDS * post_sd)
+    # split every panel inside the band into equal parts no wider than the cap
+    spans = list(zip(edges[:-1], edges[1:]))
+    width = STATE_CAP_SDS * post_sd
+    parts = [math.ceil((b - a) / width) if -near <= a and b <= near else 1 for a, b in spans]
+    size = sum(parts) * (2 * cfg.quad_nodes + 1)
+    if size > MAX_STATE_NODES:
+        raise QuadratureError(
+            f"the state rule would need {size:.4g} nodes, more than {MAX_STATE_NODES}, "
+            f"at high_var/prior_var = {hv / pv:.6g}"
+        )
+    pieces = [np.linspace(a, b, k + 1)[1:] for (a, b), k in zip(spans, parts)]
+    edges = np.concatenate([edges[:1]] + pieces)
     return paneled_rule(edges, cfg.quad_nodes)
 
 
 def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
     """Signal rule over the deviations from the prior mean of the signals
-    the policy, given in deviations, admits."""
+    the policy admits."""
     pv, hv, lv = params.prior_var, params.high_var, params.low_var
     scales = (math.sqrt(pv + hv), math.sqrt(pv + lv), math.sqrt(hv))
     halfwidth, breaks = SUPPORT_SDS * math.sqrt(pv + lv), ()

@@ -32,6 +32,7 @@ from .model import (
     NormalWeight,
     NumericsConfig,
     Radius,
+    standard,
 )
 
 
@@ -351,12 +352,10 @@ ALL_CHECKS = {
 def run_checks(
     params: ModelParams, cfg: NumericsConfig, names: list[str] | None = None
 ) -> list[CheckResult]:
-    """Run the named checks, all by default, on the standardized model:
-    prior mean 0, prior variance 1, signal variances divided by prior_var.
-    The model does not change when the state is moved or rescaled, so the
-    report is the same at any prior mean and in any unit of the state."""
-    high_var, low_var = params.high_var / params.prior_var, params.low_var / params.prior_var
-    standard = replace(params, prior_mean=0.0, prior_var=1.0, high_var=high_var, low_var=low_var)
+    """Run the named checks, all by default, on the standardized model
+    (model.standard), so the report is the same at any prior mean and in
+    any unit of the state."""
+    params = standard(params)
     if names is None:
         names = list(ALL_CHECKS)
     unknown = [n for n in names if n not in ALL_CHECKS]
@@ -367,7 +366,7 @@ def run_checks(
     results = []
     for name in names:
         try:
-            results.append(ALL_CHECKS[name](standard, cfg))
+            results.append(ALL_CHECKS[name](params, cfg))
         except Exception as exc:  # a blown-up check is a failed check, not a crash
             results.append(
                 CheckResult(

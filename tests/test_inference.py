@@ -307,19 +307,16 @@ def test_absolute_actions_move_with_the_prior_mean(prior_mean) -> None:
     moved = replace(P, prior_mean=prior_mean)
     tol = 1e-12 + np.spacing(prior_mean)
     omegas = np.array([-1.2, 0.0, 2.5])
-    for policy, shifted in (
-        (R_UNB, R_UNB),
-        (Radius(2.35), Radius(2.35)),
-        (NormalWeight(0.5, 2.0), NormalWeight(prior_mean + 0.5, 2.0)),
-    ):
+    # a soft window's mean is an offset from the prior mean, like a radius
+    for policy in (R_UNB, Radius(2.35), NormalWeight(0.5, 2.0)):
         for d in (-1.5, 0.0, 1.0, 2.25):
             want = optimal_action(d, policy, P, C)
-            got = optimal_action(prior_mean + d, shifted, moved, C)
+            got = optimal_action(prior_mean + d, policy, moved, C)
             assert abs((got.action - prior_mean) - want.action) <= tol, (policy, d)
             assert abs(got.posterior_var - want.posterior_var) <= 1e-12, (policy, d)
-        got = expected_action(prior_mean + omegas, shifted, moved, C) - prior_mean
+        got = expected_action(prior_mean + omegas, policy, moved, C) - prior_mean
         assert np.max(np.abs(got - expected_action(omegas, policy, P, C))) <= tol, policy
-        density = posterior_density(prior_mean + omegas, prior_mean + 1.0, shifted, moved, C)
+        density = posterior_density(prior_mean + omegas, prior_mean + 1.0, policy, moved, C)
         assert np.allclose(density, posterior_density(omegas, 1.0, policy, P, C), rtol=1e-9)
 
 

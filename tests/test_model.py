@@ -52,6 +52,19 @@ def test_invalid_parameters_rejected(kwargs: dict) -> None:
         replace(DEFAULT_PARAMS, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, ratio",
+    [
+        ({"prior_var": 1e308, "high_var": 1e-20}, "high_var/prior_var"),
+        ({"prior_var": 1e-300, "high_var": 1e-300, "low_var": 1e10}, "low_var/prior_var"),
+    ],
+)
+def test_variance_ratios_must_be_positive_finite_doubles(kwargs: dict, ratio: str) -> None:
+    # every result depends on the variances through these ratios alone
+    with pytest.raises(ValueError, match=f"{ratio} must be strictly positive and finite"):
+        ModelParams(**kwargs)
+
+
 def test_variance_ordering_rejected_not_swapped() -> None:
     with pytest.raises(ValueError, match="high_var"):
         ModelParams(

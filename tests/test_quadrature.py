@@ -20,7 +20,6 @@ import pytest
 from echochamber.censor import _bayes_loss, expected_utility
 from echochamber.errors import QuadratureError
 from echochamber.inference import (
-    _centred,
     _policy_pieces,
     optimal_action,
     prob_high_closed,
@@ -323,10 +322,9 @@ def test_quadrature_matches_oracles_across_the_domain(point: dict) -> None:
     eu_r = expected_utility(Radius(r), p, C)
     assert -p.prior_var <= eu_r <= 0.0, (r, eu_r)
     # the tilt -log D_r(omega) gives every state back its prior mass, so
-    # the unnormalised joint mass is 1; the kernel takes policies in
-    # deviations from the prior mean
-    soft = NormalWeight(mean=p.prior_mean, var=r * r)
-    for policy in (Radius(r), R_UNB, _centred(soft, p)):
+    # the unnormalised joint mass is 1
+    soft = NormalWeight(0.0, r * r)
+    for policy in (Radius(r), R_UNB, soft):
         s_nodes, s_w = signal_rule(policy, p, C)
         logz = _policy_pieces(s_nodes, policy, p, C)[0]
         mass = s_w[0] @ np.exp(logz[0])

@@ -345,16 +345,31 @@ def test_cli_verify_does_not_depend_on_the_prior_mean(capsys) -> None:
 
 
 def test_cli_figures_radius_curves_do_not_depend_on_the_prior_mean(capsys, tmp_path) -> None:
-    # fig2 (utility) and fig3 (signal moments) are curves over the radius,
-    # the same rows wherever the prior sits; omega0=10 used to exit 1
-    rows = []
-    for omega0 in ("0", "10"):
-        out = tmp_path / omega0
-        argv = ["figures", "--only", "fig2,fig3", "--format", "csv", "--out", str(out)]
-        assert main(argv + ["--params", f"omega0={omega0}"]) == 0
-        rows.append([_read_csv(out / f"{fig}.csv")[1:] for fig in ("fig2", "fig3")])
+    # every figure is drawn on the standardized model, so moving the prior
+    # or rescaling the three variances changes only the CSV header; far
+    # from 0, absolute coordinates would round to the spacing of the doubles
+    bodies = []
+    for spec in ("omega0=0", "omega0=1e10", "sigma02=4,sigmaH2=2,sigmaL2=12"):
+        out = tmp_path / spec.replace(",", "_")
+        assert main(["figures", "--out", str(out), "--params", spec]) == 0, spec
+        body = {}
+        for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+            csv_lines = (out / f"{fig}.csv").read_text().splitlines()
+            assert csv_lines[0].startswith(f"# figure={fig} "), spec
+            body[fig] = csv_lines[1:], (out / f"{fig}.svg").read_text()
+        bodies.append(body)
     capsys.readouterr()
-    assert rows[0] == rows[1]
+    for body in bodies[1:]:
+        for fig in body:
+            assert body[fig] == bodies[0][fig], fig
+
+
+def test_cli_figures_header_keeps_the_parameters_as_given(tmp_path) -> None:
+    out = tmp_path / "out"
+    argv = ["figures", "--only", "fig1", "--format", "csv", "--out", str(out)]
+    assert main(argv + ["--params", "omega0=1e10,sigma02=4"]) == 0
+    header = (out / "fig1.csv").read_text().splitlines()[0]
+    assert "prior_mean=10000000000 prior_var=4 " in header
 
 
 def test_cli_figures_fig3_signal_axis_gap_exits_3(capsys, tmp_path) -> None:
@@ -612,3 +627,42 @@ def test_thread_pool_loads_only_with_the_simulator() -> None:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("sigma_h2", ["1e-12", "1e-200"])
+def test_cli_state_rule_too_large_exits_3(capsys, sigma_h2) -> None:
+    # the state rule grows as sqrt(prior_var / high_var): at 1e-12 it would
+    # need 1e8 nodes, a 763 MiB array, so it is refused before it is built
+    code = main(["optimize", "radius", "--params", f"sigmaH2={sigma_h2}"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure: the state rule would need" in err
+    assert f"high_var/prior_var = {float(sigma_h2):.6g}" in err
+
+
+def test_cli_optimize_radius_tiny_high_var_still_fails_its_self_check(capsys) -> None:
+    # 100530 state nodes, under the cap: the run is refused by the
+    # self-check of a narrow scan window, a signal-axis gap
+    code = main(["optimize", "radius", "--params", "sigmaH2=1e-6"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "failed its self-check" in err and "state rule" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, ratio",
+    [
+        (["verify", "--params", "sigma02=1e308,sigmaH2=1e-20"], "high_var/prior_var"),
+        (["figures", "--params", "sigma02=1e308,sigmaH2=1e-20"], "high_var/prior_var"),
+        (["optimize", "radius", "--params", "sigma02=1e-300,sigmaH2=1e-300,sigmaL2=1e10"],
+         "low_var/prior_var"),
+    ],
+    ids=["verify", "figures", "optimize"],
+)
+def test_cli_variance_ratio_out_of_range_exits_2(capsys, tmp_path, argv, ratio) -> None:
+    # each variance is a positive double, but high_var/prior_var rounds to
+    # 0 or low_var/prior_var overflows, and every result depends on these
+    code = main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"configuration error: {ratio} must be strictly positive and finite" in err
