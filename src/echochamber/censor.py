@@ -162,7 +162,9 @@ def utility_curve(params: ModelParams, grid, cfg: NumericsConfig) -> UtilityCurv
     )
 
 
-def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> OptimumResult:
+def _scan_then_refine(
+    fn, grid: np.ndarray, unit: float, x_unit: float, family: str
+) -> OptimumResult:
     """Shared optimizer core: coarse scan, boundary rule against the
     unbounded benchmark, bounded Brent refinement of interior maxima,
     smaller-argument tie-breaking.
@@ -174,7 +176,9 @@ def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> Optimum
     objective's scale, prior_var: ties, surpluses and the scan tail are
     judged relative to it. The result is finite only when the best candidate
     beats both the benchmark and the last scan value by tol = INVARIANT_TOL
-    * unit.
+    * unit. x_unit is the argument's scale, sqrt(prior_var) for a radius
+    and prior_var for a sampling variance: Brent searches x / x_unit, as
+    its absolute tolerance and its own arithmetic need the argument near 1.
     """
     benchmark = fn(UNBOUNDED)
     values = np.array([fn(float(g)) for g in grid])
@@ -194,9 +198,12 @@ def _scan_then_refine(fn, grid: np.ndarray, unit: float, family: str) -> Optimum
     candidates: list[tuple[float, float, tuple[float, float]]] = []
     for lo, hi in brackets:
         res = minimize_scalar(
-            lambda x: -fn(x), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+            lambda t: -fn(t * x_unit),
+            bounds=(lo / x_unit, hi / x_unit),
+            method="bounded",
+            options={"xatol": 1e-9},
         )
-        candidates.append((float(res.x), -float(res.fun), (lo, hi)))
+        candidates.append((float(res.x) * x_unit, -float(res.fun), (lo, hi)))
 
     best = None
     for cand in candidates:
@@ -253,6 +260,7 @@ def optimize_radius(params: ModelParams, cfg: NumericsConfig) -> OptimumResult:
         lambda r: expected_utility(Radius(r), params, cfg),
         scan_radii(params),
         params.prior_var,
+        math.sqrt(params.prior_var),
         "censoring-radius",
     )
 

@@ -68,7 +68,7 @@ def _load_config_file(path: str) -> dict[str, object]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -171,7 +171,7 @@ def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConf
             continue
         if "csv" in formats:
             path = out / f"{fig_id}.csv"
-            path.write_text(csv_text(fig, params))
+            path.write_text(csv_text(f"figure={fig.name}", params, fig.columns, fig.rows))
             print(path)
         if "svg" in formats:
             path = out / f"{fig_id}.svg"
@@ -211,13 +211,6 @@ def _optimum_texts(family: str, opt) -> list[str]:
     return [family, r_star, *utilities, f"{opt.is_finite}"]
 
 
-def _csv_text(title: str, params: ModelParams, names, rows) -> str:
-    from .figures import csv_header
-
-    lines = [csv_header(title, params), ",".join(names), *(",".join(row) for row in rows)]
-    return "\n".join(lines) + "\n"
-
-
 def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
     if family == "radius":
         from .censor import optimize_radius
@@ -229,6 +222,8 @@ def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
 
 
 def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
+    from .figures import csv_text
+
     opt = _run_family(args.family, params, cfg)
     texts = _optimum_texts(args.family, opt)
     lo, hi = (f"{b:.12g}" for b in opt.bracket)
@@ -239,7 +234,7 @@ def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsCon
         out = _out_dir(args)
         path = out / "optimum.csv"
         cols = (*_OPTIMUM_FIELDS, "bracket_lo", "bracket_hi")
-        path.write_text(_csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]]))
+        path.write_text(csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]]))
         print(path)
     return 0
 
@@ -265,6 +260,8 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
+    from .figures import csv_text
+
     if args.vary not in ("sigmaL2", "h", "sigma02"):
         raise ConfigError(f"--vary must be one of sigmaL2, h, sigma02; got {args.vary!r}")
     field = _PARAM_KEYS[args.vary]
@@ -278,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig
         opt = _run_family(args.family, p, cfg)
         rows.append([args.vary, f"{value:.12g}", *_optimum_texts(args.family, opt)])
     title = f"sweep vary={args.vary} family={args.family}"
-    text = _csv_text(title, params, ("vary", "value", *_OPTIMUM_FIELDS), rows)
+    text = csv_text(title, params, ("vary", "value", *_OPTIMUM_FIELDS), rows)
     sys.stdout.write(text)
     if args.out:
         out = _out_dir(args)

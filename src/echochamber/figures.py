@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .censor import expected_action, signal_moments_vs_r, utility_curve
-from .inference import posterior_summaries, prob_high_closed
+from .inference import posterior_summaries
 from .model import (
     UNBOUNDED,
     ModelParams,
@@ -93,14 +93,10 @@ def fig3_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
 
 def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     s = np.linspace(-6.0, 6.0, 121)
-    a_u, _, _, ah_u, al_u = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
+    a_u, _, p_h, ah_u, al_u = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
     inside = np.abs(s) < REFERENCE_RADIUS
     a_c, _, _, ah_c, al_c = posterior_summaries(s[inside], Radius(REFERENCE_RADIUS), params, cfg)
     censored = zip(a_c.tolist(), ah_c.tolist(), al_c.tolist())
-    if 0.0 < params.high_share < 1.0:
-        p_h = np.asarray(prob_high_closed(s, params), dtype=float)
-    else:
-        p_h = np.full(len(s), params.high_share)
     uncensored = zip(s.tolist(), a_u.tolist(), ah_u.tolist(), al_u.tolist(), p_h.tolist())
     rows = []
     for (s_j, a, a_h, a_l, p), keep in zip(uncensored, inside):
@@ -150,25 +146,21 @@ def build_figure(fig_id: str, params: ModelParams, cfg: NumericsConfig) -> Figur
 def _cell(value) -> str:
     if value is None:
         return ""
-    return f"{value:.12g}"
+    return value if isinstance(value, str) else f"{value:.12g}"
 
 
-def csv_header(label: str, params: ModelParams) -> str:
-    """The one-line comment header of every CSV output: the label, the full
-    parameter set and the package version."""
-    return (
+def csv_text(label: str, params: ModelParams, names, rows) -> str:
+    """A CSV output: one comment line with the label, the full parameter
+    set and the package version, then the column names, then one line per
+    row, where a string cell is written as it is."""
+    header = (
         f"# {label} prior_mean={params.prior_mean:.12g} "
         f"prior_var={params.prior_var:.12g} high_var={params.high_var:.12g} "
         f"low_var={params.low_var:.12g} high_share={params.high_share:.12g} "
         f"version={__version__}"
     )
-
-
-def csv_text(fig: FigureData, params: ModelParams) -> str:
-    lines = [csv_header(f"figure={fig.name}", params), ",".join(fig.columns)]
-    for row in fig.rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines = (",".join(_cell(v) for v in row) for row in rows)
+    return "\n".join([header, ",".join(names), *lines]) + "\n"
 
 
 def svg_text(fig: FigureData) -> str:

@@ -129,7 +129,10 @@ def _state_terms(d, policy: SamplingPolicy, params: ModelParams):
         normals = []
         for qv, log_admit in zip(variances, admit):
             lam = var / (var + qv)
-            normals.append((log_admit, lam * d + (1.0 - lam) * mean, qv * var / (qv + var)))
+            # the product variance formed in units of prior_var: qv * var can over/underflow
+            pv = params.prior_var
+            product_var = (qv / pv) * (var / pv) / ((qv + var) / pv) * pv
+            normals.append((log_admit, lam * d + (1.0 - lam) * mean, product_var))
     else:
         if not policy.unbounded:
             if policy.r == 0.0:
@@ -192,7 +195,10 @@ def _policy_pieces(
         x_values, back = np.unique(np.abs(x_signed), return_inverse=True)
     d, w = state_rule(params, cfg)
     tilt, terms = _state_terms(d, policy, params)
-    weights = np.concatenate((w, w * d, w * d * d))
+    # moments of z = d / prior sd, scaled back below: w * d * d can over/underflow
+    sd = math.sqrt(params.prior_var)
+    z = d / sd
+    weights = np.concatenate((w, w * z, w * z * z))
     kronrod = weights[::2]  # w has two rows: Kronrod, embedded Gauss
     rows = np.empty((3, 4 if types else 2, len(x_values)))
     step = max(1, _BLOCK_CELLS // len(d))
@@ -214,6 +220,8 @@ def _policy_pieces(
                 e = np.subtract(b, peak[:, None], out=buffers[3, : len(x)])
                 rows[:, q : q + 1, cols] = _moments(np.exp(e, out=e), peak, kronrod)
         rows[:, :2, cols] = _moments(*_linear_mix(*blocks, peaks, params), weights)
+    rows[1] *= sd
+    rows[2] *= params.prior_var
     if fold:
         rows = rows[..., back]
         np.negative(rows[1], out=rows[1], where=x_signed < 0.0)
@@ -317,8 +325,6 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     by Horner's rule: 1e6 unsorted signals take 0.09 s on a 2-core x86-64
     host, where the B-spline form took 0.22 s on the same signals sorted."""
     windowed = isinstance(policy, Radius) and not policy.unbounded
-    if windowed and policy.r == 0.0:
-        raise DegenerateRadiusError("r = 0 admits no signal")
     nodes, _ = signal_rule(policy, params, cfg)
     if windowed:
         # the window edges are knots too, so no admitted signal extrapolates

@@ -28,6 +28,7 @@ passes exponentiate under their own maxima.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Union
@@ -36,25 +37,18 @@ import numpy as np
 from scipy.special import log_ndtr
 
 
-class _UnboundedType:
-    """Singleton tag for an unrestricted policy. Deliberately not a float:
-    it must never leak into an integrand."""
+class _UnboundedType(enum.Enum):
+    """The type of UNBOUNDED, the tag of an unrestricted policy: an enum of
+    one member, so one object under every pickle protocol, copy and deepcopy.
+    Deliberately not a float: it must never leak into an integrand."""
 
-    _instance = None
-
-    def __new__(cls) -> "_UnboundedType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    UNBOUNDED = "Unbounded"
 
     def __repr__(self) -> str:
         return "Unbounded"
 
-    def __reduce__(self):
-        return (_UnboundedType, ())
 
-
-UNBOUNDED = _UnboundedType()
+UNBOUNDED = _UnboundedType.UNBOUNDED
 
 Extent = Union[float, _UnboundedType]
 

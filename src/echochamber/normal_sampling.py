@@ -182,5 +182,6 @@ def optimize_sampling_variance(params: ModelParams, cfg: NumericsConfig):
         lambda v: closed_form_objective(params, v, cfg),
         scan_radii(params) ** 2,
         params.prior_var,
+        params.prior_var,
         "sampling-variance",
     )

@@ -131,7 +131,7 @@ def state_rule(params: ModelParams, cfg: NumericsConfig):
     the module docstring. A rule of more than MAX_STATE_NODES nodes raises
     QuadratureError before any of it is built."""
     pv, hv, lv = params.prior_var, params.high_var, params.low_var
-    post_sd = math.sqrt(pv * hv / (pv + hv))
+    post_sd = math.sqrt(pv) * math.sqrt(hv / (pv + hv))  # pv * hv can over/underflow
     near = SUPPORT_SDS * math.sqrt(pv)
     scales = (math.sqrt(pv), math.sqrt(hv), math.sqrt(lv), post_sd)
     edges = panel_edges(SUPPORT_SDS * math.sqrt(max(pv, lv)), scales, (-near, near))

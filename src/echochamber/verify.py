@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -310,26 +311,6 @@ def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsCo
     )
 
 
-def check_mc_eu_unbounded(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    return _mc_eu_check(
-        "mc_eu_unbounded",
-        Radius(UNBOUNDED),
-        params,
-        cfg,
-        "simulation confirms the unrestricted expected utility",
-    )
-
-
-def check_mc_eu_radius(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    return _mc_eu_check(
-        "mc_eu_radius",
-        Radius(2.35),
-        params,
-        cfg,
-        "simulation confirms the windowed expected utility at r=2.35",
-    )
-
-
 ALL_CHECKS = {
     "lemma1": check_lemma1,
     "lemma2": check_lemma2,
@@ -344,8 +325,18 @@ ALL_CHECKS = {
     "priorvar": check_priorvar,
     "hvanish": check_hvanish,
     "exante_total_var": check_exante_total_var,
-    "mc_eu_unbounded": check_mc_eu_unbounded,
-    "mc_eu_radius": check_mc_eu_radius,
+    "mc_eu_unbounded": partial(
+        _mc_eu_check,
+        "mc_eu_unbounded",
+        Radius(UNBOUNDED),
+        detail="simulation confirms the unrestricted expected utility",
+    ),
+    "mc_eu_radius": partial(
+        _mc_eu_check,
+        "mc_eu_radius",
+        Radius(2.35),
+        detail="simulation confirms the windowed expected utility at r=2.35",
+    ),
 }
 
 

@@ -206,7 +206,7 @@ def test_scan_bound_error_when_grid_stops_short() -> None:
 
     # plain floats, and the advice names the setting a user can change
     with pytest.raises(ScanBoundError, match=r"scan bound 2\.0 \(value -0\.\d+ above") as exc:
-        censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), 1.0, "censoring-radius")
+        censor._scan_then_refine(fn, np.linspace(0.5, 2.0, 8), 1.0, 1.0, "censoring-radius")
     assert "raise quad_nodes" in str(exc.value)
 
 
@@ -220,7 +220,7 @@ def test_scan_keeps_the_benchmark_unless_a_candidate_beats_it_by_tol(fn) -> None
     # by 5e-7, less than the tie tolerance INVARIANT_TOL * unit = 1e-6, so
     # no restriction is worth it, whether the tail falls or stays flat
     res = censor._scan_then_refine(
-        lambda x: 0.0 if x is UNBOUNDED else fn(x), np.geomspace(0.25, 20.0, 32), 1.0, "test"
+        lambda x: 0.0 if x is UNBOUNDED else fn(x), np.geomspace(0.25, 20.0, 32), 1.0, 1.0, "test"
     )
     assert res.r_star is UNBOUNDED and not res.is_finite, res
 
@@ -237,7 +237,7 @@ def test_scan_prefers_the_smaller_argument_within_tol(surplus, peak) -> None:
             -(((x - 5.0) / 0.5) ** 2)
         )
 
-    res = censor._scan_then_refine(fn, np.geomspace(0.25, 20.0, 32), 1.0, "test")
+    res = censor._scan_then_refine(fn, np.geomspace(0.25, 20.0, 32), 1.0, 1.0, "test")
     assert res.is_finite and abs(res.r_star - peak) < 1e-3, res
 
 

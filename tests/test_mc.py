@@ -232,6 +232,14 @@ def test_high_fraction_matches_closed_value(oracle: dict) -> None:
     assert abs(est.value - want) < 3.0 * est.std_error
 
 
+def test_high_fraction_of_a_single_type_model_is_one_with_the_floor_error() -> None:
+    # every draw is high quality, so the sample has no spread and the
+    # standard error takes its conservative 1/n floor
+    est = mc_high_prob_within_radius(replace(P, high_share=1.0), 1.0, 1000, seed=11)
+    assert est.value == 1.0
+    assert est.std_error == 1.0 / est.n_effective
+
+
 def test_high_fraction_grows_with_low_type_noise(oracle: dict) -> None:
     # a tight window screens out the noisy type more aggressively the noisier
     # it is, so the admitted high-quality share climbs toward one

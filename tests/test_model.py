@@ -92,13 +92,15 @@ def test_unbounded_radius_flag() -> None:
 
 
 def test_unbounded_radius_survives_pickle_and_deepcopy() -> None:
-    # the tag is a singleton, so a copy must be the tag itself; protocols 0
-    # and 1 rebuild an object without calling __new__ unless told how
+    # the tag is a singleton, so a copy must be the tag itself under every
+    # pickle protocol, copy and deepcopy
     protocols = range(pickle.HIGHEST_PROTOCOL + 1)
     copies = [pickle.loads(pickle.dumps(Radius(UNBOUNDED), protocol=k)) for k in protocols]
-    for copied in (*copies, copy.deepcopy(Radius(UNBOUNDED))):
+    for copied in (*copies, copy.copy(Radius(UNBOUNDED)), copy.deepcopy(Radius(UNBOUNDED))):
         assert copied.r is UNBOUNDED
         assert copied.unbounded
+    assert copy.copy(UNBOUNDED) is UNBOUNDED
+    assert repr(Radius(UNBOUNDED)) == "Radius(r=Unbounded)"
 
 
 def test_normal_weight_validation() -> None:

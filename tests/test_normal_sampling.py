@@ -202,8 +202,13 @@ def test_both_optimizers_are_scale_free() -> None:
     # by k, a radius by k^(1/2), a sampling variance by k. At h=0.999 the
     # radius optimum beats the benchmark by only 4.6e-6 prior_var, so k=0.1
     # tests that ties and surpluses are judged relative to prior_var; k=1e8
-    # does the same for the quadrature self-check
-    cases = ((replace(P, low_var=300.0), (1e-4, 1e4, 1e8)), (replace(P, high_share=0.999), (0.1,)))
+    # does the same for the quadrature self-check. k=1e-12 needs Brent to
+    # search in prior sds, since its tolerance is absolute, and 1e-300 and
+    # 1e300 need every product of two variances formed in prior sds
+    cases = (
+        (replace(P, low_var=300.0), (1e-300, 1e-12, 1e-4, 1e4, 1e8, 1e300)),
+        (replace(P, high_share=0.999), (0.1,)),
+    )
     for unit, ks in cases:
         for optimize, power in ((optimize_radius, 0.5), (optimize_sampling_variance, 1.0)):
             want = optimize(unit, C)

@@ -567,6 +567,81 @@ def test_cli_sweep_needs_a_grid(capsys) -> None:
         capsys.readouterr()
 
 
+def test_cli_sweep_linear_grid(capsys) -> None:
+    code = main(["sweep", "--vary", "h", "--lo", "0.5", "--hi", "0.9", "--steps", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [line.split(",")[1] for line in lines[2:]] == ["0.5", "0.7", "0.9"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--vary", "omega0", "--values", "1"], "--vary must be one of"),
+        (["--vary", "sigmaL2", "--values", "1,x"], "--values must be numbers"),
+        (["--vary", "sigmaL2", "--values", "0.1"], "sigmaL2=0.1: high_var must not exceed"),
+    ],
+    ids=["vary", "values", "model"],
+)
+def test_cli_sweep_refusals_exit_2(capsys, argv, message) -> None:
+    assert main(["sweep", *argv]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
+def test_cli_figures_unknown_format_exits_2(capsys, tmp_path) -> None:
+    assert main(["figures", "--format", "pdf", "--out", str(tmp_path)]) == 2
+    assert "--format takes a subset of csv,svg" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file"),
+        ("{sigmaL2: 300}", "invalid JSON in"),
+        ('["sigmaL2=300"]', "must hold an object"),
+        ("sigmaL2 300\n", "expected key=value line in"),
+    ],
+    ids=["unreadable", "invalid-json", "json-array", "no-equals"],
+)
+def test_cli_bad_config_file_exits_2_naming_it(capsys, tmp_path, text, message) -> None:
+    path = tmp_path / "cfg"
+    if text is not None:
+        path.write_text(text)
+    assert main(["verify", "--check", "lemma1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and repr(str(path)) in err
+
+
+def test_cli_seed_reaches_the_monte_carlo_checks(capsys) -> None:
+    code = main(["verify", "--check", "prop1", "--seed", "7", "--mc-n", "20000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[0].endswith("; seed 7")
+
+
+@pytest.mark.parametrize(
+    "params, utilities",
+    [
+        ("sigma02=1e-200,sigmaH2=1e-200,sigmaL2=1e-200", ("-5e-201", "-5e-201")),
+        ("sigma02=1e200,sigmaH2=1e200,sigmaL2=1e200", ("-5e+199", "-5e+199")),
+        ("sigma02=1e-300,sigmaH2=5e-301,sigmaL2=3e-300", ("-6.18706702731e-301",) * 2),
+        ("sigma02=1e-12,sigmaH2=5e-13,sigmaL2=3e-10", ("-5.41940872867e-13", "-5.9248051757e-13")),
+    ],
+    ids=["1e-200", "1e200", "1e-300", "1e-12"],
+)
+def test_cli_optimize_answers_at_extreme_absolute_scales(capsys, params, utilities) -> None:
+    # products of two variances are formed in prior sds, and Brent searches
+    # in prior sds: in absolute units the products underflowed or overflowed
+    # and each run exited 1 with a traceback, and at 1e-12 Brent's absolute
+    # tolerance stopped the soft window at utility -5.92753326606e-13
+    for family, utility in zip(("radius", "normal-sampling"), utilities):
+        code = main(["optimize", family, "--params", params])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", family
+        assert f"utility_at_opt={utility}\n" in out, family
+
+
 def test_every_registered_check_has_a_callable() -> None:
     for name, fn in ALL_CHECKS.items():
         assert callable(fn), name
