@@ -19,6 +19,17 @@ acceptance uniform each. A record keeps its state across rounds and redraws
 is the prior. Rejected attempts are counted but not stored, so memory is
 bounded by n and the chunk size, never by the rejection rate.
 
+Every simulation runs through one chunk driver, _run_chunks: a worker fills
+a chunk's state, quality and signal arrays and hands the finished chunk to a
+per-chunk function in its own thread. simulate_draws fills its three
+n-arrays in place (17 B per record). The Monte Carlo estimators simulate
+into per-worker scratch arrays one chunk long and keep only the value they
+reduce: mc_high_prob_within_radius the qualities (1 B per record),
+mc_signal_variance the signals and mc_simulated_utility each record's loss
+(8 B per record). Their reductions are whole-array NumPy reductions in
+record order, so their estimates are those of the same reduction over the
+records of simulate_draws, bit for bit.
+
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
 does, and returns the rest of the uniforms to its stream. k doubles after a
@@ -47,6 +58,7 @@ from .model import ModelParams, NormalWeight, Radius, SamplingPolicy
 _CHUNK = 65536
 _BLOCK = _CHUNK // 2  # least raw words per read; no read exceeds 3 * _CHUNK
 _U53 = float(2**53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the top word would round up to 1.0
 _TAIL = 64  # pending records at or below which rounds are read ahead
 _MAX_AHEAD = 256
 _STALL_MIN_ATTEMPTS = 1_000_000
@@ -75,6 +87,7 @@ class _Stream:
             raw >>= 11
             np.add(raw, 0.5, out=buf[left:])
             buf[left:] /= _U53
+            np.minimum(buf[left:], _BELOW_ONE, out=buf[left:])
         out = self._buf[self._pos : end]
         self._pos = end
         return out
@@ -182,6 +195,46 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _check_request(policy: SamplingPolicy, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        raise RejectionStallError("r = 0 admits no signal")
+
+
+def _run_chunks(
+    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, each_chunk, out=None
+) -> int:
+    """Simulate n accepted records chunk by chunk on the worker pool and
+    return the attempts. A chunk is drawn into the slices of out, three
+    n-arrays, or else into its worker's scratch arrays one chunk long, and
+    is then handed as (slice, states, qualities, signals) to each_chunk in
+    that worker's thread. When several chunks fail, the error of the first
+    in chunk order is raised."""
+    width, admitted = _admission(policy, params)
+    # imported here so that runs which never simulate do not load the pool
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    scratch = threading.local()
+
+    def run(chunk: int) -> int:
+        part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
+        if out is not None:
+            arrays = [a[part] for a in out]
+        else:
+            if not hasattr(scratch, "arrays"):
+                scratch.arrays = (np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK))
+            arrays = [a[: part.stop - part.start] for a in scratch.arrays]
+        attempts = _simulate_chunk(params, width, admitted, _Stream(seed, chunk), *arrays)
+        each_chunk(part, *arrays)
+        return attempts
+
+    n_chunks = (n + _CHUNK - 1) // _CHUNK
+    with ThreadPoolExecutor(max_workers=min(n_chunks, _workers())) as pool:
+        return sum(pool.map(run, range(n_chunks)))
+
+
 def simulate_draws(
     params: ModelParams, policy: SamplingPolicy, n: int, seed: int
 ) -> DrawSet:
@@ -194,37 +247,32 @@ def simulate_draws(
     rate of a chunk falls below 1e-6; when several chunks fail, the error
     of the first in chunk order is raised.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        raise RejectionStallError("r = 0 admits no signal")
-    width, admitted = _admission(policy, params)
-    acc_state = np.empty(n)
-    acc_qual = np.empty(n, dtype=np.uint8)
-    acc_sig = np.empty(n)
-
-    def run(chunk: int) -> int:
-        part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
-        return _simulate_chunk(
-            params, width, admitted, _Stream(seed, chunk),
-            acc_state[part], acc_qual[part], acc_sig[part],
-        )
-
-    # imported here so that runs which never simulate do not load the pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    n_chunks = (n + _CHUNK - 1) // _CHUNK
-    with ThreadPoolExecutor(max_workers=min(n_chunks, _workers())) as pool:
-        total_attempts = sum(pool.map(run, range(n_chunks)))
-
+    _check_request(policy, n)
+    out = (np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n))
+    attempts = _run_chunks(params, policy, n, seed, lambda *chunk: None, out)
     return DrawSet(
         n=n,
         seed=int(seed),
-        n_attempts=total_attempts,
-        accepted_states=acc_state,
-        accepted_qualities=acc_qual,
-        accepted_signals=acc_sig,
+        n_attempts=attempts,
+        accepted_states=out[0],
+        accepted_qualities=out[1],
+        accepted_signals=out[2],
     )
+
+
+def _simulate_values(
+    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, value, dtype=float
+) -> np.ndarray:
+    """value(states, qualities, signals) of each of the n records that
+    simulate_draws would draw, in record order; only this array is kept."""
+    _check_request(policy, n)
+    kept = np.empty(n, dtype=dtype)
+
+    def keep(part: slice, states, qualities, signals) -> None:
+        kept[part] = value(states, qualities, signals)
+
+    _run_chunks(params, policy, n, seed, keep)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -237,23 +285,41 @@ class McEstimate:
 
 
 def _estimate(stat: np.ndarray) -> McEstimate:
+    """Mean and standard error of stat, the steps of mean() and
+    std(ddof=1) with the deviations formed in place: stat is overwritten."""
     n_eff = len(stat)
     value = float(stat.mean())
+    se = 0.0
     if n_eff > 1:
-        se = float(stat.std(ddof=1)) / math.sqrt(n_eff)
-    else:
-        se = 0.0
+        stat -= value
+        stat *= stat
+        se = math.sqrt(float(stat.sum()) / (n_eff - 1)) / math.sqrt(n_eff)
     if se == 0.0:
         # degenerate sample: conservative 1/n floor keeps the field positive
         se = 1.0 / n_eff
     return McEstimate(value=value, std_error=se, n_effective=n_eff)
 
 
+def _loss(action_map, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    return -((states - action_map(signals)) ** 2)
+
+
 def mc_expected_utility(draws: DrawSet, action_map, params: ModelParams) -> McEstimate:
     """Mean quadratic loss (negated) of an action rule over the accepted
     records, summed in record order. action_map must accept a signal
     array."""
-    loss = -((draws.accepted_states - action_map(draws.accepted_signals)) ** 2)
+    return _estimate(_loss(action_map, draws.accepted_states, draws.accepted_signals))
+
+
+def mc_simulated_utility(
+    params: ModelParams, policy: SamplingPolicy, action_map, n: int, seed: int
+) -> McEstimate:
+    """mc_expected_utility over simulate_draws(params, policy, n, seed),
+    keeping only each record's loss; action_map is evaluated in the
+    simulation's worker threads, one chunk at a time."""
+    loss = _simulate_values(
+        params, policy, n, seed, lambda states, qualities, signals: _loss(action_map, states, signals)
+    )
     return _estimate(loss)
 
 
@@ -262,8 +328,21 @@ def mc_high_prob_within_radius(
 ) -> McEstimate:
     """Fraction of accepted draws that came from a high-quality source
     under the hard window of radius r."""
-    draws = simulate_draws(params, Radius(r), n, seed)
-    return _estimate(draws.accepted_qualities.astype(float))
+    qualities = _simulate_values(
+        params, Radius(r), n, seed, lambda states, qualities, signals: qualities, np.uint8
+    )
+    return _estimate(qualities.astype(float))
+
+
+def mc_signal_variance(
+    params: ModelParams, policy: SamplingPolicy, n: int, seed: int
+) -> McEstimate:
+    """Variance (divisor n) of the accepted signals, as the mean of their
+    squared deviations from the sample mean, with its standard error."""
+    dev2 = _simulate_values(params, policy, n, seed, lambda states, qualities, signals: signals)
+    dev2 -= dev2.mean()
+    dev2 *= dev2
+    return _estimate(dev2)
 
 
 def _log_npdf(sq, var):

@@ -24,7 +24,7 @@ from .inference import (
     prob_high_closed,
     uncensored_linear_action,
 )
-from .mc import mc_expected_utility, mc_high_prob_within_radius, simulate_draws
+from .mc import mc_high_prob_within_radius, mc_signal_variance, mc_simulated_utility
 from .model import (
     INVARIANT_TOL,
     UNBOUNDED,
@@ -272,23 +272,16 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     # a variance statistic has a kurtosis-heavy sampling law; quadruple the
-    # draw count so the 3-SE band is tight relative to it; only the signals
-    # are kept, so states and qualities are freed before dev2 is built; the
-    # standard error reuses dev2 in place, the steps of np.std(ddof=1)
-    x = simulate_draws(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed).accepted_signals
+    # draw count so the 3-SE band is tight relative to it
+    est = mc_signal_variance(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed)
     target = params.prior_var + params.high_share * params.high_var + (
         1.0 - params.high_share
     ) * params.low_var
-    dev2 = (x - x.mean()) ** 2
-    vhat = float(dev2.mean())
-    dev2 -= vhat
-    dev2 *= dev2
-    se = math.sqrt(dev2.sum() / (len(x) - 1)) / math.sqrt(len(x))
-    z = abs(vhat - target) / se
+    z = abs(est.value - target) / est.std_error
     return CheckResult(
         name="exante_total_var",
         passed=z <= 3.0,
-        measured=f"sample var {vhat:.4f} vs total-variance value {target:.4f}, z {_g(z)}",
+        measured=f"sample var {est.value:.4f} vs total-variance value {target:.4f}, z {_g(z)}",
         tolerance="within 3 SE",
         seed=cfg.mc_seed,
         detail="unrestricted signal variance equals prior plus mean source variance",
@@ -298,8 +291,7 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
 def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
     ref = expected_utility(policy, params, cfg)
     amap = action_map(policy, params, cfg)
-    draws = simulate_draws(params, policy, cfg.mc_n, cfg.mc_seed)
-    est = mc_expected_utility(draws, amap, params)
+    est = mc_simulated_utility(params, policy, amap, cfg.mc_n, cfg.mc_seed)
     z = abs(est.value - ref) / est.std_error
     return CheckResult(
         name=name,

@@ -14,9 +14,12 @@ from echochamber.censor import expected_utility
 from echochamber.errors import RejectionStallError
 from echochamber.inference import action_map, optimal_action, posterior_summaries
 from echochamber.mc import (
+    _Stream,
     grid_posterior_oracle,
     mc_expected_utility,
     mc_high_prob_within_radius,
+    mc_signal_variance,
+    mc_simulated_utility,
     simulate_draws,
 )
 from echochamber.model import (
@@ -89,6 +92,63 @@ def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> 
         sys.setswitchinterval(interval)
 
 
+# The Monte Carlo estimates of verify at the defaults, as (value, standard
+# error) in float.hex, recorded while every check still reduced the arrays
+# of simulate_draws: the checks now simulate chunk by chunk and keep one
+# value per record, which must not move a bit.
+_PINNED_ESTIMATES = {
+    "prop1-low_var3": ("0x1.21ac9afe1da7bp-1", "0x1.03ddc7793bd44p-11"),
+    "prop1-low_var48": ("0x1.95143bf727137p-1", "0x1.aa37bb2042b96p-12"),
+    "prop1-low_var768": ("0x1.d865d7cb2d906p-1", "0x1.181ea4100c53bp-12"),
+    "eu-unbounded": ("-0x1.3cf895dd3753cp-1", "0x1.ede65be4e49f9p-11"),
+    "eu-r2.35": ("-0x1.518da202519afp-1", "0x1.16922dccf7afdp-10"),
+    "exante_total_var": ("0x1.5f7bdad936365p+1", "0x1.23c4e99cccb30p-9"),
+}
+
+
+def _verify_estimates() -> dict[str, tuple[str, str]]:
+    n, seed = C.mc_n, C.mc_seed
+    ests = {
+        f"prop1-low_var{lv:g}": mc_high_prob_within_radius(replace(P, low_var=lv), 1.0, n, seed)
+        for lv in (3.0, 48.0, 768.0)
+    }
+    for key, policy in (("eu-unbounded", R_UNB), ("eu-r2.35", Radius(2.35))):
+        ests[key] = mc_simulated_utility(P, policy, action_map(policy, P, C), n, seed)
+    ests["exante_total_var"] = mc_signal_variance(P, R_UNB, 4 * n, seed)
+    return {k: (e.value.hex(), e.std_error.hex()) for k, e in ests.items()}
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_verify_estimates_are_pinned_at_any_worker_count(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _verify_estimates() == _PINNED_ESTIMATES
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_streamed_utility_equals_the_draw_set_utility() -> None:
+    for policy in (R_UNB, Radius(1.2), NormalWeight(0.0, 2.0)):
+        amap = action_map(policy, P, C)
+        draws = simulate_draws(P, policy, 70_001, seed=3)
+        assert mc_simulated_utility(P, policy, amap, 70_001, 3) == mc_expected_utility(draws, amap, P)
+
+
+def test_stream_uniforms_stay_below_one() -> None:
+    # the top raw word gives k = 2**53 - 1, and k + 0.5 rounds up to 2**53
+    class AllOnes:
+        def random_raw(self, count: int) -> np.ndarray:
+            return np.full(count, np.iinfo(np.uint64).max, dtype=np.uint64)
+
+    stream = _Stream(0, 0)
+    stream._bitgen = AllOnes()
+    u = stream.take(1000)
+    assert np.all(u < 1.0)
+    assert np.all(np.isfinite(ndtri(u)))
+
+
 def test_unbounded_policy_accepts_every_attempt() -> None:
     d = simulate_draws(P, R_UNB, 3000, seed=1)
     assert d.n_attempts == 3000
@@ -123,13 +183,17 @@ def test_memory_is_bounded_by_accepted_records() -> None:
     assert sum(a.nbytes for a in arrays) == 17 * n
 
 
-def _peak_bytes(params, policy, n: int) -> int:
+def _peak_of(run, n: int) -> int:
     tracemalloc.start()
     try:
-        simulate_draws(params, policy, n, seed=5)
+        run(n)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_bytes(params, policy, n: int) -> int:
+    return _peak_of(lambda n: simulate_draws(params, policy, n, seed=5), n)
 
 
 def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
@@ -139,6 +203,29 @@ def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
     narrow = _peak_bytes(replace(P, low_var=768.0), Radius(0.1), n)
     unbounded = _peak_bytes(P, R_UNB, n)
     assert narrow <= 1.25 * unbounded, (narrow, unbounded)
+
+
+def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch) -> None:
+    # the slope of the peak between two sizes is the memory a check keeps
+    # per record: 1 B of quality plus its 8 B float form for prop1, 8 B of
+    # signal or of loss for the others (the full draw set alone is 17 B).
+    # One worker keeps the simulation's working set (about 4.5 MB) below
+    # each size's reduction, so a second n-array would show in the slope.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    amap = action_map(Radius(2.35), P, C)
+    checks = {
+        "exante_total_var": (10.0, lambda n: mc_signal_variance(P, R_UNB, n, 5)),
+        "mc_eu_radius": (10.0, lambda n: mc_simulated_utility(P, Radius(2.35), amap, n, 5)),
+        "prop1 at low_var=768": (
+            12.0,
+            lambda n: mc_high_prob_within_radius(replace(P, low_var=768.0), 1.0, n, 5),
+        ),
+    }
+    small, large = 1_048_576, 2_097_152
+    for name, (bound, run) in checks.items():
+        run(65_536)  # warm any cache outside the traced runs
+        slope = (_peak_of(run, large) - _peak_of(run, small)) / (large - small)
+        assert slope <= bound, (name, slope)
 
 
 def test_kernel_peak_memory_is_a_few_blocks() -> None:

@@ -416,6 +416,27 @@ def test_exante_total_var_measured_line_is_pinned() -> None:
     assert result.measured == "sample var 2.7460 vs total-variance value 2.7500, z 1.81164"
 
 
+@pytest.mark.parametrize(
+    "name, measured",
+    [
+        (
+            "prop1",
+            "high fraction at r=1: 0.5658+/-0.0005 -> 0.7912+/-0.0004 -> 0.9227+/-0.0003; "
+            "step z 351.632, 270.316",
+        ),
+        ("mc_eu_unbounded", "MC -0.61908+/-0.00094 vs quadrature -0.61871, z 0.400571"),
+        ("mc_eu_radius", "MC -0.65928+/-0.00106 vs quadrature -0.65971, z 0.400137"),
+    ],
+    ids=["prop1", "mc_eu_unbounded", "mc_eu_radius"],
+)
+def test_monte_carlo_measured_lines_are_pinned(name: str, measured: str) -> None:
+    # each check simulates chunk by chunk and keeps one value per record;
+    # its line is the one it printed while it reduced the full draw sets
+    (result,) = run_checks(P, C, [name])
+    assert result.passed
+    assert result.measured == measured
+
+
 def test_cli_figures_all_csv(capsys, tmp_path) -> None:
     code = main(["figures", "--format", "csv", "--out", str(tmp_path)])
     capsys.readouterr()
