@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import QuadratureError, ScanBoundError
 from .inference import _linear_mix, _log_terms, _moments, _policy_pieces
@@ -197,6 +196,9 @@ def _scan_then_refine(
         brackets.append((float(grid[0]), float(grid[1])))
     candidates: list[tuple[float, float, tuple[float, float]]] = []
     for lo, hi in brackets:
+        # imported here: a scan without an interior peak never loads scipy.optimize
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda t: -fn(t * x_unit),
             bounds=(lo / x_unit, hi / x_unit),

@@ -199,9 +199,12 @@ def _log_weights(params: ModelParams) -> tuple[float, float]:
     return lh, ll
 
 
-def _interval_logmass(lo_z, hi_z):
+def _interval_logmass(lo_z, hi_z, width):
     """log(Phi(hi_z) - Phi(lo_z)) through the better-conditioned tail: the
-    difference never cancels, and it stays exact far below the double range."""
+    difference never cancels, and it stays exact far below the double range.
+    width is hi_z - lo_z formed before either end rounds: where both ends
+    round to one tail value, the mass is width * phi(lo end), as the
+    interval is narrower than the float spacing there."""
     lo_z = np.asarray(lo_z, dtype=float)
     hi_z = np.asarray(hi_z, dtype=float)
     # mirror so that the interval sits in the lower tail
@@ -210,9 +213,9 @@ def _interval_logmass(lo_z, hi_z):
     b = np.where(flip, -lo_z, hi_z)
     la = log_ndtr(a)
     lb = log_ndtr(b)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-    return np.where(np.isnan(out), -np.inf, out)
+        return np.where(la >= lb, np.log(width) - 0.5 * a * a - _LOG_SQRT_2PI, out)
 
 
 def window_logmass(d, r: float, params: ModelParams):
@@ -221,5 +224,7 @@ def window_logmass(d, r: float, params: ModelParams):
     d = np.asarray(d, dtype=float)
     lw = _log_weights(params)
     sds = (math.sqrt(params.high_var), math.sqrt(params.low_var))
-    a, b = (w + _interval_logmass((-r - d) / sd, (r - d) / sd) for w, sd in zip(lw, sds))
+    a, b = (
+        w + _interval_logmass((-r - d) / sd, (r - d) / sd, 2.0 * r / sd) for w, sd in zip(lw, sds)
+    )
     return np.logaddexp(a, b)

@@ -16,7 +16,6 @@ otherwise.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit
 
 from .censor import _checked, _naive_loss, _scan_then_refine, expected_utility, scan_radii
@@ -161,6 +160,9 @@ def locate_critical_point(
         up = closed_form_objective(params, v + step, cfg)
         dn = closed_form_objective(params, v - step, cfg)
         return (up - dn) / (2.0 * step)
+
+    # imported here: only this diagnostic needs a root finder
+    from scipy.optimize import brentq
 
     v_star = float(brentq(deriv, lo, hi, xtol=1e-10))
     mid = closed_form_objective(params, v_star, cfg)

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,6 +177,26 @@ def test_cli_optimize_radius_self_check_is_relative_to_prior_var(capsys) -> None
     assert code == 0
     assert fields["is_finite"] == "True"
     assert math.isclose(float(fields["utility_uncensored"]), -0.754564728669e8, rel_tol=1e-11)
+
+
+def test_cli_optimize_radius_answers_when_window_ends_round_together(capsys) -> None:
+    # at low_var 1e32 the low type's window is narrower than the float
+    # spacing of its standardized ends at most state nodes, so both ends
+    # round to one value; its mass is then width * phi, not log1p(-1). The
+    # low type is pure noise, so the window's utility is the high type's
+    # alone, -high_var * prior_var / (high_var + prior_var) = -1/3 at the
+    # defaults, and the benchmark mixes that with the prior's loss -1 in
+    # shares h and 1 - h: -(h / 3 + 1 - h) = -2/3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, fields = _optimum(["optimize", "radius", "--params", "sigmaL2=1e32"], capsys)
+    assert code == 0 and not caught
+    assert fields["is_finite"] == "True"
+    assert math.isclose(float(fields["utility_at_opt"]), -1.0 / 3.0, rel_tol=0.0, abs_tol=1e-9)
+    assert math.isclose(float(fields["utility_uncensored"]), -2.0 / 3.0, rel_tol=0.0, abs_tol=1e-9)
+    # r* sits on a plateau: its digits are not pinned, only its bracket
+    lo, hi = map(float, fields["bracket"].split(","))
+    assert lo <= float(fields["r_star"]) <= hi
 
 
 @pytest.mark.parametrize(
@@ -705,24 +726,33 @@ def test_python_dash_m_reaches_the_cli() -> None:
 
 
 def test_thread_pool_loads_only_with_the_simulator() -> None:
-    # importing the CLI and evaluating a utility leave the thread pool
-    # unloaded; it costs resident memory in every run that never simulates
+    # importing the CLI and evaluating a utility leave the thread pool,
+    # scipy.optimize and scipy.interpolate unloaded; each costs start-up
+    # time or resident memory in every run that never needs it
     import echochamber
 
     code = (
         "import sys; import echochamber.cli\n"
         "from echochamber.censor import expected_utility\n"
+        "from echochamber.inference import action_map\n"
         "from echochamber.mc import simulate_draws\n"
         "from echochamber.model import DEFAULT_NUMERICS as C, DEFAULT_PARAMS as P, Radius\n"
+        "loaded = lambda: [m in sys.modules for m in\n"
+        "    ('concurrent.futures.thread', 'scipy.optimize', 'scipy.interpolate')]\n"
         "expected_utility(Radius(2.0), P, C)\n"
-        "print('concurrent.futures.thread' in sys.modules)\n"
+        "print(*loaded())\n"
         "simulate_draws(P, Radius(2.0), 1000, 1)\n"
-        "print('concurrent.futures.thread' in sys.modules)\n"
+        "print(*loaded())\n"
+        "action_map(Radius(2.0), P, C)\n"
+        "print(*loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    pool, optimize, interpolate = zip(*(line.split() for line in proc.stdout.splitlines()))
+    assert pool == ("False", "True", "True")
+    assert optimize[:2] == interpolate[:2] == ("False", "False")
+    assert interpolate[2] == "True"
 
 
 @pytest.mark.parametrize("sigma_h2", ["1e-12", "1e-200"])
