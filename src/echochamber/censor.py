@@ -31,7 +31,7 @@ from .model import (
     Radius,
     SamplingPolicy,
 )
-from .quadrature import signal_rule
+from .quadrature import SUPPORT_SDS, signal_rule
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,10 @@ def _scan_then_refine(
 
 def scan_radii(params: ModelParams) -> np.ndarray:
     """The optimizers' coarse scan: a 32-point geometric grid from
-    sqrt(prior_var) / 4 to ten low-type signal standard deviations,
-    10 * sqrt(prior_var + low_var), where the utility has converged to the
-    benchmark. It scales with the units of the state."""
-    bound = 10.0 * math.sqrt(params.prior_var + params.low_var)
+    sqrt(prior_var) / 4 to the signal rule's support, SUPPORT_SDS low-type
+    signal sds, where the utility has converged to the benchmark. It scales
+    with the units of the state."""
+    bound = SUPPORT_SDS * math.sqrt(params.prior_var + params.low_var)
     return np.geomspace(math.sqrt(params.prior_var) / 4.0, bound, 32)
 
 

@@ -171,7 +171,7 @@ def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConf
             continue
         if "csv" in formats:
             path = out / f"{fig_id}.csv"
-            path.write_text(csv_text(f"figure={fig.name}", params, fig.columns, fig.rows))
+            path.write_text(csv_text(f"figure={fig_id}", params, fig.columns, fig.rows))
             print(path)
         if "svg" in formats:
             path = out / f"{fig_id}.svg"

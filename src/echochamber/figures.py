@@ -21,6 +21,7 @@ from . import __version__
 from .censor import expected_action, signal_moments_vs_r, utility_curve
 from .inference import posterior_summaries
 from .model import (
+    REFERENCE_RADIUS,
     UNBOUNDED,
     ModelParams,
     NumericsConfig,
@@ -30,12 +31,9 @@ from .model import (
 )
 from .svgplot import render_lines
 
-REFERENCE_RADIUS = 2.35
-
 
 @dataclass(frozen=True)
 class FigureData:
-    name: str
     title: str
     x_label: str
     y_label: str
@@ -51,7 +49,6 @@ def fig1_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     f_mix = params.high_share * f_h + (1.0 - params.high_share) * f_l
     rows = [tuple(map(float, row)) for row in zip(s, f_h, f_l, f_mix)]
     return FigureData(
-        name="fig1",
         title="Signal densities by source type at the central state",
         x_label="signal s",
         y_label="density",
@@ -66,7 +63,6 @@ def fig2_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     # drop the analytic r = 0 entry in front and the benchmark at the end
     rows = [(r, eu, benchmark) for r, eu in zip(curve.radii[1:-1], curve.utilities[1:-1])]
     return FigureData(
-        name="fig2",
         title="Expected utility against the censoring radius",
         x_label="radius r",
         y_label="expected utility",
@@ -82,7 +78,6 @@ def fig3_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
         var_s, corr = signal_moments_vs_r(params, Radius(float(r)), cfg)
         rows.append((float(r), var_s, corr))
     return FigureData(
-        name="fig3",
         title="Admitted-signal variance and state correlation",
         x_label="radius r",
         y_label="moment",
@@ -103,7 +98,6 @@ def fig4_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
         a_cen, h_cen, l_cen = next(censored) if keep else (None, None, None)
         rows.append((s_j, a, a_cen, a_h, a_l, h_cen, l_cen, p))
     return FigureData(
-        name="fig4",
         title=f"Optimal action against the signal (window r={REFERENCE_RADIUS:g})",
         x_label="signal s",
         y_label="action",
@@ -119,7 +113,6 @@ def fig5_data(params: ModelParams, cfg: NumericsConfig) -> FigureData:
     )
     rows = [tuple(map(float, row)) for row in zip(omegas, ea_c, ea_u)]
     return FigureData(
-        name="fig5",
         title=f"Expected action against the state (window r={REFERENCE_RADIUS:g})",
         x_label="state",
         y_label="expected action",

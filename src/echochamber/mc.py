@@ -20,15 +20,14 @@ is the prior. Rejected attempts are counted but not stored, so memory is
 bounded by n and the chunk size, never by the rejection rate.
 
 Every simulation runs through one chunk driver, _run_chunks: a worker fills
-a chunk's state, quality and signal arrays and hands the finished chunk to a
-per-chunk function in its own thread. simulate_draws fills its three
-n-arrays in place (17 B per record). The Monte Carlo estimators simulate
-into per-worker scratch arrays one chunk long and keep only the value they
-reduce: mc_high_prob_within_radius the qualities (1 B per record),
+its scratch state, quality and signal arrays, one chunk long, and hands the
+finished chunk to a per-chunk function in its own thread, which keeps only
+what the simulation returns: simulate_draws all three arrays (17 B per
+record), mc_high_prob_within_radius the qualities (1 B per record),
 mc_signal_variance the signals and mc_simulated_utility each record's loss
-(8 B per record). Their reductions are whole-array NumPy reductions in
-record order, so their estimates are those of the same reduction over the
-records of simulate_draws, bit for bit.
+(8 B per record). The estimators' reductions are whole-array NumPy
+reductions in record order, so their estimates are those of the same
+reduction over the records of simulate_draws, bit for bit.
 
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
@@ -203,14 +202,13 @@ def _check_request(policy: SamplingPolicy, n: int) -> None:
 
 
 def _run_chunks(
-    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, each_chunk, out=None
+    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, each_chunk
 ) -> int:
     """Simulate n accepted records chunk by chunk on the worker pool and
-    return the attempts. A chunk is drawn into the slices of out, three
-    n-arrays, or else into its worker's scratch arrays one chunk long, and
-    is then handed as (slice, states, qualities, signals) to each_chunk in
-    that worker's thread. When several chunks fail, the error of the first
-    in chunk order is raised."""
+    return the attempts. A chunk is drawn into its worker's scratch arrays
+    one chunk long, and is then handed as (slice, states, qualities,
+    signals) to each_chunk in that worker's thread. When several chunks
+    fail, the error of the first in chunk order is raised."""
     width, admitted = _admission(policy, params)
     # imported here so that runs which never simulate do not load the pool
     import threading
@@ -220,12 +218,9 @@ def _run_chunks(
 
     def run(chunk: int) -> int:
         part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
-        if out is not None:
-            arrays = [a[part] for a in out]
-        else:
-            if not hasattr(scratch, "arrays"):
-                scratch.arrays = (np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK))
-            arrays = [a[: part.stop - part.start] for a in scratch.arrays]
+        if not hasattr(scratch, "arrays"):
+            scratch.arrays = (np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK))
+        arrays = [a[: part.stop - part.start] for a in scratch.arrays]
         attempts = _simulate_chunk(params, width, admitted, _Stream(seed, chunk), *arrays)
         each_chunk(part, *arrays)
         return attempts
@@ -248,15 +243,19 @@ def simulate_draws(
     of the first in chunk order is raised.
     """
     _check_request(policy, n)
-    out = (np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n))
-    attempts = _run_chunks(params, policy, n, seed, lambda *chunk: None, out)
+    states, qualities, signals = np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n)
+
+    def keep(part: slice, *chunk) -> None:
+        states[part], qualities[part], signals[part] = chunk
+
+    attempts = _run_chunks(params, policy, n, seed, keep)
     return DrawSet(
         n=n,
         seed=int(seed),
         n_attempts=attempts,
-        accepted_states=out[0],
-        accepted_qualities=out[1],
-        accepted_signals=out[2],
+        accepted_states=states,
+        accepted_qualities=qualities,
+        accepted_signals=signals,
     )
 
 
@@ -388,10 +387,15 @@ def grid_posterior_oracle(
         else:
             # the window mass Phi(b) - Phi(a), mirrored into the lower tail
             # (a = -(d + r)/sd, b = (r - d)/sd), where it does not cancel
+            # unless the window is narrow; there it is 2r N(d; 0, var), to
+            # within a relative (2r/sd)^2 (1 + d/sd)^2 / 24 < 4e-10
             sd = math.sqrt(var)
             la = log_ndtr(-(d + policy.r) / sd)
             lb = log_ndtr((policy.r - d) / sd)
-            log_mass = lb + np.log1p(-np.exp(la - lb))
+            with np.errstate(divide="ignore"):
+                log_mass = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
+            narrow = 2.0 * policy.r / sd * (1.0 + d / sd) < 1e-4
+            log_mass = np.where(narrow, math.log(2.0 * policy.r) + _log_npdf(d * d, var), log_mass)
         log_admit.append(math.log(share) + log_mass)
     log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_admit)
     log_weight -= d * d / (2.0 * params.prior_var)  # the log prior, up to a constant

@@ -73,26 +73,6 @@ def naive_action(s, params: ModelParams, policy: NormalWeight):
     return alpha_bar * params.prior_mean + (1.0 - alpha_bar) * s
 
 
-def _degenerate(params: ModelParams) -> bool:
-    return (
-        params.high_share in (0.0, 1.0) or params.high_var == params.low_var
-    )
-
-
-def _closed_form_value(params: ModelParams, policy: NormalWeight) -> float:
-    """Three-term closed form, exact when alpha_bar is constant in s."""
-    aH, lH, gH = _per_type(params, policy, "H")
-    aL, lL, gL = _per_type(params, policy, "L")
-    h = params.high_share
-    alpha_bar = h * aH + (1.0 - h) * aL
-    lambda_bar = h * lH + (1.0 - h) * lL
-    s0 = params.prior_var
-    term1 = (1.0 - (1.0 - alpha_bar) * lambda_bar) ** 2 * s0
-    term2 = h * (1.0 - h) * (1.0 - alpha_bar) ** 2 * (lH - lL) ** 2 * s0
-    term3 = (1.0 - alpha_bar) ** 2 * (h * gH + (1.0 - h) * gL)
-    return -(term1 + term2 + term3)
-
-
 def closed_form_objective(
     params: ModelParams, sampling_var, cfg: NumericsConfig = DEFAULT_NUMERICS
 ) -> float:
@@ -100,11 +80,13 @@ def closed_form_objective(
 
     sampling_var = 0 returns minus the prior variance analytically and
     UNBOUNDED returns the no-restriction benchmark, expected_utility.
-    Single-type and equal-variance cases use the three-term closed form;
-    mixed cases are evaluated by double quadrature of the same objective,
-    since the blended prior weight then varies with the signal, and that
-    value passes the Kronrod-Gauss self-check in units of prior_var, or
-    QuadratureError is raised.
+    Where the blended prior weight is constant in the signal (a single
+    type, or equal variances) this is single_type_objective_offcenter at
+    offset 0, for the low type when high_share = 0 and the high type
+    otherwise. Mixed cases are evaluated by double quadrature of the same
+    objective, since the blended prior weight then varies with the signal,
+    and that value passes the Kronrod-Gauss self-check in units of
+    prior_var, or QuadratureError is raised.
     """
     if is_unbounded(sampling_var):
         return expected_utility(Radius(UNBOUNDED), params, cfg)
@@ -113,9 +95,10 @@ def closed_form_objective(
         raise ValueError(f"sampling variance must be nonnegative, got {v!r}")
     if v == 0.0:
         return -params.prior_var
+    if params.high_share in (0.0, 1.0) or params.high_var == params.low_var:
+        q = "H" if params.high_share > 0.0 else "L"
+        return single_type_objective_offcenter(params, q, v, 0.0)
     policy = NormalWeight(mean=0.0, var=v)
-    if _degenerate(params):
-        return _closed_form_value(params, policy)
     objective = lambda c: -_naive_loss(policy, params, c)  # noqa: E731
     return float(_checked("soft-window objective", objective, params.prior_var, cfg))
 

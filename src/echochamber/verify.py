@@ -27,6 +27,7 @@ from .inference import (
 from .mc import mc_high_prob_within_radius, mc_signal_variance, mc_simulated_utility
 from .model import (
     INVARIANT_TOL,
+    REFERENCE_RADIUS,
     UNBOUNDED,
     DEFAULT_PARAMS,
     ModelParams,
@@ -39,12 +40,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
     passed: bool
     measured: str
     tolerance: str
     detail: str
     seed: int | None = None
+    name: str = ""  # the check's ALL_CHECKS key, set by run_checks
 
 
 def _g(x: float) -> str:
@@ -68,7 +69,6 @@ def check_lemma1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         a, _, p_h, a_h, a_l = posterior_summaries(inside, policy, params, cfg)
         worst = max(worst, float(np.max(np.abs(a - (p_h * a_h + (1.0 - p_h) * a_l)))))
     return CheckResult(
-        name="lemma1",
         passed=worst < INVARIANT_TOL,
         measured=f"max decomposition residual {worst:.3e}",
         tolerance=f"< {INVARIANT_TOL:g}",
@@ -82,7 +82,6 @@ def check_lemma2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     u_mixed = expected_utility(Radius(UNBOUNDED), mixed, cfg)
     gap = u_single - u_mixed
     return CheckResult(
-        name="lemma2",
         passed=gap > 0.0,
         measured=f"U(all-high) {_g(u_single)} vs U(half-low) {_g(u_mixed)}, gap {_g(gap)}",
         tolerance="> 0",
@@ -97,7 +96,6 @@ def check_lemma3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         _, _, _, a_h, a_l = posterior_summaries(s, policy, params, cfg)
         worst = min(worst, float(np.diff(a_h).min()), float(np.diff(a_l).min()))
     return CheckResult(
-        name="lemma3",
         passed=worst > 0.0,
         measured=f"min type-action increment {worst:.3e}",
         tolerance="> 0",
@@ -120,7 +118,6 @@ def check_lemma5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     pinned_ok = abs(p0 - 0.6202) < 1e-3 and abs(p2 - 0.4152) < 1e-3
     passed = pinned_ok and mono_ok and (math.isnan(path_dev) or path_dev < 1e-6)
     return CheckResult(
-        name="lemma5",
         passed=passed,
         measured=(
             f"P(high|0) {p0:.6f}, P(high|2) {p2:.6f} at default params; "
@@ -142,7 +139,6 @@ def check_prop1(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     passed = all(z > 3.0 for z in z_steps)
     measured = " -> ".join(f"{r.value:.4f}+/-{r.std_error:.4f}" for r in rungs)
     return CheckResult(
-        name="prop1",
         passed=passed,
         measured=f"high fraction at r=1: {measured}; step z {_g(z_steps[0])}, {_g(z_steps[1])}",
         tolerance="each increase > 3 SE",
@@ -157,7 +153,6 @@ def check_prop2(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     passed = opt.is_finite and opt.utility_at_opt > opt.utility_uncensored + INVARIANT_TOL
     r_txt = "Unbounded" if not opt.is_finite else _g(float(opt.r_star))
     return CheckResult(
-        name="prop2",
         passed=passed,
         measured=(
             f"low_var=300: r* {r_txt}, U(r*) {_g(opt.utility_at_opt)}, "
@@ -173,7 +168,6 @@ def check_prop3(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         optimal_action(1.0, Radius(r), params, cfg).action for r in (2.0, 4.0, UNBOUNDED)
     )
     return CheckResult(
-        name="prop3",
         passed=a2 - a4 > 1e-4 and a4 - a_inf > 1e-4,
         measured=f"a(1, r=2) {a2:.6f} > a(1, r=4) {a4:.6f} > a(1, inf) {a_inf:.6f}",
         tolerance="each gap > 1e-4",
@@ -191,7 +185,6 @@ def check_prop4(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     a3 = float(np.interp(3.0, x, a))
     passed = interior and a2 > a3
     return CheckResult(
-        name="prop4",
         passed=passed,
         measured=(
             f"low_var=30: action peaks at s={x[i]:.2f} (interior={interior}); "
@@ -215,7 +208,6 @@ def check_prop5(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     passed = (not opt_ratio.is_finite) and dev_ratio < 1e-3
     share_r = "Unbounded" if not opt_share.is_finite else f"{opt_share.r_star:.4g}"
     return CheckResult(
-        name="prop5",
         passed=passed,
         measured=(
             f"variance ratio 1.01: r*={'finite' if opt_ratio.is_finite else 'Unbounded'}, "
@@ -235,7 +227,6 @@ def check_uds(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     _, _, _, a_h, a_l = posterior_summaries(s, Radius(UNBOUNDED), params, cfg)
     worst = float(min(np.min(a_h * s), np.min(a_l * s)))
     return CheckResult(
-        name="uds",
         passed=worst > 0.0,
         measured=f"min (action shift x signal shift) {worst:.3e}",
         tolerance="> 0",
@@ -249,7 +240,6 @@ def check_priorvar(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
     wide = optimal_action(1.5, Radius(UNBOUNDED), wider, cfg).type_actions
     worst = min(abs(w) - abs(b) for b, w in zip(base, wide))
     return CheckResult(
-        name="priorvar",
         passed=worst > 0.0,
         measured=f"min action-shift increase under doubled prior variance {worst:.3e}",
         tolerance="> 0",
@@ -262,7 +252,6 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
         float(prob_high_closed(10.0, params)) * float(uncensored_linear_action(10.0, params, "H"))
     )
     return CheckResult(
-        name="hvanish",
         passed=value < 1e-6,
         measured=f"P(high|mean+10) x a_high(mean+10) = {value:.3e}",
         tolerance="< 1e-6",
@@ -279,7 +268,6 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
     ) * params.low_var
     z = abs(est.value - target) / est.std_error
     return CheckResult(
-        name="exante_total_var",
         passed=z <= 3.0,
         measured=f"sample var {est.value:.4f} vs total-variance value {target:.4f}, z {_g(z)}",
         tolerance="within 3 SE",
@@ -288,13 +276,12 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
     )
 
 
-def _mc_eu_check(name: str, policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
+def _mc_eu_check(policy: Radius, params: ModelParams, cfg: NumericsConfig, detail: str) -> CheckResult:
     ref = expected_utility(policy, params, cfg)
     amap = action_map(policy, params, cfg)
     est = mc_simulated_utility(params, policy, amap, cfg.mc_n, cfg.mc_seed)
     z = abs(est.value - ref) / est.std_error
     return CheckResult(
-        name=name,
         passed=z <= 3.0,
         measured=f"MC {est.value:.5f}+/-{est.std_error:.5f} vs quadrature {ref:.5f}, z {_g(z)}",
         tolerance="within 3 SE",
@@ -319,15 +306,13 @@ ALL_CHECKS = {
     "exante_total_var": check_exante_total_var,
     "mc_eu_unbounded": partial(
         _mc_eu_check,
-        "mc_eu_unbounded",
         Radius(UNBOUNDED),
         detail="simulation confirms the unrestricted expected utility",
     ),
     "mc_eu_radius": partial(
         _mc_eu_check,
-        "mc_eu_radius",
-        Radius(2.35),
-        detail="simulation confirms the windowed expected utility at r=2.35",
+        Radius(REFERENCE_RADIUS),
+        detail=f"simulation confirms the windowed expected utility at r={REFERENCE_RADIUS:g}",
     ),
 }
 
@@ -349,17 +334,15 @@ def run_checks(
     results = []
     for name in names:
         try:
-            results.append(ALL_CHECKS[name](params, cfg))
+            result = ALL_CHECKS[name](params, cfg)
         except Exception as exc:  # a blown-up check is a failed check, not a crash
-            results.append(
-                CheckResult(
-                    name=name,
-                    passed=False,
-                    measured=f"raised {type(exc).__name__}: {exc}",
-                    tolerance="check must complete",
-                    detail="the check could not be evaluated at these parameters",
-                )
+            result = CheckResult(
+                passed=False,
+                measured=f"raised {type(exc).__name__}: {exc}",
+                tolerance="check must complete",
+                detail="the check could not be evaluated at these parameters",
             )
+        results.append(replace(result, name=name))
     return results
 
 

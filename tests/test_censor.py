@@ -48,6 +48,11 @@ def test_expected_utility_unbounded(oracle: dict) -> None:
 
 def test_expected_utility_degenerate_endpoints(oracle: dict) -> None:
     assert expected_utility(Radius(0.0), P, C) == -P.prior_var
+    # and r -> 0: -prior_var + O(r^2). A window mass cancelled in the tail
+    # difference gave -1.0000000046 at r = 1e-8, below what any
+    # posterior-mean rule reaches, and -0.99999963 at 1e-10
+    for r in (1e-8, 1e-10, 1e-12):
+        assert abs(expected_utility(Radius(r), P, C) + P.prior_var) <= ABS_TOL * P.prior_var, r
     p1 = replace(P, high_share=1.0)
     got = expected_utility(R_UNB, p1, C)
     assert math.isclose(got, -1.0 / 3.0, abs_tol=1e-9)

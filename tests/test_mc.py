@@ -388,6 +388,20 @@ def test_grid_oracle_agrees_with_quadrature(s, policy, params) -> None:
     assert abs(var - summ.posterior_var) < 1e-6
 
 
+@pytest.mark.parametrize("r", [1e-10, 1e-14, 1e-16])
+def test_grid_oracle_narrow_window(r: float) -> None:
+    # the hard-window mass cancelled in the tail difference: at r = 1e-14
+    # the oracle gave (4.2e-5, 0.99552), and at 1e-16 (nan, nan) with
+    # warnings. A narrow window's signal says nothing about the state, so
+    # both the oracle and the quadrature give the prior, (0, 1). The suite
+    # turns warnings into errors, so this also asserts that none is raised
+    oracle = grid_posterior_oracle(0.3 * r, Radius(r), P, 200_001)
+    summ = optimal_action(0.3 * r, Radius(r), P, C)
+    for mean, var in (oracle, (summ.action, summ.posterior_var)):
+        assert abs(mean - oracle[0]) < 1e-6 and abs(var - oracle[1]) < 1e-6
+        assert abs(mean) < 1e-6 and abs(var - P.prior_var) < 1e-6
+
+
 def test_grid_oracle_symmetry_at_center() -> None:
     for policy in (Radius(2.0), NormalWeight(mean=0.0, var=2.0), R_UNB):
         mean, _ = grid_posterior_oracle(P.prior_mean, policy, P, 4001)

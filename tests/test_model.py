@@ -16,6 +16,7 @@ from echochamber.model import (
     NormalWeight,
     Radius,
     UNBOUNDED,
+    _interval_logmass,
     _log_weights,
     is_unbounded,
     norm_logpdf,
@@ -164,6 +165,20 @@ def test_window_mass_far_tail_finite() -> None:
     # gives -166341.469537354066 at omega = 1000
     far = window_logmass(1000.0, 1.0, DEFAULT_PARAMS)
     assert math.isclose(far, -166341.469537354066, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-14])
+def test_narrow_window_logmass(width: float) -> None:
+    # the tail difference cancels in a narrow interval (an error of 0.37 at
+    # width 1e-14 and mid -37); the reference is log phi(mid) plus the log of
+    # the integral of exp(-mid t - t^2/2) over |t| < h by 30-point Gauss-Legendre
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    h = width / 2.0
+    for mid in (0.0, -0.37, -1.9, -8.0, -37.0):
+        tail = math.log(h * float(np.sum(weights * np.exp(-mid * h * nodes - (h * nodes) ** 2 / 2.0))))
+        want = -0.5 * mid * mid - 0.5 * math.log(2.0 * math.pi) + tail
+        got = float(_interval_logmass(mid - h, mid + h, width))
+        assert abs(got - want) < 1e-9, mid
 
 
 def test_truncated_density_value(oracle: dict) -> None:

@@ -148,8 +148,7 @@ def test_naive_prob_high_degenerate_shares() -> None:
 
 def test_equal_variance_objective_ignores_type_share() -> None:
     # with identical variances the type label carries nothing, so the value
-    # cannot depend on the share; this also exercises the vanishing middle
-    # term of the three-term form
+    # cannot depend on the share
     base = replace(P, high_var=2.0, low_var=2.0, high_share=0.5)
     v = 1.7
     want = closed_form_objective(base, v, C)
@@ -159,11 +158,12 @@ def test_equal_variance_objective_ignores_type_share() -> None:
 
 
 def test_degenerate_closed_form_matches_quadrature() -> None:
-    # the three-term value and a direct double quadrature of the same rule
-    # must agree when the blended prior weight is constant in the signal
+    # the single-type closed form and a direct double quadrature of the
+    # same rule must agree when the blended prior weight is constant in the
+    # signal: one type (high or low) or equal variances
     from echochamber.censor import _naive_loss
 
-    for params in (P_SD4, replace(P, high_var=2.0, low_var=2.0)):
+    for params in (P_SD4, replace(P, high_var=2.0, low_var=2.0), replace(P, high_share=0.0)):
         for v in (0.4, 2.0, 10.0):
             closed = closed_form_objective(params, v, C)
             quad = -_naive_loss(NormalWeight(mean=params.prior_mean, var=v), params, C)[0]
