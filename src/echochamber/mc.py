@@ -8,9 +8,11 @@ their records are placed by chunk index and their attempts summed in chunk
 order, so identical (params, policy, n, seed) give byte-identical draws
 whatever the number of workers, on any platform. Every variate comes from a
 53-bit uniform (k + 0.5) / 2**53 with k the top 53 bits of one raw 64-bit
-Philox word, and normals from its inverse CDF. The words are read in blocks
-of half a chunk to three chunks and sliced, which gives the same sequence
-as successive Generator.integers(0, 2**53) calls.
+Philox word, and normals from its inverse CDF. Generator.random reads the
+words in blocks of half a chunk to three chunks, as k 2**-53, into a word
+buffer that a worker reuses, and 2**-54 is added, which rounds once, as
+(k + 0.5) / 2**53 does; the values are sliced from the buffer in the order
+of successive Generator.integers(0, 2**53) calls.
 
 Within a chunk, each round draws in a fixed order: one quality uniform per
 pending record, then one standard normal each, then (for a soft window) one
@@ -19,13 +21,18 @@ acceptance uniform each. A record keeps its state across rounds and redraws
 is the prior. Rejected attempts are counted but not stored, so memory is
 bounded by n and the chunk size, never by the rejection rate.
 
-Every simulation runs through one chunk driver, _run_chunks: a worker fills
-its scratch state, quality and signal arrays, one chunk long, and hands the
-finished chunk to a per-chunk function in its own thread, which keeps only
-what the simulation returns: simulate_draws all three arrays (17 B per
-record), mc_high_prob_within_radius the qualities (1 B per record),
-mc_signal_variance the signals and mc_simulated_utility each record's loss
-(8 B per record). The estimators' reductions are whole-array NumPy
+Every simulation runs through one chunk driver, _run_chunks. Each worker
+draws its chunks into one scratch set kept for the whole call (a chunk's
+state, quality and signal arrays, its stream's words and one round's
+temporaries, all written in place) and hands each finished chunk to a
+per-chunk function in its own thread, which keeps only what the simulation
+returns: simulate_draws all three arrays (17 B per record), and
+mc_high_prob_within_radius the qualities as floats, mc_signal_variance the
+signals and mc_simulated_utility each record's loss (8 B per record each).
+Each kept array lives in its own anonymous mapping, so freeing it returns
+its pages to the OS: freed from the heap, an array that size raises the
+allocator's mmap threshold to its size, and the arrays after it stay
+resident once freed. The estimators' reductions are whole-array NumPy
 reductions in record order, so their estimates are those of the same
 reduction over the records of simulate_draws, bit for bit.
 
@@ -55,8 +62,11 @@ from .errors import RejectionStallError
 from .model import ModelParams, NormalWeight, Radius, SamplingPolicy
 
 _CHUNK = 65536
-_BLOCK = _CHUNK // 2  # least raw words per read; no read exceeds 3 * _CHUNK
-_U53 = float(2**53)
+_BLOCK = _CHUNK // 2  # least words per read; no read exceeds 3 * _CHUNK
+# a stream's word buffer: a take is at most 3 * _CHUNK words, and a refill
+# keeps the unread words, fewer than the take, and reads _BLOCK or more
+_WORDS = 3 * _CHUNK + _BLOCK
+_HALF_STEP = 2.0**-54  # k 2**-53 + 2**-54 rounds once, as (k + 0.5) / 2**53
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the top word would round up to 1.0
 _TAIL = 64  # pending records at or below which rounds are read ahead
 _MAX_AHEAD = 256
@@ -64,30 +74,39 @@ _STALL_MIN_ATTEMPTS = 1_000_000
 _STALL_RATE = 1e-6
 
 
-class _Stream:
-    """A chunk's uniforms in (0, 1), read from its Philox in raw blocks.
-    take(size) hands out the next values; rewind(size) gives back the last
-    size values of the latest take."""
+def _mapped(n: int, dtype=float) -> np.ndarray:
+    """A zeroed n-array in its own anonymous mapping: freeing it
+    returns its pages to the OS at once, and never moves the allocator's
+    thresholds, which would leave later arrays of its size on the heap."""
+    import mmap  # imported here, like the pool: runs that never simulate skip it
 
-    def __init__(self, seed: int, chunk_index: int) -> None:
-        self._bitgen = np.random.Philox(key=[int(seed), int(chunk_index)])
-        self._buf = np.empty(0)
-        self._pos = 0
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype)
+
+
+class _Stream:
+    """A chunk's uniforms in (0, 1), read from its Philox in blocks into
+    words, a buffer of _WORDS values that a worker reuses for chunk after
+    chunk. take(size) hands out the next values as a view of that buffer,
+    valid only until the next take; rewind(size) gives back the last size
+    values of the latest take."""
+
+    def __init__(self, seed: int, chunk_index: int, words: np.ndarray) -> None:
+        self._gen = np.random.Generator(np.random.Philox(key=[int(seed), int(chunk_index)]))
+        self._words = words
+        self._pos = self._end = 0
 
     def take(self, size: int) -> np.ndarray:
         end = self._pos + size
-        if end > len(self._buf):
-            left = len(self._buf) - self._pos
-            count = max(_BLOCK, size - left)
-            buf = np.empty(left + count)
-            buf[:left] = self._buf[self._pos :]
-            self._buf, self._pos, end = buf, 0, size
-            raw = self._bitgen.random_raw(count)
-            raw >>= 11
-            np.add(raw, 0.5, out=buf[left:])
-            buf[left:] /= _U53
-            np.minimum(buf[left:], _BELOW_ONE, out=buf[left:])
-        out = self._buf[self._pos : end]
+        if end > self._end:
+            words, left = self._words, self._end - self._pos
+            words[:left] = words[self._pos : self._end]
+            fresh = words[left : left + max(_BLOCK, size - left)]
+            self._gen.random(out=fresh)  # k 2**-53, k the top 53 bits of a word
+            fresh += _HALF_STEP
+            np.minimum(fresh, _BELOW_ONE, out=fresh)
+            self._pos, self._end, end = 0, left + len(fresh), size
+        out = self._words[self._pos : end]
         self._pos = end
         return out
 
@@ -118,16 +137,36 @@ class DrawSet:
 
 
 def _admission(policy: SamplingPolicy, params: ModelParams):
-    """Uniforms per attempt, and the rule mapping a block's signals and its
-    (rounds, width, m) uniforms to the admitted mask; a soft window's
-    acceptance uniforms are the third row of each round."""
+    """Uniforms per attempt, and the rule that writes a block's admitted
+    mask from its signals and its (rounds, width, m) uniforms, through a
+    temporary of the signals' shape; a soft window's acceptance uniforms
+    are the third row of each round."""
     if isinstance(policy, Radius):
         if policy.unbounded:
-            return 2, lambda s, u: np.ones(s.shape, dtype=bool)
-        return 2, lambda s, u: np.abs(s - params.prior_mean) < policy.r
+
+            def admit_all(s, u, tmp, mask):
+                mask[...] = True
+
+            return 2, admit_all
+
+        def inside(s, u, tmp, mask):
+            np.subtract(s, params.prior_mean, out=tmp)
+            np.abs(tmp, out=tmp)
+            np.less(tmp, policy.r, out=mask)
+
+        return 2, inside
     if isinstance(policy, NormalWeight):
         centre = params.prior_mean + policy.mean
-        return 3, lambda s, u: u[:, 2] < np.exp(-((s - centre) ** 2) / (2.0 * policy.var))
+
+        def weighted(s, u, tmp, mask):
+            np.subtract(s, centre, out=tmp)
+            np.square(tmp, out=tmp)
+            np.negative(tmp, out=tmp)
+            tmp /= 2.0 * policy.var
+            np.exp(tmp, out=tmp)
+            np.less(u[:, 2], tmp, out=mask)
+
+        return 3, weighted
     raise TypeError(f"unsupported policy {policy!r}")
 
 
@@ -140,20 +179,32 @@ def _stall_guard(attempts: int, accepted: int) -> None:
         )
 
 
+class _Scratch:
+    """One worker's arrays for a whole simulation: a chunk's records, its
+    stream's words, and one round's quality flags, trial signals, admitted
+    mask and a temporary (the types' sds, then the pending states, then the
+    admission test). A round holds at most _CHUNK attempts: one per pending
+    record, or up to _MAX_AHEAD rounds of at most _TAIL."""
+
+    def __init__(self) -> None:
+        self.states, self.signals = np.empty(_CHUNK), np.empty(_CHUNK)
+        self.qualities = np.empty(_CHUNK, dtype=np.uint8)
+        self.words = np.empty(_WORDS)
+        self.flags, self.mask = np.empty(_CHUNK, dtype=bool), np.empty(_CHUNK, dtype=bool)
+        self.trial, self.tmp = np.empty(_CHUNK), np.empty(_CHUNK)
+
+
 def _simulate_chunk(
-    params: ModelParams,
-    width: int,
-    admitted,
-    stream: _Stream,
-    states: np.ndarray,
-    qualities: np.ndarray,
-    signals: np.ndarray,
+    params: ModelParams, width: int, admitted, stream: _Stream, scratch: _Scratch, size: int
 ) -> int:
-    """Fill one chunk's slices of the accepted arrays; return its attempts."""
+    """Fill the first size records of the scratch arrays; return the
+    attempts."""
+    states, qualities, signals = scratch.states[:size], scratch.qualities[:size], scratch.signals[:size]
     sd_by_quality = np.sqrt([params.low_var, params.high_var])
-    sd0 = math.sqrt(params.prior_var)
-    states[:] = params.prior_mean + sd0 * ndtri(stream.take(len(states)))
-    pending = np.arange(len(states))
+    ndtri(stream.take(size), out=states)
+    states *= math.sqrt(params.prior_var)
+    states += params.prior_mean
+    pending = np.arange(size)
     attempts = accepted = 0
     ahead = 2
     while len(pending):
@@ -162,9 +213,16 @@ def _simulate_chunk(
         m = len(pending)
         rounds = ahead if m <= _TAIL else 1
         u = stream.take(rounds * width * m).reshape(rounds, width, m)
-        quality = (u[:, 0] < params.high_share).view(np.uint8)
-        s = states[pending] + sd_by_quality.take(quality) * ndtri(u[:, 1])
-        acc = admitted(s, u)
+        flags, s, tmp, acc = (
+            a[: rounds * m].reshape(rounds, m)
+            for a in (scratch.flags, scratch.trial, scratch.tmp, scratch.mask)
+        )
+        np.less(u[:, 0], params.high_share, out=flags)
+        quality = flags.view(np.uint8)
+        ndtri(u[:, 1], out=s)
+        s *= np.take(sd_by_quality, quality, out=tmp, mode="clip")
+        s += np.take(states, pending, out=tmp[0], mode="clip")
+        admitted(s, u, tmp, acc)
         hit_rounds = np.flatnonzero(acc.any(axis=1))
         used = int(hit_rounds[0]) + 1 if len(hit_rounds) else rounds
         stream.rewind((rounds - used) * width * m)
@@ -183,8 +241,6 @@ def _simulate_chunk(
             ahead = min(2 * used, _MAX_AHEAD)
         else:
             ahead = min(2 * ahead, _MAX_AHEAD)
-        # a chunk holds one round's arrays at a time
-        del u, quality, s, acc, admit
     return attempts
 
 
@@ -205,24 +261,24 @@ def _run_chunks(
     params: ModelParams, policy: SamplingPolicy, n: int, seed: int, each_chunk
 ) -> int:
     """Simulate n accepted records chunk by chunk on the worker pool and
-    return the attempts. A chunk is drawn into its worker's scratch arrays
-    one chunk long, and is then handed as (slice, states, qualities,
-    signals) to each_chunk in that worker's thread. When several chunks
-    fail, the error of the first in chunk order is raised."""
+    return the attempts. Each worker draws its chunks into one scratch set
+    kept for the whole call, and hands each finished chunk as (slice,
+    states, qualities, signals) to each_chunk in that worker's thread. When
+    several chunks fail, the error of the first in chunk order is raised."""
     width, admitted = _admission(policy, params)
     # imported here so that runs which never simulate do not load the pool
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    scratch = threading.local()
+    local = threading.local()
 
     def run(chunk: int) -> int:
         part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
-        if not hasattr(scratch, "arrays"):
-            scratch.arrays = (np.empty(_CHUNK), np.empty(_CHUNK, dtype=np.uint8), np.empty(_CHUNK))
-        arrays = [a[: part.stop - part.start] for a in scratch.arrays]
-        attempts = _simulate_chunk(params, width, admitted, _Stream(seed, chunk), *arrays)
-        each_chunk(part, *arrays)
+        if not hasattr(local, "scratch"):
+            local.scratch = _Scratch()
+        sc, size = local.scratch, part.stop - part.start
+        attempts = _simulate_chunk(params, width, admitted, _Stream(seed, chunk, sc.words), sc, size)
+        each_chunk(part, sc.states[:size], sc.qualities[:size], sc.signals[:size])
         return attempts
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK
@@ -243,7 +299,7 @@ def simulate_draws(
     of the first in chunk order is raised.
     """
     _check_request(policy, n)
-    states, qualities, signals = np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n)
+    states, qualities, signals = _mapped(n), _mapped(n, np.uint8), _mapped(n)
 
     def keep(part: slice, *chunk) -> None:
         states[part], qualities[part], signals[part] = chunk
@@ -260,12 +316,13 @@ def simulate_draws(
 
 
 def _simulate_values(
-    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, value, dtype=float
+    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, value
 ) -> np.ndarray:
     """value(states, qualities, signals) of each of the n records that
-    simulate_draws would draw, in record order; only this array is kept."""
+    simulate_draws would draw, in record order, as floats; only this array
+    is kept."""
     _check_request(policy, n)
-    kept = np.empty(n, dtype=dtype)
+    kept = _mapped(n)
 
     def keep(part: slice, states, qualities, signals) -> None:
         kept[part] = value(states, qualities, signals)
@@ -327,10 +384,9 @@ def mc_high_prob_within_radius(
 ) -> McEstimate:
     """Fraction of accepted draws that came from a high-quality source
     under the hard window of radius r."""
-    qualities = _simulate_values(
-        params, Radius(r), n, seed, lambda states, qualities, signals: qualities, np.uint8
-    )
-    return _estimate(qualities.astype(float))
+    # the quality codes 0 and 1 are kept as the floats 0.0 and 1.0
+    qualities = _simulate_values(params, Radius(r), n, seed, lambda states, qualities, signals: qualities)
+    return _estimate(qualities)
 
 
 def mc_signal_variance(

@@ -320,6 +320,32 @@ def test_absolute_actions_move_with_the_prior_mean(prior_mean) -> None:
         assert np.allclose(density, posterior_density(omegas, 1.0, policy, P, C), rtol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "policy, params",
+    [(R_UNB, P), (Radius(2.35), P), (R_UNB, replace(P, low_var=300.0))],
+    ids=["unbounded", "r2.35", "unbounded-sigmaL2_300"],
+)
+def test_action_map_evaluates_its_spline_as_ppoly_does(policy, params) -> None:
+    # the NumPy evaluator must give PPoly.__call__'s bits: on normal
+    # signals, at every breakpoint (the end knots repeat), beyond both ends,
+    # at NaN, and for a 0-d input, whose result is 0-d as PPoly's is
+    from scipy.interpolate import PPoly, make_interp_spline
+
+    nodes, _ = signal_rule(policy, params, C)
+    if not policy.unbounded:
+        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
+    grid = np.unique(nodes + params.prior_mean)
+    spline = PPoly.from_spline(make_interp_spline(grid, posterior_summaries(grid, policy, params, C)[0], k=7))
+    amap = action_map(policy, params, C)
+    ends = [spline.x[0] - 1.0, spline.x[-1] + 1.0]
+    s = np.concatenate([np.random.default_rng(7).normal(0.0, 3.0, 1_000_000), spline.x, ends])
+    assert np.array_equal(amap(s).view(np.int64), spline(s).view(np.int64))
+    assert np.isnan(amap(np.nan)) and np.isnan(spline(np.nan))
+    for x in (0.3, np.float64(-1.7), spline.x[9], ends[1]):
+        got = amap(x)
+        assert got.shape == () and got.view(np.int64) == spline(x).view(np.int64), x
+
+
 def test_action_map_refuses_a_zero_radius() -> None:
     with pytest.raises(DegenerateRadiusError):
         action_map(Radius(0.0), P, C)

@@ -2,14 +2,18 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import echochamber
+from echochamber import mc
 from echochamber.censor import expected_utility
 from echochamber.errors import RejectionStallError
 from echochamber.inference import action_map, optimal_action, posterior_summaries
@@ -137,16 +141,43 @@ def test_streamed_utility_equals_the_draw_set_utility() -> None:
 
 
 def test_stream_uniforms_stay_below_one() -> None:
-    # the top raw word gives k = 2**53 - 1, and k + 0.5 rounds up to 2**53
-    class AllOnes:
-        def random_raw(self, count: int) -> np.ndarray:
-            return np.full(count, np.iinfo(np.uint64).max, dtype=np.uint64)
+    # the largest value Generator.random gives, 1 - 2**-53, plus the half
+    # step 2**-54 rounds up to 1.0; the stream must clamp it
+    class Top:
+        calls = 0
 
-    stream = _Stream(0, 0)
-    stream._bitgen = AllOnes()
+        def random(self, out: np.ndarray) -> None:
+            Top.calls += 1
+            out[...] = 1.0 - 2.0**-53
+
+    stream = _Stream(0, 0, np.empty(mc._WORDS))
+    stream._gen = Top()
     u = stream.take(1000)
+    assert Top.calls == 1
     assert np.all(u < 1.0)
     assert np.all(np.isfinite(ndtri(u)))
+
+
+def test_stream_is_the_53_bit_uniforms_of_its_chunk_key() -> None:
+    # takes of every size the simulator asks for, from single values to
+    # three chunks, each followed by a partial rewind, cross many refills
+    # of the word buffer; the values handed out are the chunk's raw Philox
+    # words k as min(((k >> 11) + 0.5) / 2**53, the largest double below 1)
+    seed, chunk = 20250823, 3
+    stream = _Stream(seed, chunk, np.empty(mc._WORDS))
+    rng = np.random.default_rng(0)
+    got, pos = [], 0
+    while pos < 1_200_000:
+        size = int(rng.choice([1, 7, 64, 3 * 64 * 256, 65_536, 2 * 65_536, 3 * 65_536]))
+        values = stream.take(size).copy()  # a take is valid until the next
+        back = int(rng.integers(0, size + 1)) if rng.random() < 0.5 else 0
+        stream.rewind(back)
+        got.append(values[: size - back])
+        pos += size - back
+    got = np.concatenate(got)
+    raw = np.random.Philox(key=[seed, chunk]).random_raw(len(got))
+    want = np.minimum(((raw >> 11) + 0.5) / 2.0**53, np.nextafter(1.0, 0.0))
+    assert np.array_equal(got, want)
 
 
 def test_unbounded_policy_accepts_every_attempt() -> None:
@@ -192,40 +223,74 @@ def _peak_of(run, n: int) -> int:
         tracemalloc.stop()
 
 
+@pytest.fixture
+def traced_mappings(monkeypatch) -> None:
+    # tracemalloc does not see anonymous mappings: the simulator's mapped
+    # arrays are made on the heap instead, so that its peaks count them
+    monkeypatch.setattr(mc, "_mapped", lambda n, dtype=float: np.empty(n, dtype=dtype))
+
+
 def _peak_bytes(params, policy, n: int) -> int:
     return _peak_of(lambda n: simulate_draws(params, policy, n, seed=5), n)
 
 
-def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
+def test_peak_memory_does_not_follow_the_rejection_rate(traced_mappings) -> None:
     # the narrow window takes about 76 attempts per record, the unbounded
     # one exactly one; the working set is set by the chunk and block sizes
     n = 200_000
     narrow = _peak_bytes(replace(P, low_var=768.0), Radius(0.1), n)
     unbounded = _peak_bytes(P, R_UNB, n)
+    # both peaks hold the draw set and a worker's scratch arrays
+    assert unbounded >= 17 * n + 8 * mc._WORDS
     assert narrow <= 1.25 * unbounded, (narrow, unbounded)
 
 
-def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch) -> None:
+def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch, traced_mappings) -> None:
     # the slope of the peak between two sizes is the memory a check keeps
-    # per record: 1 B of quality plus its 8 B float form for prop1, 8 B of
-    # signal or of loss for the others (the full draw set alone is 17 B).
-    # One worker keeps the simulation's working set (about 4.5 MB) below
-    # each size's reduction, so a second n-array would show in the slope.
+    # per record: 8 B of quality (as a float), of signal or of loss (the
+    # full draw set alone is 17 B). One worker keeps the simulation's
+    # working set (about 4.5 MB) below each size's reduction, so a second
+    # n-array would show in the slope.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     amap = action_map(Radius(2.35), P, C)
     checks = {
-        "exante_total_var": (10.0, lambda n: mc_signal_variance(P, R_UNB, n, 5)),
-        "mc_eu_radius": (10.0, lambda n: mc_simulated_utility(P, Radius(2.35), amap, n, 5)),
-        "prop1 at low_var=768": (
-            12.0,
-            lambda n: mc_high_prob_within_radius(replace(P, low_var=768.0), 1.0, n, 5),
-        ),
+        "exante_total_var": lambda n: mc_signal_variance(P, R_UNB, n, 5),
+        "mc_eu_radius": lambda n: mc_simulated_utility(P, Radius(2.35), amap, n, 5),
+        "prop1 at low_var=768": lambda n: mc_high_prob_within_radius(replace(P, low_var=768.0), 1.0, n, 5),
     }
     small, large = 1_048_576, 2_097_152
-    for name, (bound, run) in checks.items():
+    for name, run in checks.items():
         run(65_536)  # warm any cache outside the traced runs
         slope = (_peak_of(run, large) - _peak_of(run, small)) / (large - small)
-        assert slope <= bound, (name, slope)
+        assert slope <= 10.0, (name, slope)
+
+
+_AFTER_PROP1 = """
+import resource, sys
+from dataclasses import replace
+from echochamber.mc import mc_high_prob_within_radius, mc_signal_variance
+from echochamber.model import DEFAULT_NUMERICS as C, DEFAULT_PARAMS as P, Radius, UNBOUNDED
+if sys.argv[1] == "after-prop1":
+    for low_var in (3.0, 48.0, 768.0):
+        mc_high_prob_within_radius(replace(P, low_var=low_var), 1.0, C.mc_n, C.mc_seed)
+mc_signal_variance(P, Radius(UNBOUNDED), 4 * C.mc_n, C.mc_seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_prop1_leaves_no_resident_memory_under_the_next_check() -> None:
+    # verify runs exante_total_var (its 32 MB signal array at the default
+    # size) after prop1's three rungs: the rungs' freed arrays must not stay
+    # resident under it, as they did when they came from the heap (11 MB)
+    env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
+
+    def peak_mb(mode: str) -> float:
+        argv = [sys.executable, "-c", _AFTER_PROP1, mode]
+        return int(subprocess.run(argv, capture_output=True, check=True, env=env).stdout) / 1024
+
+    alone, after = peak_mb("alone"), peak_mb("after-prop1")
+    assert after <= alone + 5.0, (alone, after)
 
 
 def test_kernel_peak_memory_is_a_few_blocks() -> None:
