@@ -1,5 +1,4 @@
-"""Seeded Monte Carlo simulation of the generative process and an
-independent discretized posterior oracle.
+"""Seeded Monte Carlo simulation of the generative process.
 
 Reproducibility design: each 65536-record chunk reads its own counter-based
 stream, Philox keyed [seed, chunk_index], and writes its own slice of the
@@ -22,13 +21,18 @@ is the prior. Rejected attempts are counted but not stored, so memory is
 bounded by n and the chunk size, never by the rejection rate.
 
 Every simulation runs through one chunk driver, _run_chunks. Each worker
-draws its chunks into one scratch set kept for the whole call (a chunk's
-state, quality and signal arrays, its stream's words and one round's
-temporaries, all written in place) and hands each finished chunk to a
-per-chunk function in its own thread, which keeps only what the simulation
-returns: simulate_draws all three arrays (17 B per record), and
-mc_high_prob_within_radius the qualities as floats, mc_signal_variance the
-signals and mc_simulated_utility each record's loss (8 B per record each).
+draws its chunks into one scratch set kept for the whole call, 63 B per
+chunk record (a chunk's state, quality and signal arrays, its stream's
+words and a later round's arrays, all written in place). A chunk's first
+round, one attempt per record, writes straight into the records' quality
+and signal slots; only the records it does not admit are redrawn, by
+index, through the later rounds' arrays. So an unbounded chunk ends after
+that round, and a windowed chunk adds only its pending records' indices.
+The worker hands each finished chunk to a per-chunk function in its own
+thread, which keeps only what the simulation returns: simulate_draws all
+three arrays (17 B per record), and mc_high_prob_within_radius the
+qualities as floats, mc_signal_variance the signals and
+mc_simulated_utility each record's loss (8 B per record each).
 Each kept array lives in its own anonymous mapping, so freeing it returns
 its pages to the OS: freed from the heap, an array that size raises the
 allocator's mmap threshold to its size, and the arrays after it stay
@@ -43,9 +47,8 @@ block with no admission, up to 256, and after an admission in round j it
 restarts at 2(j + 1). The stall guard is replayed round by round, so the
 draws, the attempt counts and the errors are those of one round at a time.
 
-The grid oracle is Bayes' rule on a uniform state grid, one log-space
-formula for every policy, which takes no density, window mass or kernel
-from model or inference, so it checks the quadrature path.
+The grid posterior oracle, which checks the quadrature path, lives in
+oracle and is re-exported here.
 """
 from __future__ import annotations
 
@@ -53,13 +56,13 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import RejectionStallError
 from .model import ModelParams, NormalWeight, Radius, SamplingPolicy
+from .oracle import grid_posterior_oracle  # noqa: F401 (re-exported: its callers import it from mc)
 
 _CHUNK = 65536
 _BLOCK = _CHUNK // 2  # least words per read; no read exceeds 3 * _CHUNK
@@ -181,9 +184,10 @@ def _stall_guard(attempts: int, accepted: int) -> None:
 
 class _Scratch:
     """One worker's arrays for a whole simulation: a chunk's records, its
-    stream's words, and one round's quality flags, trial signals, admitted
-    mask and a temporary (the types' sds, then the pending states, then the
-    admission test). A round holds at most _CHUNK attempts: one per pending
+    stream's words, and one later round's quality flags, trial signals,
+    admitted mask and a temporary (the types' sds, then the pending states,
+    then the admission test); the first round uses the mask and the
+    temporary. A later round holds at most _CHUNK attempts: one per pending
     record, or up to _MAX_AHEAD rounds of at most _TAIL."""
 
     def __init__(self) -> None:
@@ -194,18 +198,36 @@ class _Scratch:
         self.trial, self.tmp = np.empty(_CHUNK), np.empty(_CHUNK)
 
 
+def _scale_by_quality(s, flags, sds, tmp) -> None:
+    """s *= the sd of each attempt's type, flags marking the high type."""
+    tmp.fill(sds[0])
+    np.copyto(tmp, sds[1], where=flags)
+    s *= tmp
+
+
 def _simulate_chunk(
     params: ModelParams, width: int, admitted, stream: _Stream, scratch: _Scratch, size: int
 ) -> int:
     """Fill the first size records of the scratch arrays; return the
-    attempts."""
+    attempts. The first round draws every record's attempt straight into
+    its own quality and signal slots; later rounds redraw only the records
+    still pending, by index, through the round arrays, and write each
+    admitted attempt into its record's slots."""
     states, qualities, signals = scratch.states[:size], scratch.qualities[:size], scratch.signals[:size]
-    sd_by_quality = np.sqrt([params.low_var, params.high_var])
+    sds = (math.sqrt(params.low_var), math.sqrt(params.high_var))
     ndtri(stream.take(size), out=states)
     states *= math.sqrt(params.prior_var)
     states += params.prior_mean
-    pending = np.arange(size)
-    attempts = accepted = 0
+    u = stream.take(width * size).reshape(1, width, size)
+    high, tmp, acc = qualities.view(bool), scratch.tmp[:size], scratch.mask[:size]
+    np.less(u[0, 0], params.high_share, out=high)
+    ndtri(u[0, 1], out=signals)
+    _scale_by_quality(signals, high, sds, tmp)
+    signals += states
+    admitted(signals[None], u, tmp[None], acc[None])
+    pending = np.flatnonzero(np.logical_not(acc, out=acc))
+    attempts, accepted = size, size - len(pending)
+    _stall_guard(attempts, accepted)
     ahead = 2
     while len(pending):
         # read `rounds` rounds as if none admits a record, keep them through
@@ -218,26 +240,25 @@ def _simulate_chunk(
             for a in (scratch.flags, scratch.trial, scratch.tmp, scratch.mask)
         )
         np.less(u[:, 0], params.high_share, out=flags)
-        quality = flags.view(np.uint8)
         ndtri(u[:, 1], out=s)
-        s *= np.take(sd_by_quality, quality, out=tmp, mode="clip")
+        _scale_by_quality(s, flags, sds, tmp)
         s += np.take(states, pending, out=tmp[0], mode="clip")
         admitted(s, u, tmp, acc)
         hit_rounds = np.flatnonzero(acc.any(axis=1))
         used = int(hit_rounds[0]) + 1 if len(hit_rounds) else rounds
         stream.rewind((rounds - used) * width * m)
         admit = acc[used - 1]
-        hit_pos = np.flatnonzero(admit)
-        n_hit = len(hit_pos)
+        n_hit = int(np.count_nonzero(admit))
         for i in range(used):
             attempts += m
             accepted += n_hit if i == used - 1 else 0
             _stall_guard(attempts, accepted)
         if n_hit:
-            hit = pending[hit_pos]
-            qualities[hit] = quality[used - 1, hit_pos]
-            signals[hit] = s[used - 1, hit_pos]
-            pending = pending[~admit]
+            hit = np.compress(admit, pending)
+            qualities[hit] = np.compress(admit, flags[used - 1])
+            signals[hit] = np.compress(admit, s[used - 1])
+            del hit  # not held beside both index arrays of the compaction
+            pending = np.compress(np.logical_not(admit, out=admit), pending)
             ahead = min(2 * used, _MAX_AHEAD)
         else:
             ahead = min(2 * ahead, _MAX_AHEAD)
@@ -398,66 +419,3 @@ def mc_signal_variance(
     dev2 -= dev2.mean()
     dev2 *= dev2
     return _estimate(dev2)
-
-
-def _log_npdf(sq, var):
-    """log N(x; m, var), given sq = (x - m)^2."""
-    return -sq / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
-
-
-def grid_posterior_oracle(
-    s: float, policy: SamplingPolicy, params: ModelParams, grid_points: int
-) -> tuple[float, float]:
-    """Posterior mean and variance of the state by direct normalized
-    summation on a uniform grid: a deliberately plain Bayes rule that shares
-    no machinery with the quadrature path. Every policy takes one formula,
-    in log space, where far from the window or the signal the densities and
-    admission probabilities underflow while their ratio does not:
-
-        log w(omega) = log prior(omega) + logsumexp_q[log h_q + log N(s; omega, v_q)]
-                       - logsumexp_q[log h_q + log A_q(omega)],
-
-    with A_q(omega) the probability that a type-q source at state omega is
-    admitted: 1 without a window, the window mass for a hard window, and
-    N(omega; mean, v_q + var), up to a factor shared by the types, for a
-    soft one. The signal's own admission weight is the same for every state
-    and cancels."""
-    if grid_points < 1001:
-        raise ValueError(f"grid_points must be >= 1001, got {grid_points!r}")
-    half = 10.0 * math.sqrt(max(params.prior_var, params.low_var))
-    omega = np.linspace(params.prior_mean - half, params.prior_mean + half, int(grid_points))
-    h = params.high_share
-    d = np.abs(omega - params.prior_mean)
-    sq = (s - omega) ** 2
-    if isinstance(policy, NormalWeight):
-        sq_window = (omega - (params.prior_mean + policy.mean)) ** 2
-    log_mix, log_admit = [], []
-    for share, var in ((h, params.high_var), (1.0 - h, params.low_var)):
-        if share == 0.0:
-            continue
-        log_mix.append(math.log(share) + _log_npdf(sq, var))
-        if isinstance(policy, NormalWeight):
-            log_mass = _log_npdf(sq_window, var + policy.var)
-        elif policy.unbounded:
-            log_mass = 0.0
-        else:
-            # the window mass Phi(b) - Phi(a), mirrored into the lower tail
-            # (a = -(d + r)/sd, b = (r - d)/sd), where it does not cancel
-            # unless the window is narrow; there it is 2r N(d; 0, var), to
-            # within a relative (2r/sd)^2 (1 + d/sd)^2 / 24 < 4e-10
-            sd = math.sqrt(var)
-            la = log_ndtr(-(d + policy.r) / sd)
-            lb = log_ndtr((policy.r - d) / sd)
-            with np.errstate(divide="ignore"):
-                log_mass = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-            narrow = 2.0 * policy.r / sd * (1.0 + d / sd) < 1e-4
-            log_mass = np.where(narrow, math.log(2.0 * policy.r) + _log_npdf(d * d, var), log_mass)
-        log_admit.append(math.log(share) + log_mass)
-    log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_admit)
-    log_weight -= d * d / (2.0 * params.prior_var)  # the log prior, up to a constant
-    weight = np.exp(log_weight - log_weight.max())
-
-    z = weight.sum()
-    mean = float((weight * omega).sum() / z)
-    # the second moment about the mean, which does not cancel far from 0
-    return mean, float((weight * (omega - mean) ** 2).sum() / z)

@@ -320,6 +320,17 @@ def test_absolute_actions_move_with_the_prior_mean(prior_mean) -> None:
         assert np.allclose(density, posterior_density(omegas, 1.0, policy, P, C), rtol=1e-9)
 
 
+def _action_spline(policy, params):
+    """The PPoly that action_map builds, built here with scipy alone."""
+    from scipy.interpolate import PPoly, make_interp_spline
+
+    nodes, _ = signal_rule(policy, params, C)
+    if isinstance(policy, Radius) and not policy.unbounded:
+        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
+    grid = np.unique(nodes + params.prior_mean)
+    return PPoly.from_spline(make_interp_spline(grid, posterior_summaries(grid, policy, params, C)[0], k=7))
+
+
 @pytest.mark.parametrize(
     "policy, params",
     [(R_UNB, P), (Radius(2.35), P), (R_UNB, replace(P, low_var=300.0))],
@@ -329,13 +340,7 @@ def test_action_map_evaluates_its_spline_as_ppoly_does(policy, params) -> None:
     # the NumPy evaluator must give PPoly.__call__'s bits: on normal
     # signals, at every breakpoint (the end knots repeat), beyond both ends,
     # at NaN, and for a 0-d input, whose result is 0-d as PPoly's is
-    from scipy.interpolate import PPoly, make_interp_spline
-
-    nodes, _ = signal_rule(policy, params, C)
-    if not policy.unbounded:
-        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
-    grid = np.unique(nodes + params.prior_mean)
-    spline = PPoly.from_spline(make_interp_spline(grid, posterior_summaries(grid, policy, params, C)[0], k=7))
+    spline = _action_spline(policy, params)
     amap = action_map(policy, params, C)
     ends = [spline.x[0] - 1.0, spline.x[-1] + 1.0]
     s = np.concatenate([np.random.default_rng(7).normal(0.0, 3.0, 1_000_000), spline.x, ends])
@@ -344,6 +349,49 @@ def test_action_map_evaluates_its_spline_as_ppoly_does(policy, params) -> None:
     for x in (0.3, np.float64(-1.7), spline.x[9], ends[1]):
         got = amap(x)
         assert got.shape == () and got.view(np.int64) == spline(x).view(np.int64), x
+
+
+@pytest.mark.parametrize(
+    "policy, params",
+    [(R_UNB, replace(P, low_var=1e32)), (Radius(1e-10), P), (NormalWeight(0.0, 2.0), P)],
+    ids=["unbounded-sigmaL2_1e32", "r1e-10", "soft-var2"],
+)
+def test_action_map_lookup_is_exact_wherever_the_knots_sit(policy, params) -> None:
+    # knots at +-1e17, 40 knots within 1e-10, and a soft window's: at every
+    # knot, the doubles either side of it, both zeros, both infinities and
+    # NaN, the interval is searchsorted's and the value PPoly's, bit for bit
+    spline = _action_spline(policy, params)
+    knots = spline.x
+    s = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    s = np.concatenate([s, [0.0, -0.0, np.inf, -np.inf]])
+    find, _ = inference._interval_finder(knots)
+    want = np.clip(np.searchsorted(knots, s, "right") - 1, 0, len(knots) - 2)
+    assert np.array_equal(find(s), want)
+    s = np.append(s, np.nan)
+    with np.errstate(invalid="ignore"):  # NumPy warns of inf - inf at the infinities, PPoly does not
+        got = action_map(policy, params, C)(s)
+    assert np.array_equal(got.view(np.int64), spline(s).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "policy, params",
+    [
+        (R_UNB, P),
+        (Radius(2.35), P),
+        (R_UNB, replace(P, low_var=300.0)),
+        (R_UNB, replace(P, low_var=1e32)),
+        (Radius(1e-10), P),
+        (NormalWeight(0.0, 2.0), P),
+    ],
+    ids=["unbounded", "r2.35", "unbounded-sigmaL2_300", "unbounded-sigmaL2_1e32", "r1e-10", "soft-var2"],
+)
+def test_action_map_lookup_takes_a_few_steps_wherever_the_knots_sit(policy, params) -> None:
+    # a bucket of doubles shares a sign, an exponent and 4 mantissa bits;
+    # the signal rule's knots are graded like them, so however far they
+    # spread (to 1e-10 or to 1e17), a signal steps past at most 8 of them
+    # after its bucket's table entry, where a binary search takes 9
+    _, steps = inference._interval_finder(_action_spline(policy, params).x)
+    assert steps <= 8
 
 
 def test_action_map_refuses_a_zero_radius() -> None:

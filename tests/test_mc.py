@@ -265,6 +265,29 @@ def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch, traced_mappin
         assert slope <= 10.0, (name, slope)
 
 
+@pytest.mark.parametrize(
+    "params, policy, extra",
+    [(P, R_UNB, 1.0), (P, Radius(2.35), 12.0), (P, Radius(1.0), 12.0)],
+    ids=["unbounded", "r2.35", "r1"],
+)
+def test_one_worker_keeps_its_scratch_and_little_else(monkeypatch, params, policy, extra: float) -> None:
+    # per chunk record, one worker's scratch holds 63 B (the states,
+    # signals, trial signals and temporary, 8 B each, the stream's 28 B of
+    # words and four 1 B arrays); an unbounded chunk needs nothing else,
+    # and a windowed one only its pending records' indices. A simulator
+    # that keeps an index array over the chunk, or writes its first round
+    # through the trial buffer and scatters it, reads 84-95 B
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    scratch = sum(a.nbytes for a in vars(mc._Scratch()).values()) / mc._CHUNK
+
+    def run(n: int) -> None:
+        mc._run_chunks(params, policy, n, 5, lambda *chunk: None)
+
+    run(2 * mc._CHUNK)  # warm any cache outside the traced run
+    peak = _peak_of(run, 2 * mc._CHUNK) / mc._CHUNK
+    assert peak <= scratch + extra, (scratch, peak)
+
+
 _AFTER_PROP1 = """
 import resource, sys
 from dataclasses import replace
@@ -428,9 +451,12 @@ def test_soft_window_conditional_moments() -> None:
     assert abs(d.accepted_qualities.mean() - share) < 3.0 * se
 
 
-# the last three put the signal where a soft window's densities underflow in
+# the third to fifth put the signal where a soft window's densities underflow in
 # linear arithmetic over much of the grid: far from the prior under a wide
-# prior, and far outside a narrow window
+# prior, and far outside a narrow window. The last two need the grid on the
+# posterior's span: a grid on 10 low-type sds, 1e17 here, put one node in the
+# prior and returned (0, 0); with narrow types the posterior mean, 1.61,
+# lies outside both [0, s] and the window
 _FAR_PRIOR = ModelParams(prior_var=1e4)
 
 
@@ -443,8 +469,13 @@ _FAR_PRIOR = ModelParams(prior_var=1e4)
         (30.0, NormalWeight(mean=0.0, var=2.0), _FAR_PRIOR),
         (60.0, NormalWeight(mean=0.0, var=2.0), _FAR_PRIOR),
         (5.0, NormalWeight(mean=0.0, var=1e-3), P),
+        (0.5, Radius(2.0), replace(P, low_var=1e32)),
+        (0.99, Radius(1.0), replace(P, high_var=1e-2, low_var=1e-2)),
     ],
-    ids=["windowed", "soft", "unbounded", "soft-far-s30", "soft-far-s60", "soft-narrow-s5"],
+    ids=[
+        "windowed", "soft", "unbounded", "soft-far-s30", "soft-far-s60", "soft-narrow-s5",
+        "windowed-low_var1e32", "windowed-narrow-types",
+    ],
 )
 def test_grid_oracle_agrees_with_quadrature(s, policy, params) -> None:
     mean, var = grid_posterior_oracle(s, policy, params, 200_001)
