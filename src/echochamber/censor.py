@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _linear_mix, _log_terms, _moments, _policy_pieces
+from .inference import _likes, _linear_mix, _moments, _policy_pieces, _state_terms
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -89,16 +89,14 @@ def _bayes_loss(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
     return np.sum(p * (m2 - mean * mean), axis=1)
 
 
-def _naive_loss(policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
-    """Like _bayes_loss but with the action map replaced by the two-step
-    shrinkage rule that treats type weights as radius-free predictive ones.
-    Used by the soft-window objective; see normal_sampling. The rule takes
-    the centred model, like the posterior moments it is scored against."""
-    from .normal_sampling import naive_action
-
+def _naive_loss(rule, policy: NormalWeight, params: ModelParams, cfg: NumericsConfig):
+    """Like _bayes_loss but with the posterior-mean action replaced by
+    rule(s, params, policy), an action rule such as the soft window's
+    two-step shrinkage (normal_sampling.naive_action). The rule takes the
+    centred model, like the posterior moments it is scored against."""
     params = replace(params, prior_mean=0.0)
     x_nodes, p, mean, m2 = signal_law(policy, params, cfg)
-    action = naive_action(x_nodes, params, policy)
+    action = rule(x_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
 
 
@@ -306,13 +304,13 @@ def expected_action(
     omegas = np.asarray(omegas, dtype=float)
     if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
         return np.full(omegas.shape, m)
-    d = omegas[:, None] - m
+    # the admitted-signal density's terms at each state, one state per row
+    _, terms = _state_terms(omegas[:, None] - m, policy, params)
 
     def evaluate(c: NumericsConfig) -> np.ndarray:
         x_nodes, x_w = signal_rule(policy, params, c)
         action = _policy_pieces(x_nodes, policy, params, c)[1]
-        # the admitted-signal density at each state, one state per row
-        _, like_H, like_L = _log_terms(d, x_nodes, policy, params)
+        like_H, like_L = _likes(x_nodes, terms)
         peaks = (like_H.max(axis=1), like_L.max(axis=1))
         weights = np.concatenate((x_w, x_w * action, x_w * action * action))
         return _moments(*_linear_mix(like_H, like_L, peaks, params), weights)[1]

@@ -16,7 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from .censor import optimize_radius
 from .errors import ConfigError, DomainError, NumericFailure
 from .model import (
     DEFAULT_NUMERICS,
@@ -25,6 +28,8 @@ from .model import (
     NumericsConfig,
     is_unbounded,
 )
+from .normal_sampling import optimize_sampling_variance
+from .verify import format_report, report_json, run_checks
 
 _PARAM_KEYS = {
     "omega0": "prior_mean",
@@ -145,6 +150,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write(out: Path, name: str, text: str) -> None:
+    """Write text to the file name in out and print its path."""
+    path = out / name
+    path.write_text(text)
+    print(path)
+
+
 def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
     from .figures import FIGURES, build_figure, csv_text, svg_text
 
@@ -170,19 +182,13 @@ def cmd_figures(args: argparse.Namespace, params: ModelParams, cfg: NumericsConf
             failed.append(fig_id)
             continue
         if "csv" in formats:
-            path = out / f"{fig_id}.csv"
-            path.write_text(csv_text(f"figure={fig_id}", params, fig.columns, fig.rows))
-            print(path)
+            _write(out, f"{fig_id}.csv", csv_text(f"figure={fig_id}", params, fig.columns, fig.rows))
         if "svg" in formats:
-            path = out / f"{fig_id}.svg"
-            path.write_text(svg_text(fig))
-            print(path)
+            _write(out, f"{fig_id}.svg", svg_text(fig))
     return 3 if failed else 0
 
 
 def cmd_verify(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
-    from .verify import format_report, report_json, run_checks
-
     names = None if args.check is None else _items(args.check, "--check")
     try:
         results = run_checks(params, cfg, names)
@@ -190,12 +196,8 @@ def cmd_verify(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfi
         raise ConfigError(str(exc.args[0])) from exc
     sys.stdout.write(format_report(results))
     if args.out:
-        out = _out_dir(args)
-        path = out / "verify_report.json"
-        path.write_text(
-            json.dumps(report_json(results, params, cfg), sort_keys=True, indent=2) + "\n"
-        )
-        print(path)
+        report = json.dumps(report_json(results, params, cfg), sort_keys=True, indent=2)
+        _write(_out_dir(args), "verify_report.json", report + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -213,11 +215,7 @@ def _optimum_texts(family: str, opt) -> list[str]:
 
 def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
     if family == "radius":
-        from .censor import optimize_radius
-
         return optimize_radius(params, cfg)
-    from .normal_sampling import optimize_sampling_variance
-
     return optimize_sampling_variance(params, cfg)
 
 
@@ -231,11 +229,9 @@ def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsCon
         print(f"{name}={text}")
     print(f"bracket={lo},{hi}")
     if args.out:
-        out = _out_dir(args)
-        path = out / "optimum.csv"
         cols = (*_OPTIMUM_FIELDS, "bracket_lo", "bracket_hi")
-        path.write_text(csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]]))
-        print(path)
+        text = csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]])
+        _write(_out_dir(args), "optimum.csv", text)
     return 0
 
 
@@ -250,8 +246,6 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         raise ConfigError("sweep needs either --values or all of --lo/--hi/--steps")
     if not (args.lo < args.hi and args.steps >= 2):
         raise ConfigError("sweep grid needs lo < hi and steps >= 2")
-    import numpy as np
-
     if args.log:
         if args.lo <= 0:
             raise ConfigError("--log sweep needs lo > 0")
@@ -278,10 +272,7 @@ def cmd_sweep(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig
     text = csv_text(title, params, ("vary", "value", *_OPTIMUM_FIELDS), rows)
     sys.stdout.write(text)
     if args.out:
-        out = _out_dir(args)
-        path = out / "sweep.csv"
-        path.write_text(text)
-        print(path)
+        _write(_out_dir(args), "sweep.csv", text)
     return 0
 
 

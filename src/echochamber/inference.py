@@ -92,27 +92,18 @@ def uncensored_linear_action(s, params: ModelParams, q: str):
 _BLOCK_CELLS = 2**15
 
 
-def _log_terms(d, x, policy: SamplingPolicy, params: ModelParams):
-    """The policy's log joint of (state, admitted signal), in pieces, at the
-    state's and the signal's deviations d and x from the prior mean.
-
-    Returns (tilt, like_H, like_L) with d and x broadcast against each
-    other: tilt(d) is the log prior less the log admission probability
-    of the state, and like_q(d, x) is the log density of an admitted
-    type-q signal times that type's admission probability. The type-q joint
-    integrand, type share excluded, is tilt + like_q; mixing like_q over
-    types gives the admitted-signal density at d up to a state factor.
-    """
-    tilt, terms = _state_terms(d, policy, params)
-    return (tilt, *_likes(x, terms))
-
-
 def _state_terms(d, policy: SamplingPolicy, params: ModelParams):
-    """Everything of _log_terms that depends on the state alone, computed
-    once however many signal blocks it serves: (tilt, terms), with one
-    (offset, centre, scale) per type, high first, so that like_q(d, x)
-    is offset + scale * (x - centre)^2 (see _likes). Under a Radius both
-    types are centred on the state itself."""
+    """The policy's log joint of (state, admitted signal), in pieces, at the
+    state's deviation d from the prior mean: (tilt, terms). tilt(d) is the
+    log prior less the log admission probability of the state. terms holds
+    one (offset, centre, scale) per type, high first, from which _likes
+    gives like_q(d, x) = offset + scale * (x - centre)^2, the log density
+    of an admitted type-q signal at deviation x times that type's admission
+    probability. The type-q joint integrand, type share excluded, is
+    tilt + like_q; mixing like_q over types gives the admitted-signal
+    density at d up to a state factor. Everything here depends on the state
+    alone, so it is computed once however many signal blocks it serves.
+    Under a Radius both types are centred on the state itself."""
     if not isinstance(policy, (Radius, NormalWeight)):
         raise TypeError(f"unsupported policy {policy!r}")
     d = np.asarray(d, dtype=float)
@@ -144,10 +135,11 @@ def _state_terms(d, policy: SamplingPolicy, params: ModelParams):
 
 
 def _likes(x, terms, out=None):
-    """like_H and like_L at signal deviations x from _state_terms' terms:
-    offset + scale * (x - centre)^2, as fresh arrays or, given out, in
-    out[1] and out[2], with out[0] for the squared deviation. Types centred
-    on the same array share one squared deviation."""
+    """like_H and like_L at signal deviations x from _state_terms' terms,
+    x broadcast against the states: offset + scale * (x - centre)^2, as
+    fresh arrays or, given out, in out[1] and out[2], with out[0] for the
+    squared deviation. Types centred on the same array share one squared
+    deviation."""
     d2_out, *like_out = (None, None, None) if out is None else out
     likes, shared = [], None
     for (offset, centre, scale), o in zip(terms, like_out):
@@ -310,7 +302,8 @@ def posterior_density(
     _check_support(s, policy, params)
     m = params.prior_mean
     log_norm = _policy_pieces(np.array([s - m], dtype=float), policy, params, cfg)[0][0, 0]
-    tilt, like_H, like_L = _log_terms(np.subtract(omega, m), s - m, policy, params)
+    tilt, terms = _state_terms(np.subtract(omega, m), policy, params)
+    like_H, like_L = _likes(s - m, terms)
     lh, ll = _log_weights(params)
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
 
@@ -356,27 +349,25 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     support, for consumers that evaluate the action many times (Monte
     Carlo). The Kronrod nodes of the signal rule double as knots; at the
     defaults a monotone cubic through them is up to 4.1e-6 off, this spline
-    up to 2.5e-12. It is evaluated from its piecewise-polynomial form (the
-    B-spline form took 0.22 s on 1e6 signals sorted, this one 0.09 s
-    unsorted) in NumPy, by the steps of PPoly.__call__ and to its bits:
-    each signal's interval, clipped to the end intervals (found by
-    _interval_finder's table rather than a binary search), then the power
-    sum from the lowest degree up, its terms written in place. NumPy
-    releases the GIL, so the Monte Carlo checks' worker threads evaluate it
-    side by side. On 1e6 signals in 16 chunks at r = 2.35, best of 5 on a
-    2-core x86-64 host shared with other load, it takes 0.04-0.07 s on one
-    worker (0.09 s with a binary search for the intervals) and 0.05-0.07 s
-    on two, where PPoly, which holds the GIL, takes 0.08 s on either."""
+    up to 2.5e-12. Its coefficients come from PPoly.from_spline, and it is
+    evaluated in NumPy by the steps of PPoly.__call__ and to its bits: each
+    signal's interval, clipped to the end intervals, then the power sum
+    from the lowest degree up, its terms written in place. NumPy releases
+    the GIL, so the Monte Carlo checks' worker threads evaluate it side by
+    side, where PPoly holds it. The intervals come from _interval_finder's
+    table, exact and in a bounded number of steps, rather than a binary
+    search. An infinite signal gives NaN silently, as under PPoly."""
     # imported here: only the Monte Carlo utility checks need scipy.interpolate
     from scipy.interpolate import PPoly, make_interp_spline
 
-    windowed = isinstance(policy, Radius) and not policy.unbounded
     nodes, _ = signal_rule(policy, params, cfg)
-    if windowed:
+    if isinstance(policy, Radius) and not policy.unbounded:
         # the window edges are knots too, so no admitted signal extrapolates
         nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
-    grid = np.unique(nodes + params.prior_mean)
-    action, _, _, _, _ = posterior_summaries(grid, policy, params, cfg)
+    m = params.prior_mean
+    grid = np.unique(nodes + m)
+    # the mixed rows' mean alone: the knots need no per-type pass
+    action = _policy_pieces(grid - m, policy, params, cfg)[1][0] + m
     pp = PPoly.from_spline(make_interp_spline(grid, action, k=7))
     breaks, coeffs = pp.x, pp.c  # coeffs[j] multiplies dx**(degree - j)
     find, _ = _interval_finder(breaks)
@@ -389,9 +380,10 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
         out = coeffs[-1].take(i)
         out += 0.0  # 0.0 + c, as PPoly starts its sum
         z, term = np.ones_like(dx), np.empty_like(dx)
-        for row in coeffs[-2::-1]:
-            z *= dx
-            out += np.multiply(row.take(i, out=term), z, out=term)
+        with np.errstate(invalid="ignore"):  # an infinite dx gives inf - inf
+            for row in coeffs[-2::-1]:
+                z *= dx
+                out += np.multiply(row.take(i, out=term), z, out=term)
         return out.reshape(s.shape)
 
     return evaluate

@@ -254,11 +254,13 @@ def _simulate_chunk(
             accepted += n_hit if i == used - 1 else 0
             _stall_guard(attempts, accepted)
         if n_hit:
-            hit = np.compress(admit, pending)
-            qualities[hit] = np.compress(admit, flags[used - 1])
-            signals[hit] = np.compress(admit, s[used - 1])
-            del hit  # not held beside both index arrays of the compaction
-            pending = np.compress(np.logical_not(admit, out=admit), pending)
+            # a boolean index copies the entries kept alone; np.compress
+            # would hold their indices beside them
+            hit = pending[admit]
+            qualities[hit] = flags[used - 1][admit]
+            signals[hit] = s[used - 1][admit]
+            del hit  # not held beside the compacted pending records
+            pending = pending[np.logical_not(admit, out=admit)]
             ahead = min(2 * used, _MAX_AHEAD)
         else:
             ahead = min(2 * ahead, _MAX_AHEAD)
@@ -381,7 +383,7 @@ def _loss(action_map, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
     return -((states - action_map(signals)) ** 2)
 
 
-def mc_expected_utility(draws: DrawSet, action_map, params: ModelParams) -> McEstimate:
+def mc_expected_utility(draws: DrawSet, action_map) -> McEstimate:
     """Mean quadratic loss (negated) of an action rule over the accepted
     records, summed in record order. action_map must accept a signal
     array."""

@@ -8,10 +8,11 @@ variance high_var or low_var. An agent may restrict sampling to the window
 (prior_mean - r, prior_mean + r): signals are redrawn, source type included,
 until one lands inside. The signal density conditional on the state is then
 the mixture density divided by the mixture window mass, and zero outside;
-inference._log_terms builds it from the pieces here. Every density and mass
-depends on omega and s only through their deviations from the prior mean,
-so the kernel and window_logmass take deviations, and only the public
-functions of inference and censor add the prior mean back.
+inference._state_terms and inference._likes build it from the pieces here.
+Every density and mass depends on omega and s only through their
+deviations from the prior mean, so the kernel and window_logmass take
+deviations, and only the public functions of inference and censor add the
+prior mean back.
 
 Densities are computed in log space, the window mass too, with no floor:
 log_ndtr stays accurate far past the double range (log_ndtr(-1000) =

@@ -20,7 +20,6 @@ from scipy.special import expit
 
 from .censor import _checked, _naive_loss, _scan_then_refine, expected_utility, scan_radii
 from .model import (
-    DEFAULT_NUMERICS,
     ModelParams,
     NormalWeight,
     NumericsConfig,
@@ -73,9 +72,7 @@ def naive_action(s, params: ModelParams, policy: NormalWeight):
     return alpha_bar * params.prior_mean + (1.0 - alpha_bar) * s
 
 
-def closed_form_objective(
-    params: ModelParams, sampling_var, cfg: NumericsConfig = DEFAULT_NUMERICS
-) -> float:
+def closed_form_objective(params: ModelParams, sampling_var, cfg: NumericsConfig) -> float:
     """Expected utility of the soft window centered at the prior mean.
 
     sampling_var = 0 returns minus the prior variance analytically and
@@ -99,7 +96,7 @@ def closed_form_objective(
         q = "H" if params.high_share > 0.0 else "L"
         return single_type_objective_offcenter(params, q, v, 0.0)
     policy = NormalWeight(mean=0.0, var=v)
-    objective = lambda c: -_naive_loss(policy, params, c)  # noqa: E731
+    objective = lambda c: -_naive_loss(naive_action, policy, params, c)  # noqa: E731
     return float(_checked("soft-window objective", objective, params.prior_var, cfg))
 
 
@@ -129,10 +126,7 @@ def single_type_critical_point(params: ModelParams, q: str) -> float:
 
 
 def locate_critical_point(
-    params: ModelParams,
-    lo: float,
-    hi: float,
-    cfg: NumericsConfig = DEFAULT_NUMERICS,
+    params: ModelParams, lo: float, hi: float, cfg: NumericsConfig
 ) -> tuple[float, str]:
     """Numerically locate a stationary point of the objective in (lo, hi)
     by bisecting the sign change of a central-difference derivative, and

@@ -249,12 +249,10 @@ def test_criterion_11_monte_carlo_agrees_with_quadrature(oracle: dict) -> None:
         if soft_v is None:
             from echochamber.inference import action_map
 
-            est = mc_expected_utility(draws, action_map(policy, params, C), params)
+            est = mc_expected_utility(draws, action_map(policy, params, C))
             ref = expected_utility(policy, params, C)
         else:
-            est = mc_expected_utility(
-                draws, lambda s: naive_action(s, params, policy), params
-            )
+            est = mc_expected_utility(draws, lambda s: naive_action(s, params, policy))
             ref = closed_form_objective(params, soft_v, C)
         z = (est.value - ref) / est.std_error
         zs.append(f"{label} z = {z:+.2f}")

@@ -15,8 +15,9 @@ from echochamber.errors import (
     UndefinedOddsError,
 )
 from echochamber.inference import (
-    _log_terms,
+    _likes,
     _policy_pieces,
+    _state_terms,
     action_map,
     optimal_action,
     posterior_density,
@@ -353,8 +354,8 @@ def test_action_map_evaluates_its_spline_as_ppoly_does(policy, params) -> None:
 
 @pytest.mark.parametrize(
     "policy, params",
-    [(R_UNB, replace(P, low_var=1e32)), (Radius(1e-10), P), (NormalWeight(0.0, 2.0), P)],
-    ids=["unbounded-sigmaL2_1e32", "r1e-10", "soft-var2"],
+    [(R_UNB, replace(P, low_var=1e32)), (Radius(2.35), P), (Radius(1e-10), P), (NormalWeight(0.0, 2.0), P)],
+    ids=["unbounded-sigmaL2_1e32", "r2.35", "r1e-10", "soft-var2"],
 )
 def test_action_map_lookup_is_exact_wherever_the_knots_sit(policy, params) -> None:
     # knots at +-1e17, 40 knots within 1e-10, and a soft window's: at every
@@ -368,8 +369,7 @@ def test_action_map_lookup_is_exact_wherever_the_knots_sit(policy, params) -> No
     want = np.clip(np.searchsorted(knots, s, "right") - 1, 0, len(knots) - 2)
     assert np.array_equal(find(s), want)
     s = np.append(s, np.nan)
-    with np.errstate(invalid="ignore"):  # NumPy warns of inf - inf at the infinities, PPoly does not
-        got = action_map(policy, params, C)(s)
+    got = action_map(policy, params, C)(s)  # silent at the infinities, as PPoly is
     assert np.array_equal(got.view(np.int64), spline(s).view(np.int64))
 
 
@@ -417,7 +417,8 @@ def _log_domain_moments(s_values, policy, params):
     np.logaddexp over the whole tensor and exponentiated under the column
     maxima: the kernel's formula before it mixed in the linear domain."""
     omega, w = state_rule(params, C)
-    tilt, like_H, like_L = _log_terms(omega[:, None], s_values[None, :], policy, params)
+    tilt, terms = _state_terms(omega[:, None], policy, params)
+    like_H, like_L = _likes(s_values[None, :], terms)
     lh, ll = _log_weights(params)
     b = np.logaddexp(lh + (tilt + like_H), ll + (tilt + like_L))
     m = b.max(axis=0)

@@ -137,7 +137,7 @@ def test_streamed_utility_equals_the_draw_set_utility() -> None:
     for policy in (R_UNB, Radius(1.2), NormalWeight(0.0, 2.0)):
         amap = action_map(policy, P, C)
         draws = simulate_draws(P, policy, 70_001, seed=3)
-        assert mc_simulated_utility(P, policy, amap, 70_001, 3) == mc_expected_utility(draws, amap, P)
+        assert mc_simulated_utility(P, policy, amap, 70_001, 3) == mc_expected_utility(draws, amap)
 
 
 def test_stream_uniforms_stay_below_one() -> None:
@@ -383,20 +383,20 @@ def test_state_marginal_is_preserved_by_redraw() -> None:
     # holding the action at the prior mean, the loss is the accepted-state
     # second moment; the redraw scheme keeps that marginal at the prior
     d = simulate_draws(P, Radius(1.0), 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, lambda s: np.full_like(s, P.prior_mean), P)
+    est = mc_expected_utility(d, lambda s: np.full_like(s, P.prior_mean))
     assert abs(est.value - (-P.prior_var)) < 3.0 * est.std_error
 
 
 def test_mc_utility_matches_quadrature_windowed() -> None:
     d = simulate_draws(P, Radius(2.35), 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, action_map(Radius(2.35), P, C), P)
+    est = mc_expected_utility(d, action_map(Radius(2.35), P, C))
     quad = expected_utility(Radius(2.35), P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 
 
 def test_mc_utility_matches_quadrature_unbounded() -> None:
     d = simulate_draws(P, R_UNB, 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, action_map(R_UNB, P, C), P)
+    est = mc_expected_utility(d, action_map(R_UNB, P, C))
     quad = expected_utility(R_UNB, P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from echochamber.errors import DegenerateRadiusError
-from echochamber.inference import _log_terms
+from echochamber.inference import _likes, _state_terms
 from echochamber.model import (
     DEFAULT_PARAMS,
     ModelParams,
@@ -116,7 +116,7 @@ def test_normal_weight_validation() -> None:
 def test_mixture_density_value(oracle: dict) -> None:
     # unrestricted, the kernel's tilt is the log prior and the type terms
     # are the two component log densities
-    _, like_H, like_L = _log_terms(0.0, 0.0, Radius(UNBOUNDED), P)
+    like_H, like_L = _likes(0.0, _state_terms(0.0, Radius(UNBOUNDED), P)[1])
     lh, ll = _log_weights(P)
     got = math.exp(np.logaddexp(lh + like_H, ll + like_L))
     assert math.isclose(got, oracle["densities"]["mixture_pdf_s0_w0"], rel_tol=1e-12)
@@ -125,7 +125,7 @@ def test_mixture_density_value(oracle: dict) -> None:
 def test_mixture_density_hand_formula() -> None:
     # h * N(0; 0, 0.5) + (1 - h) * N(0; 0, 3)
     want = 0.5 / math.sqrt(2 * math.pi * 0.5) + 0.5 / math.sqrt(2 * math.pi * 3.0)
-    _, like_H, like_L = _log_terms(0.0, 0.0, Radius(UNBOUNDED), P)
+    like_H, like_L = _likes(0.0, _state_terms(0.0, Radius(UNBOUNDED), P)[1])
     got = 0.5 * math.exp(like_H) + 0.5 * math.exp(like_L)
     assert math.isclose(got, want, rel_tol=1e-14)
 
@@ -183,7 +183,8 @@ def test_narrow_window_logmass(width: float) -> None:
 
 def test_truncated_density_value(oracle: dict) -> None:
     # the tilt less the log prior leaves minus the log window mass
-    tilt, like_H, like_L = _log_terms(0.0, 0.0, Radius(1.0), P)
+    tilt, terms = _state_terms(0.0, Radius(1.0), P)
+    like_H, like_L = _likes(0.0, terms)
     lh, ll = _log_weights(P)
     log_f = tilt - norm_logpdf(0.0, P.prior_mean, P.prior_var) + np.logaddexp(lh + like_H, ll + like_L)
     assert math.isclose(
@@ -195,7 +196,8 @@ def test_truncated_density_integrates_to_one() -> None:
     r, omega = 1.7, 0.8
     # the density is zero at |s - mean| = r exactly, so keep the grid inside
     xs = np.linspace(-r + 1e-9, r - 1e-9, 20001)
-    tilt, like_H, like_L = _log_terms(omega, xs, Radius(r), P)
+    tilt, terms = _state_terms(omega, Radius(r), P)
+    like_H, like_L = _likes(xs, terms)
     lh, ll = _log_weights(P)
     log_f = tilt - norm_logpdf(omega, P.prior_mean, P.prior_var) + np.logaddexp(lh + like_H, ll + like_L)
     total = float(np.trapezoid(np.exp(log_f), xs))
@@ -204,4 +206,4 @@ def test_truncated_density_integrates_to_one() -> None:
 
 def test_truncated_density_degenerate_radius_raises() -> None:
     with pytest.raises(DegenerateRadiusError):
-        _log_terms(0.0, 0.0, Radius(0.0), P)
+        _state_terms(0.0, Radius(0.0), P)

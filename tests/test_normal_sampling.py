@@ -8,7 +8,7 @@ import pytest
 
 from echochamber import normal_sampling
 from echochamber.censor import _naive_loss, optimize_radius
-from echochamber.inference import _log_terms, optimal_action
+from echochamber.inference import _likes, _state_terms, optimal_action
 from echochamber.model import (
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
@@ -72,7 +72,7 @@ def test_admitted_signal_shrinks_toward_window_center() -> None:
     for omega, center in ((2.0, 0.0), (0.0, 3.0)):
         pol = NormalWeight(mean=center, var=2.0)
         _, lam, var = _per_type(P, pol, "L")
-        _, _, like_L = _log_terms(omega, s, pol, P)
+        _, like_L = _likes(s, _state_terms(omega, pol, P)[1])
         f = np.exp(like_L - like_L.max())
         mean = float(f @ s / f.sum())
         assert math.isclose(mean, lam * omega + (1.0 - lam) * center, abs_tol=1e-9)
@@ -119,7 +119,7 @@ def test_mixed_objective_pinned(oracle: dict) -> None:
 
 
 def test_mixed_objective_self_check_consistent() -> None:
-    pair = -_naive_loss(NormalWeight(0.0, 4.0), P, C)
+    pair = -_naive_loss(naive_action, NormalWeight(0.0, 4.0), P, C)
     assert closed_form_objective(P, 4.0, C) == pair[0]
     assert 0.0 < abs(pair[0] - pair[1]) < 1e-12  # a live, passing estimate
 
@@ -161,12 +161,10 @@ def test_degenerate_closed_form_matches_quadrature() -> None:
     # the single-type closed form and a direct double quadrature of the
     # same rule must agree when the blended prior weight is constant in the
     # signal: one type (high or low) or equal variances
-    from echochamber.censor import _naive_loss
-
     for params in (P_SD4, replace(P, high_var=2.0, low_var=2.0), replace(P, high_share=0.0)):
         for v in (0.4, 2.0, 10.0):
             closed = closed_form_objective(params, v, C)
-            quad = -_naive_loss(NormalWeight(mean=params.prior_mean, var=v), params, C)[0]
+            quad = -_naive_loss(naive_action, NormalWeight(mean=params.prior_mean, var=v), params, C)[0]
             assert math.isclose(closed, quad, abs_tol=1e-9), (params.high_share, v)
 
 

@@ -5,7 +5,7 @@ eu_unbounded_oracle states the unrestricted expected utility as a 1-D
 integral over the signal: without a window the posterior given s is a
 two-component Gaussian mixture with closed-form weights (prob_high_closed),
 means (uncensored_linear_action) and conjugate variances, so no double
-quadrature and nothing of inference._log_terms is involved. The integral is
+quadrature and nothing of inference._state_terms is involved. The integral is
 a trapezoid sum on a uniform grid, which converges geometrically for these
 smooth, Gaussian-tailed integrands.
 """

@@ -755,6 +755,42 @@ def test_thread_pool_loads_only_with_the_simulator() -> None:
     assert interpolate[2] == "True"
 
 
+def test_the_package_imports_form_no_cycle() -> None:
+    # every import counts, at module level or inside a function, and
+    # `from . import` is an import of the package's __init__: a cycle
+    # works only while its modules happen to load in one order
+    import ast
+    import graphlib
+
+    import echochamber
+
+    src = Path(echochamber.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    graph: dict[str, set[str]] = {}
+    for path in src.glob("*.py"):
+        targets = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                targets.append(node.module)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                targets.append(f"echochamber.{node.module}")
+            elif isinstance(node, ast.ImportFrom):
+                targets += ["echochamber", *(f"echochamber.{alias.name}" for alias in node.names)]
+        graph[path.stem] = set()
+        for target in targets:
+            top, _, rest = target.partition(".")
+            stem = rest.partition(".")[0] or "__init__"
+            if top == "echochamber" and stem in modules:
+                graph[path.stem].add(stem)
+    assert "normal_sampling" not in graph["censor"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
 @pytest.mark.parametrize("sigma_h2", ["1e-12", "1e-200"])
 def test_cli_state_rule_too_large_exits_3(capsys, sigma_h2) -> None:
     # the state rule grows as sqrt(prior_var / high_var): at 1e-12 it would
