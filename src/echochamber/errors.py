@@ -28,7 +28,8 @@ class NumericFailure(RuntimeError):
 
 class QuadratureError(NumericFailure):
     """The double quadrature degenerated, its state rule would exceed
-    quadrature.MAX_STATE_NODES nodes, or a value of expected_utility,
+    quadrature.MAX_STATE_NODES nodes, the action map would add more than
+    ABS_TOL * prior_var to the loss it serves, or a value of expected_utility,
     expected_action or the soft-window objective failed its self-check:
     its Kronrod value and the embedded Gauss value from the same tensor
     differ by more than 1e3 * ABS_TOL in the quantity's unit (prior_var

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateRadiusError, SignalOutsideSupportError, UndefinedOddsError
+from .errors import DegenerateRadiusError, QuadratureError, SignalOutsideSupportError, UndefinedOddsError
 from .model import (
+    ABS_TOL,
     ModelParams,
     NormalWeight,
     NumericsConfig,
@@ -36,7 +37,7 @@ from .model import (
     norm_logpdf,
     window_logmass,
 )
-from .quadrature import signal_rule, state_rule
+from .quadrature import gauss_kronrod, paneled_rule, signal_rule, state_rule
 
 
 @dataclass(frozen=True)
@@ -308,82 +309,61 @@ def posterior_density(
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
 
 
-# a double's top 16 bits (sign, exponent, 4 mantissa bits) name its bucket
-_BUCKET_SHIFT = 48
-
-
-def _interval_finder(breaks: np.ndarray):
-    """(find, steps): find(x) gives each double x's interval among the
-    sorted breaks as PPoly.__call__ finds it, searchsorted(breaks, x,
-    "right") - 1 clipped to the end intervals, which is the number of
-    interior breaks at or below x. A table indexed by x's top 16 bits
-    gives how many distinct interior breaks lie below every double of x's
-    bucket; find then steps up past each further break at or below x, in
-    steps passes, the most distinct breaks any bucket holds. A bucket's
-    doubles share a sign, an exponent and 4 mantissa bits, so the knots
-    of a quadrature rule, graded in width like them, fall a few to a
-    bucket however widely they spread. Comparisons are of doubles, so -0.0
-    finds the interval of 0.0, and NaN some interval."""
-    inner = breaks[1:-1]
-    distinct = np.unique(inner)
-    top = np.arange(-(2**15), 2**15, dtype=np.int64) << _BUCKET_SHIFT
-    ends = top.view(float), (top | ((1 << _BUCKET_SHIFT) - 1)).view(float)
-    below = np.searchsorted(distinct, np.fmin(*ends), "left")
-    steps = int((np.searchsorted(distinct, np.fmax(*ends), "right") - below).max())
-    # NaN compares false, so no step passes the last break
-    stairs = np.append(distinct, np.nan)
-    at_or_below = np.concatenate(([0], np.searchsorted(inner, distinct, "right")))
-
-    def find(x: np.ndarray) -> np.ndarray:
-        j = below.take((x.view(np.int64) >> _BUCKET_SHIFT) + 2**15)
-        step, passed = np.empty_like(x), np.empty(x.shape, dtype=bool)
-        for _ in range(steps):
-            j += np.greater_equal(x, stairs.take(j, out=step), out=passed)
-        return at_or_below.take(j)
-
-    return find, steps
-
-
 def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):
-    """Degree-7 interpolating spline of s -> optimal action over the policy
-    support, for consumers that evaluate the action many times (Monte
-    Carlo). The Kronrod nodes of the signal rule double as knots; at the
-    defaults a monotone cubic through them is up to 4.1e-6 off, this spline
-    up to 2.5e-12. Its coefficients come from PPoly.from_spline, and it is
-    evaluated in NumPy by the steps of PPoly.__call__ and to its bits: each
-    signal's interval, clipped to the end intervals, then the power sum
-    from the lowest degree up, its terms written in place. NumPy releases
-    the GIL, so the Monte Carlo checks' worker threads evaluate it side by
-    side, where PPoly holds it. The intervals come from _interval_finder's
-    table, exact and in a bounded number of steps, rather than a binary
-    search. An infinite signal gives NaN silently, as under PPoly."""
-    # imported here: only the Monte Carlo utility checks need scipy.interpolate
-    from scipy.interpolate import PPoly, make_interp_spline
+    """s -> optimal action over the policy support, for consumers that
+    evaluate the action many times (the Monte Carlo utility checks): on
+    each panel of the signal rule, the polynomial through the kernel's
+    action at the panel's 2n + 1 Kronrod nodes. Interpolating on each
+    panel's own nodes is stable however the panels are graded, where one
+    global high-degree fit through every node is not (Berrut & Trefethen,
+    SIAM Review 46, 2004). The panels share one reference rule, so one
+    solve gives every panel's power coefficients in u = (s - centre) /
+    half on [-1, 1]. Evaluation is in NumPy, so the Monte Carlo worker
+    threads run it side by side: each signal's panel by searchsorted over
+    the interior panel ends, then Horner's rule with its terms written in
+    place. A signal beyond the rule takes its end panel's polynomial; an
+    infinite or NaN signal gives NaN without a warning.
 
+    The action is the posterior mean, so a map error delta(s) adds exactly
+    E[delta^2] to the squared-error loss the map serves. The same kernel
+    pass gives the action on the rule with every panel bisected, and
+    E[delta^2] under the admitted-signal law on that rule must stay within
+    ABS_TOL * prior_var, or QuadratureError is raised."""
     nodes, _ = signal_rule(policy, params, cfg)
-    if isinstance(policy, Radius) and not policy.unbounded:
-        # the window edges are knots too, so no admitted signal extrapolates
-        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
-    m = params.prior_mean
-    grid = np.unique(nodes + m)
-    # the mixed rows' mean alone: the knots need no per-type pass
-    action = _policy_pieces(grid - m, policy, params, cfg)[1][0] + m
-    pp = PPoly.from_spline(make_interp_spline(grid, action, k=7))
-    breaks, coeffs = pp.x, pp.c  # coeffs[j] multiplies dx**(degree - j)
-    find, _ = _interval_finder(breaks)
+    ref, _ = gauss_kronrod(cfg.quad_nodes)
+    panels = nodes.reshape(-1, len(ref))
+    centre = panels[:, cfg.quad_nodes]  # the middle reference node is 0
+    half = (panels[:, -1] - panels[:, 0]) / (ref[-1] - ref[0])
+    edges = np.append(centre - half, (centre + half)[-1:])
+    fine, w = paneled_rule(np.union1d(edges, centre), cfg.quad_nodes)
+    # one kernel pass, the mixed rows alone: each signal's moments are the
+    # same bits in any batch
+    logz, mean, _ = _policy_pieces(np.concatenate((nodes, fine)), policy, params, cfg)
+    m, k = params.prior_mean, len(nodes)
+    action = mean[0] + m
+    # coeffs[j] multiplies u^j, one column per panel
+    coeffs = np.linalg.solve(np.vander(ref, increasing=True), action[:k].reshape(panels.shape).T)
+    ends, centre = edges[1:-1] + m, centre + m
 
     def evaluate(s):
         s = np.asarray(s, dtype=float)
         x = s.reshape(-1)
-        i = find(x)
-        dx = x - breaks.take(i)
-        out = coeffs[-1].take(i)
-        out += 0.0  # 0.0 + c, as PPoly starts its sum
-        z, term = np.ones_like(dx), np.empty_like(dx)
-        with np.errstate(invalid="ignore"):  # an infinite dx gives inf - inf
-            for row in coeffs[-2::-1]:
-                z *= dx
-                out += np.multiply(row.take(i, out=term), z, out=term)
+        i = np.searchsorted(ends, x, "right")
+        u = np.subtract(x, centre.take(i))
+        u /= half.take(i)
+        u[np.isinf(u)] = np.nan  # Horner's rule would give +-inf there
+        out, term = coeffs[-1].take(i), np.empty_like(u)
+        for row in coeffs[-2::-1]:
+            out *= u
+            # i is in range; mode="raise" would copy through a buffer
+            out += row.take(i, out=term, mode="clip")
         return out.reshape(s.shape)
 
+    z = np.exp(logz[0, k:] - logz[0, k:].max()) * w[0]
+    loss = float(np.sum(z * (evaluate(fine + m) - action[k:]) ** 2) / np.sum(z))
+    if not loss <= ABS_TOL * params.prior_var:
+        raise QuadratureError(
+            f"the action map adds {loss:.3g} to the squared-error loss, more than "
+            f"ABS_TOL * prior_var = {ABS_TOL * params.prior_var:.3g}"
+        )
     return evaluate

@@ -11,6 +11,7 @@ from echochamber import inference
 from echochamber.censor import expected_action, expected_utility, signal_law
 from echochamber.errors import (
     DegenerateRadiusError,
+    QuadratureError,
     SignalOutsideSupportError,
     UndefinedOddsError,
 )
@@ -26,7 +27,9 @@ from echochamber.inference import (
     source_odds_closed,
     uncensored_linear_action,
 )
+from echochamber.mc import simulate_draws
 from echochamber.model import (
+    ABS_TOL,
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
     INVARIANT_TOL,
@@ -287,6 +290,7 @@ def test_signal_outside_support_raises() -> None:
         posterior_density(0.0, 2.0, Radius(2.0), P, C)
 
 
+@pytest.mark.filterwarnings("error")
 def test_action_map_matches_pointwise_and_extends() -> None:
     amap = action_map(Radius(2.0), P, C)
     for s in (-1.83, -0.41, 0.57, 1.9):
@@ -296,6 +300,10 @@ def test_action_map_matches_pointwise_and_extends() -> None:
     for s in (-3.3, 0.9, 4.7):
         direct = optimal_action(s, R_UNB, P, C).action
         assert abs(float(amap_u(s)) - direct) < 1e-6
+    # an infinite or NaN signal gives NaN, silently; a 0-d input a 0-d result
+    assert np.isnan(amap_u(np.array([np.inf, -np.inf, np.nan]))).all()
+    for x in (0.3, np.float64(-1.7), np.inf, np.nan):
+        assert amap_u(x).shape == ()
 
 
 @pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5])
@@ -321,77 +329,44 @@ def test_absolute_actions_move_with_the_prior_mean(prior_mean) -> None:
         assert np.allclose(density, posterior_density(omegas, 1.0, policy, P, C), rtol=1e-9)
 
 
-def _action_spline(policy, params):
-    """The PPoly that action_map builds, built here with scipy alone."""
-    from scipy.interpolate import PPoly, make_interp_spline
-
-    nodes, _ = signal_rule(policy, params, C)
-    if isinstance(policy, Radius) and not policy.unbounded:
-        nodes = np.concatenate(([-policy.r], nodes, [policy.r]))
-    grid = np.unique(nodes + params.prior_mean)
-    return PPoly.from_spline(make_interp_spline(grid, posterior_summaries(grid, policy, params, C)[0], k=7))
+def _closed_form_action(s, params):
+    """The unrestricted action in closed form: the two-type conjugate
+    posterior's mean, as eu_unbounded_oracle in test_quadrature builds it."""
+    pi = prob_high_closed(s, params)
+    return pi * uncensored_linear_action(s, params, "H") + (1.0 - pi) * uncensored_linear_action(s, params, "L")
 
 
-@pytest.mark.parametrize(
-    "policy, params",
-    [(R_UNB, P), (Radius(2.35), P), (R_UNB, replace(P, low_var=300.0))],
-    ids=["unbounded", "r2.35", "unbounded-sigmaL2_300"],
-)
-def test_action_map_evaluates_its_spline_as_ppoly_does(policy, params) -> None:
-    # the NumPy evaluator must give PPoly.__call__'s bits: on normal
-    # signals, at every breakpoint (the end knots repeat), beyond both ends,
-    # at NaN, and for a 0-d input, whose result is 0-d as PPoly's is
-    spline = _action_spline(policy, params)
-    amap = action_map(policy, params, C)
-    ends = [spline.x[0] - 1.0, spline.x[-1] + 1.0]
-    s = np.concatenate([np.random.default_rng(7).normal(0.0, 3.0, 1_000_000), spline.x, ends])
-    assert np.array_equal(amap(s).view(np.int64), spline(s).view(np.int64))
-    assert np.isnan(amap(np.nan)) and np.isnan(spline(np.nan))
-    for x in (0.3, np.float64(-1.7), spline.x[9], ends[1]):
-        got = amap(x)
-        assert got.shape == () and got.view(np.int64) == spline(x).view(np.int64), x
+@pytest.mark.parametrize("low_var", [3.0, 300.0, 1e8, 1e16, 1e32])
+def test_action_map_adds_at_most_abs_tol_to_the_loss(low_var) -> None:
+    # the map serves the squared-error loss of the Monte Carlo utility
+    # checks, where an error delta(s) adds E[delta^2]; from 1e8 on, the
+    # signal rule's panels range from 0.1 to more than 1e4 wide
+    params = replace(P, low_var=low_var)
+    s = simulate_draws(params, R_UNB, 100_000, 11).accepted_signals
+    delta = action_map(R_UNB, params, C)(s) - _closed_form_action(s, params)
+    assert np.mean(delta**2) <= ABS_TOL * params.prior_var
 
 
-@pytest.mark.parametrize(
-    "policy, params",
-    [(R_UNB, replace(P, low_var=1e32)), (Radius(2.35), P), (Radius(1e-10), P), (NormalWeight(0.0, 2.0), P)],
-    ids=["unbounded-sigmaL2_1e32", "r2.35", "r1e-10", "soft-var2"],
-)
-def test_action_map_lookup_is_exact_wherever_the_knots_sit(policy, params) -> None:
-    # knots at +-1e17, 40 knots within 1e-10, and a soft window's: at every
-    # knot, the doubles either side of it, both zeros, both infinities and
-    # NaN, the interval is searchsorted's and the value PPoly's, bit for bit
-    spline = _action_spline(policy, params)
-    knots = spline.x
-    s = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
-    s = np.concatenate([s, [0.0, -0.0, np.inf, -np.inf]])
-    find, _ = inference._interval_finder(knots)
-    want = np.clip(np.searchsorted(knots, s, "right") - 1, 0, len(knots) - 2)
-    assert np.array_equal(find(s), want)
-    s = np.append(s, np.nan)
-    got = action_map(policy, params, C)(s)  # silent at the infinities, as PPoly is
-    assert np.array_equal(got.view(np.int64), spline(s).view(np.int64))
+def test_action_map_is_pointwise_exact_at_the_defaults() -> None:
+    nodes, _ = signal_rule(R_UNB, P, C)
+    s = np.linspace(nodes[0], nodes[-1], 4000)
+    assert np.max(np.abs(action_map(R_UNB, P, C)(s) - _closed_form_action(s, P))) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "policy, params",
-    [
-        (R_UNB, P),
-        (Radius(2.35), P),
-        (R_UNB, replace(P, low_var=300.0)),
-        (R_UNB, replace(P, low_var=1e32)),
-        (Radius(1e-10), P),
-        (NormalWeight(0.0, 2.0), P),
-    ],
-    ids=["unbounded", "r2.35", "unbounded-sigmaL2_300", "unbounded-sigmaL2_1e32", "r1e-10", "soft-var2"],
-)
-def test_action_map_lookup_takes_a_few_steps_wherever_the_knots_sit(policy, params) -> None:
-    # a bucket of doubles shares a sign, an exponent and 4 mantissa bits;
-    # the signal rule's knots are graded like them, so however far they
-    # spread (to 1e-10 or to 1e17), a signal steps past at most 8 of them
-    # after its bucket's table entry, where a binary search takes 9
-    _, steps = inference._interval_finder(_action_spline(policy, params).x)
-    assert steps <= 8
+def test_action_map_follows_a_soft_window_at_a_wide_low_type() -> None:
+    params = replace(P, low_var=1e16)
+    policy = NormalWeight(0.0, 2.0)
+    s = simulate_draws(params, policy, 100_000, 11).accepted_signals[:4000]
+    delta = action_map(policy, params, C)(s) - posterior_summaries(s, policy, params, C)[0]
+    assert np.mean(delta**2) <= ABS_TOL * params.prior_var
+
+
+def test_action_map_refuses_panels_too_wide_for_the_action() -> None:
+    # at r = 2.35 a high type of variance 1e-4 makes the action vary on
+    # scales narrower than the signal rule's panels: the map would add
+    # 6.7e-8 * prior_var to the loss
+    with pytest.raises(QuadratureError, match="action map"):
+        action_map(Radius(2.35), replace(P, high_var=1e-4, low_var=300.0), C)
 
 
 def test_action_map_refuses_a_zero_radius() -> None:

@@ -99,12 +99,14 @@ def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> 
 # The Monte Carlo estimates of verify at the defaults, as (value, standard
 # error) in float.hex, recorded while every check still reduced the arrays
 # of simulate_draws: the checks now simulate chunk by chunk and keep one
-# value per record, which must not move a bit.
+# value per record, which must not move a bit. eu-unbounded was recorded
+# again when the action map became one polynomial per signal-rule panel:
+# its value moved by 1 ulp and its standard error by 13.
 _PINNED_ESTIMATES = {
     "prop1-low_var3": ("0x1.21ac9afe1da7bp-1", "0x1.03ddc7793bd44p-11"),
     "prop1-low_var48": ("0x1.95143bf727137p-1", "0x1.aa37bb2042b96p-12"),
     "prop1-low_var768": ("0x1.d865d7cb2d906p-1", "0x1.181ea4100c53bp-12"),
-    "eu-unbounded": ("-0x1.3cf895dd3753cp-1", "0x1.ede65be4e49f9p-11"),
+    "eu-unbounded": ("-0x1.3cf895dd3753bp-1", "0x1.ede65be4e4a06p-11"),
     "eu-r2.35": ("-0x1.518da202519afp-1", "0x1.16922dccf7afdp-10"),
     "exante_total_var": ("0x1.5f7bdad936365p+1", "0x1.23c4e99cccb30p-9"),
 }
