@@ -321,8 +321,11 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     half on [-1, 1]. Evaluation is in NumPy, so the Monte Carlo worker
     threads run it side by side: each signal's panel by searchsorted over
     the interior panel ends, then Horner's rule with its terms written in
-    place. A signal beyond the rule takes its end panel's polynomial; an
-    infinite or NaN signal gives NaN without a warning.
+    place. A signal beyond the rule's outer edges, infinite or not, or a
+    NaN signal gives NaN without a warning, so a check fed one fails: the
+    end panel's polynomial, extrapolated, gave 2.2e10 at s = 1e3 under
+    Unbounded at low_var = 300, whose rule ends at 173.5 and whose action
+    there is 3.3.
 
     The action is the posterior mean, so a map error delta(s) adds exactly
     E[delta^2] to the squared-error loss the map serves. The same kernel
@@ -343,7 +346,7 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
     action = mean[0] + m
     # coeffs[j] multiplies u^j, one column per panel
     coeffs = np.linalg.solve(np.vander(ref, increasing=True), action[:k].reshape(panels.shape).T)
-    ends, centre = edges[1:-1] + m, centre + m
+    lo, hi, ends, centre = edges[0] + m, edges[-1] + m, edges[1:-1] + m, centre + m
 
     def evaluate(s):
         s = np.asarray(s, dtype=float)
@@ -351,7 +354,7 @@ def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig)
         i = np.searchsorted(ends, x, "right")
         u = np.subtract(x, centre.take(i))
         u /= half.take(i)
-        u[np.isinf(u)] = np.nan  # Horner's rule would give +-inf there
+        u[(x < lo) | (x > hi)] = np.nan  # beyond the rule, +-inf included
         out, term = coeffs[-1].take(i), np.empty_like(u)
         for row in coeffs[-2::-1]:
             out *= u

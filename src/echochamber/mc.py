@@ -17,28 +17,23 @@ Within a chunk, each round draws in a fixed order: one quality uniform per
 pending record, then one standard normal each, then (for a soft window) one
 acceptance uniform each. A record keeps its state across rounds and redraws
 (quality, signal) until a signal is admitted, so the accepted-state marginal
-is the prior. Rejected attempts are counted but not stored, so memory is
-bounded by n and the chunk size, never by the rejection rate.
+is the prior. Rejected attempts are counted but not stored: a draw set's
+memory is bounded by n, a check's by the chunk size, and neither by the
+rejection rate.
 
 Every simulation runs through one chunk driver, _run_chunks. Each worker
 draws its chunks into one scratch set kept for the whole call, 63 B per
-chunk record (a chunk's state, quality and signal arrays, its stream's
-words and a later round's arrays, all written in place). A chunk's first
-round, one attempt per record, writes straight into the records' quality
-and signal slots; only the records it does not admit are redrawn, by
-index, through the later rounds' arrays. So an unbounded chunk ends after
-that round, and a windowed chunk adds only its pending records' indices.
-The worker hands each finished chunk to a per-chunk function in its own
-thread, which keeps only what the simulation returns: simulate_draws all
-three arrays (17 B per record), and mc_high_prob_within_radius the
-qualities as floats, mc_signal_variance the signals and
-mc_simulated_utility each record's loss (8 B per record each).
-Each kept array lives in its own anonymous mapping, so freeing it returns
-its pages to the OS: freed from the heap, an array that size raises the
-allocator's mmap threshold to its size, and the arrays after it stay
-resident once freed. The estimators' reductions are whole-array NumPy
-reductions in record order, so their estimates are those of the same
-reduction over the records of simulate_draws, bit for bit.
+chunk record, all written in place. A chunk's first round, one attempt per
+record, writes straight into the records' quality and signal slots; only
+the records it does not admit are redrawn, by index, through the later
+rounds' arrays. The worker hands each finished chunk to a per-chunk
+function in its own thread. simulate_draws copies the records out, 17 B
+each, into anonymous mappings, which return their pages to the OS when
+freed. The Monte Carlo checks keep nothing per record: each chunk's
+statistic is reduced to its moments in place, through the chunk's own
+arrays, and the chunks' moments are combined in chunk order (_combine), so
+an estimate is the same at any number of workers and equals that of
+mc_expected_utility over simulate_draws, bit for bit.
 
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
@@ -56,6 +51,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.special import ndtri
@@ -78,9 +74,10 @@ _STALL_RATE = 1e-6
 
 
 def _mapped(n: int, dtype=float) -> np.ndarray:
-    """A zeroed n-array in its own anonymous mapping: freeing it
-    returns its pages to the OS at once, and never moves the allocator's
-    thresholds, which would leave later arrays of its size on the heap."""
+    """A zeroed n-array of a draw set's records in its own anonymous
+    mapping: freeing it returns its pages to the OS at once, and never
+    moves the allocator's thresholds, which would leave later arrays of its
+    size on the heap."""
     import mmap  # imported here, like the pool: runs that never simulate skip it
 
     dtype = np.dtype(dtype)
@@ -198,10 +195,14 @@ class _Scratch:
         self.trial, self.tmp = np.empty(_CHUNK), np.empty(_CHUNK)
 
 
-def _scale_by_quality(s, flags, sds, tmp) -> None:
-    """s *= the sd of each attempt's type, flags marking the high type."""
-    tmp.fill(sds[0])
-    np.copyto(tmp, sds[1], where=flags)
+def _draw_attempts(u, params: ModelParams, flags, s, tmp) -> None:
+    """From (rounds, width, m) uniforms, each attempt's quality flag, set
+    for the high type, and its noise s, a standard normal times the sd of
+    its type."""
+    np.less(u[:, 0], params.high_share, out=flags)
+    ndtri(u[:, 1], out=s)
+    tmp.fill(math.sqrt(params.low_var))
+    np.copyto(tmp, math.sqrt(params.high_var), where=flags)
     s *= tmp
 
 
@@ -214,15 +215,12 @@ def _simulate_chunk(
     still pending, by index, through the round arrays, and write each
     admitted attempt into its record's slots."""
     states, qualities, signals = scratch.states[:size], scratch.qualities[:size], scratch.signals[:size]
-    sds = (math.sqrt(params.low_var), math.sqrt(params.high_var))
     ndtri(stream.take(size), out=states)
     states *= math.sqrt(params.prior_var)
     states += params.prior_mean
     u = stream.take(width * size).reshape(1, width, size)
     high, tmp, acc = qualities.view(bool), scratch.tmp[:size], scratch.mask[:size]
-    np.less(u[0, 0], params.high_share, out=high)
-    ndtri(u[0, 1], out=signals)
-    _scale_by_quality(signals, high, sds, tmp)
+    _draw_attempts(u, params, high[None], signals[None], tmp[None])
     signals += states
     admitted(signals[None], u, tmp[None], acc[None])
     pending = np.flatnonzero(np.logical_not(acc, out=acc))
@@ -239,9 +237,7 @@ def _simulate_chunk(
             a[: rounds * m].reshape(rounds, m)
             for a in (scratch.flags, scratch.trial, scratch.tmp, scratch.mask)
         )
-        np.less(u[:, 0], params.high_share, out=flags)
-        ndtri(u[:, 1], out=s)
-        _scale_by_quality(s, flags, sds, tmp)
+        _draw_attempts(u, params, flags, s, tmp)
         s += np.take(states, pending, out=tmp[0], mode="clip")
         admitted(s, u, tmp, acc)
         hit_rounds = np.flatnonzero(acc.any(axis=1))
@@ -282,12 +278,14 @@ def _check_request(policy: SamplingPolicy, n: int) -> None:
 
 def _run_chunks(
     params: ModelParams, policy: SamplingPolicy, n: int, seed: int, each_chunk
-) -> int:
-    """Simulate n accepted records chunk by chunk on the worker pool and
-    return the attempts. Each worker draws its chunks into one scratch set
-    kept for the whole call, and hands each finished chunk as (slice,
-    states, qualities, signals) to each_chunk in that worker's thread. When
-    several chunks fail, the error of the first in chunk order is raised."""
+) -> tuple[int, tuple]:
+    """Simulate n accepted records chunk by chunk on the worker pool; return
+    the attempts and each_chunk's results in chunk order. Each worker draws
+    its chunks into one scratch set kept for the whole call, and hands each
+    finished chunk as (slice, states, qualities, signals) to each_chunk in
+    that worker's thread; the arrays are the scratch's, which each_chunk may
+    overwrite. When several chunks fail, the error of the first in chunk
+    order is raised."""
     width, admitted = _admission(policy, params)
     # imported here so that runs which never simulate do not load the pool
     import threading
@@ -295,18 +293,18 @@ def _run_chunks(
 
     local = threading.local()
 
-    def run(chunk: int) -> int:
+    def run(chunk: int) -> tuple:
         part = slice(chunk * _CHUNK, min((chunk + 1) * _CHUNK, n))
         if not hasattr(local, "scratch"):
             local.scratch = _Scratch()
         sc, size = local.scratch, part.stop - part.start
         attempts = _simulate_chunk(params, width, admitted, _Stream(seed, chunk, sc.words), sc, size)
-        each_chunk(part, sc.states[:size], sc.qualities[:size], sc.signals[:size])
-        return attempts
+        return attempts, each_chunk(part, sc.states[:size], sc.qualities[:size], sc.signals[:size])
 
     n_chunks = (n + _CHUNK - 1) // _CHUNK
     with ThreadPoolExecutor(max_workers=min(n_chunks, _workers())) as pool:
-        return sum(pool.map(run, range(n_chunks)))
+        attempts, results = zip(*pool.map(run, range(n_chunks)))
+    return sum(attempts), results
 
 
 def simulate_draws(
@@ -327,7 +325,7 @@ def simulate_draws(
     def keep(part: slice, *chunk) -> None:
         states[part], qualities[part], signals[part] = chunk
 
-    attempts = _run_chunks(params, policy, n, seed, keep)
+    attempts, _ = _run_chunks(params, policy, n, seed, keep)
     return DrawSet(
         n=n,
         seed=int(seed),
@@ -338,20 +336,43 @@ def simulate_draws(
     )
 
 
-def _simulate_values(
-    params: ModelParams, policy: SamplingPolicy, n: int, seed: int, value
-) -> np.ndarray:
-    """value(states, qualities, signals) of each of the n records that
-    simulate_draws would draw, in record order, as floats; only this array
-    is kept."""
+def _moments(values, dev, sq) -> tuple:
+    """(n, sum, M2, M3, M4) of one chunk's values, M_p the sum of the p-th
+    powers of their deviations from their mean, written through two float
+    arrays of their size that the caller no longer needs: dev, which may be
+    the values, and sq."""
+    total = float(values.sum())
+    np.subtract(values, total / len(values), out=dev)
+    np.square(dev, out=sq)
+    dev *= sq
+    m2 = float(sq.sum())
+    sq *= sq
+    return len(values), total, m2, float(dev.sum()), float(sq.sum())
+
+
+def _combine(a, b) -> tuple:
+    """The moments of two runs of records, by the pairwise update of Chan,
+    Golub & LeVeque (1979), to every order as in Pebay (SAND2008-6212):
+    about the combined mean, a run whose own mean lies d from it has M_p =
+    sum_k C(p, k) d^k M_{p-k}, with M_0 = n and M_1 = 0. A run keeps its
+    sum, not its mean, as Chan et al. do, so a count stays exact."""
+    n, total, m = a[0] + b[0], a[1] + b[1], [0.0, 0.0, 0.0]
+    for nx, tx, *mx in (a, b):
+        d, mx = tx / nx - total / n, (nx, 0.0, *mx)
+        for p in (2, 3, 4):
+            m[p - 2] += sum(math.comb(p, k) * d**k * mx[p - k] for k in range(p + 1))
+    return n, total, *m
+
+
+def _streamed_moments(params: ModelParams, policy: SamplingPolicy, n: int, seed: int, chunk_moments) -> tuple:
+    """The moments of each record's statistic over the n records that
+    simulate_draws would draw, chunk_moments(states, qualities, signals)
+    reducing a chunk's with _moments through the chunk's own float arrays.
+    Each chunk is reduced in its worker's thread and the chunks' moments are
+    combined in chunk order: nothing is kept per record, and the result is
+    the same at any number of workers."""
     _check_request(policy, n)
-    kept = _mapped(n)
-
-    def keep(part: slice, states, qualities, signals) -> None:
-        kept[part] = value(states, qualities, signals)
-
-    _run_chunks(params, policy, n, seed, keep)
-    return kept
+    return reduce(_combine, _run_chunks(params, policy, n, seed, lambda part, *chunk: chunk_moments(*chunk))[1])
 
 
 @dataclass(frozen=True)
@@ -363,61 +384,74 @@ class McEstimate:
     n_effective: int
 
 
-def _estimate(stat: np.ndarray) -> McEstimate:
-    """Mean and standard error of stat, the steps of mean() and
-    std(ddof=1) with the deviations formed in place: stat is overwritten."""
-    n_eff = len(stat)
-    value = float(stat.mean())
-    se = 0.0
-    if n_eff > 1:
-        stat -= value
-        stat *= stat
-        se = math.sqrt(float(stat.sum()) / (n_eff - 1)) / math.sqrt(n_eff)
-    if se == 0.0:
-        # degenerate sample: conservative 1/n floor keeps the field positive
-        se = 1.0 / n_eff
-    return McEstimate(value=value, std_error=se, n_effective=n_eff)
+def _estimate(moments) -> McEstimate:
+    """Mean and standard error of n values from their moments (n, sum,
+    M2): the sum over n, and sqrt(M2 / (n - 1)) / sqrt(n), or, for a
+    sample without spread, the conservative floor 1/n."""
+    n, total, m2 = moments[:3]
+    se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    return McEstimate(total / n, se or 1.0 / n, n)
 
 
-def _loss(action_map, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
-    return -((states - action_map(signals)) ** 2)
+def _loss_moments(action_map, states, signals) -> tuple:
+    """The moments of each record's loss -(state - action(signal))^2, the
+    losses written over the states and their squared deviations over the
+    signals."""
+    loss = np.subtract(states, action_map(signals), out=states)
+    loss *= loss
+    return _moments(np.negative(loss, out=loss), loss, signals)
 
 
 def mc_expected_utility(draws: DrawSet, action_map) -> McEstimate:
     """Mean quadratic loss (negated) of an action rule over the accepted
-    records, summed in record order. action_map must accept a signal
-    array."""
-    return _estimate(_loss(action_map, draws.accepted_states, draws.accepted_signals))
+    records, reduced as mc_simulated_utility reduces them: a chunk at a
+    time, each through copies of its states and signals. action_map must
+    accept a signal array."""
+    states, signals = draws.accepted_states, draws.accepted_signals
+    parts = [
+        _loss_moments(action_map, states[i : i + _CHUNK].copy(), signals[i : i + _CHUNK].copy())
+        for i in range(0, draws.n, _CHUNK)
+    ]
+    return _estimate(reduce(_combine, parts))
 
 
 def mc_simulated_utility(
     params: ModelParams, policy: SamplingPolicy, action_map, n: int, seed: int
 ) -> McEstimate:
     """mc_expected_utility over simulate_draws(params, policy, n, seed),
-    keeping only each record's loss; action_map is evaluated in the
-    simulation's worker threads, one chunk at a time."""
-    loss = _simulate_values(
-        params, policy, n, seed, lambda states, qualities, signals: _loss(action_map, states, signals)
+    bit for bit, without keeping the draws: action_map and each chunk's
+    reduction run in the simulation's worker threads."""
+    return _estimate(
+        _streamed_moments(
+            params, policy, n, seed, lambda states, qualities, signals: _loss_moments(action_map, states, signals)
+        )
     )
-    return _estimate(loss)
 
 
 def mc_high_prob_within_radius(
     params: ModelParams, r: float, n: int, seed: int
 ) -> McEstimate:
     """Fraction of accepted draws that came from a high-quality source
-    under the hard window of radius r."""
-    # the quality codes 0 and 1 are kept as the floats 0.0 and 1.0
-    qualities = _simulate_values(params, Radius(r), n, seed, lambda states, qualities, signals: qualities)
-    return _estimate(qualities)
+    under the hard window of radius r: the count of high-quality records
+    over n, as a mean over their codes 0 and 1 gives it."""
+    # each chunk's quality codes, 1 and 0, reduced as the floats 1.0 and
+    # 0.0 through its states and signals
+    return _estimate(
+        _streamed_moments(
+            params, Radius(r), n, seed, lambda states, qualities, signals: _moments(qualities, states, signals)
+        )
+    )
 
 
 def mc_signal_variance(
     params: ModelParams, policy: SamplingPolicy, n: int, seed: int
 ) -> McEstimate:
     """Variance (divisor n) of the accepted signals, as the mean of their
-    squared deviations from the sample mean, with its standard error."""
-    dev2 = _simulate_values(params, policy, n, seed, lambda states, qualities, signals: signals)
-    dev2 -= dev2.mean()
-    dev2 *= dev2
-    return _estimate(dev2)
+    squared deviations from the sample mean, M2 / n, with its standard
+    error: the squared deviations' own M2 is M4 - M2^2 / n."""
+    # each chunk's signals reduced in place, through its states
+    n, _, m2, _, m4 = _streamed_moments(
+        params, policy, n, seed, lambda states, qualities, signals: _moments(signals, signals, states)
+    )
+    # the update of M4 may round a spreadless sample's M4 - M2^2 / n below 0
+    return _estimate((n, m2, max(m4 - m2 * m2 / n, 0.0)))

@@ -6,7 +6,6 @@ model or inference, so it checks the quadrature path.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -14,9 +13,13 @@ from scipy.special import log_ndtr
 from .model import ModelParams, NormalWeight, SamplingPolicy
 
 
-def _log_npdf(sq, var):
-    """log N(x; m, var), given sq = (x - m)^2."""
-    return -sq / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
+def _log_npdf(sq, var, out=None):
+    """log N(x; m, var), given sq = (x - m)^2, written into out when it is
+    given."""
+    out = np.negative(sq, out=out)
+    out /= 2.0 * var
+    out -= 0.5 * math.log(2.0 * math.pi * var)
+    return out
 
 
 _LOG_DROPPED = 46.0  # the span drops at most exp(-46) = 1e-20 of each type's mass
@@ -25,23 +28,52 @@ _LOG_DROPPED = 46.0  # the span drops at most exp(-46) = 1e-20 of each type's ma
 def _log_admission(d, var: float, policy: SamplingPolicy):
     """log of the probability that a signal of variance var about the
     state deviation d is admitted: 0 without a window, the window mass for
-    a hard window, the Gaussian weight's expectation for a soft one."""
+    a hard window, the Gaussian weight's expectation for a soft one. Each
+    step is written in place into the one or two arrays the call makes."""
     if isinstance(policy, NormalWeight):
-        sq = (d - policy.mean) ** 2
-        return 0.5 * (math.log(policy.var) - math.log(var + policy.var)) - sq / (2.0 * (var + policy.var))
+        out = np.subtract(d, policy.mean)
+        np.square(out, out=out)
+        out /= 2.0 * (var + policy.var)
+        return np.subtract(0.5 * (math.log(policy.var) - math.log(var + policy.var)), out, out=out)
     if policy.unbounded:
         return 0.0
     # the window mass Phi(b) - Phi(a), mirrored into the lower tail
     # (a = -(|d| + r)/sd, b = (r - |d|)/sd), where it does not cancel unless
     # the window is narrow; there it is 2r N(d; 0, var), to within a
     # relative (2r/sd)^2 (1 + |d|/sd)^2 / 24 < 4e-10
-    sd, d = math.sqrt(var), np.abs(d)
-    la = log_ndtr(-(d + policy.r) / sd)
-    lb = log_ndtr((policy.r - d) / sd)
+    sd, r, d = math.sqrt(var), policy.r, np.abs(d)
+    out = np.divide(d, sd)
+    out += 1.0
+    out *= 2.0 * r / sd
+    narrow = out < 1e-4
+    near = d[narrow] if narrow.any() else None
+    la = np.add(d, r, out=out)
+    np.negative(la, out=la)
+    la /= sd
+    log_ndtr(la, out=la)
+    lb = np.subtract(r, d, out=d)
+    lb /= sd
+    log_ndtr(lb, out=lb)
+    la -= lb
+    np.minimum(la, 0.0, out=la)
+    np.exp(la, out=la)
+    np.negative(la, out=la)
     with np.errstate(divide="ignore"):
-        log_mass = lb + np.log1p(-np.exp(np.minimum(la - lb, 0.0)))
-    narrow = 2.0 * policy.r / sd * (1.0 + d / sd) < 1e-4
-    return np.where(narrow, math.log(2.0 * policy.r) + _log_npdf(d * d, var), log_mass)
+        np.log1p(la, out=la)
+    la += lb
+    if near is not None:
+        near = _log_npdf(np.multiply(near, near, out=near), var, out=near)
+        near += math.log(2.0 * r)
+        la[narrow] = near
+    return la
+
+
+def _log_sum_exp(terms):
+    """logaddexp over the terms in order, accumulated into the first."""
+    total = next(terms)
+    for term in terms:
+        total = np.logaddexp(total, term, out=total if isinstance(total, np.ndarray) else None)
+    return total
 
 
 def _posterior_span(x: float, policy: SamplingPolicy, params: ModelParams, types) -> tuple[float, float]:
@@ -64,7 +96,7 @@ def _posterior_span(x: float, policy: SamplingPolicy, params: ModelParams, types
     linear in d for a soft window. The mode can lie outside [0, x] and far
     from the window when the types are narrow."""
     pv = params.prior_var
-    log_m = reduce(np.logaddexp, [math.log(h) + _log_npdf(x * x, pv + v) for h, v in types])
+    log_m = _log_sum_exp(math.log(h) + _log_npdf(x * x, pv + v) for h, v in types)
     lo, hi = math.inf, -math.inf
     for _, var in types:
         if isinstance(policy, NormalWeight):
@@ -114,14 +146,33 @@ def grid_posterior_oracle(
     types = [(share, var) for share, var in ((h, params.high_var), (1.0 - h, params.low_var)) if share > 0.0]
     x = s - params.prior_mean
     d = np.linspace(*_posterior_span(x, policy, params, types), int(grid_points))
-    sq = (x - d) ** 2
-    log_mix = [math.log(share) + _log_npdf(sq, var) for share, var in types]
-    log_admit = [math.log(share) + _log_admission(d, var, policy) for share, var in types]
-    log_weight = reduce(np.logaddexp, log_mix) - reduce(np.logaddexp, log_admit)
-    log_weight -= d * d / (2.0 * params.prior_var)  # the log prior, up to a constant
-    weight = np.exp(log_weight - log_weight.max())
+    # each step is written in place: at most five grid-sized arrays are live
+
+    def log_admit(share: float, var: float):
+        term = _log_admission(d, var, policy)
+        term += math.log(share)
+        return term
+
+    def log_mix(share: float, var: float) -> np.ndarray:
+        term = _log_npdf(sq, var)
+        term += math.log(share)
+        return term
+
+    log_a = _log_sum_exp(log_admit(*t) for t in types)
+    sq = np.subtract(x, d)
+    np.square(sq, out=sq)
+    log_weight = _log_sum_exp(log_mix(*t) for t in types)
+    log_weight -= log_a
+    del log_a
+    tmp = np.multiply(d, d, out=sq)
+    tmp /= 2.0 * params.prior_var
+    log_weight -= tmp  # the log prior, up to a constant
+    log_weight -= log_weight.max()
+    weight = np.exp(log_weight, out=log_weight)
 
     z = weight.sum()
-    mean = float((weight * d).sum() / z)
+    mean = float(np.multiply(weight, d, out=tmp).sum() / z)
     # the second moment about the mean, which does not cancel far from 0
-    return params.prior_mean + mean, float((weight * (d - mean) ** 2).sum() / z)
+    np.square(np.subtract(d, mean, out=tmp), out=tmp)
+    tmp *= weight
+    return params.prior_mean + mean, float(tmp.sum() / z)

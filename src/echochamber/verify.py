@@ -267,9 +267,12 @@ def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckRes
         1.0 - params.high_share
     ) * params.low_var
     z = abs(est.value - target) / est.std_error
+    # five significant digits, whatever the variances' scale: the estimate's
+    # standard error is near 1e-3 of it at the default draw count, and digits
+    # down to its last bits would show the order of its summation
     return CheckResult(
         passed=z <= 3.0,
-        measured=f"sample var {est.value:.4f} vs total-variance value {target:.4f}, z {_g(z)}",
+        measured=f"sample var {est.value:#.5g} vs total-variance value {target:#.5g}, z {_g(z)}",
         tolerance="within 3 SE",
         seed=cfg.mc_seed,
         detail="unrestricted signal variance equals prior plus mean source variance",

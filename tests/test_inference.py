@@ -38,7 +38,7 @@ from echochamber.model import (
     UNBOUNDED,
     _log_weights,
 )
-from echochamber.quadrature import signal_rule, state_rule
+from echochamber.quadrature import gauss_kronrod, signal_rule, state_rule
 
 P = DEFAULT_PARAMS
 C = DEFAULT_NUMERICS
@@ -304,6 +304,27 @@ def test_action_map_matches_pointwise_and_extends() -> None:
     assert np.isnan(amap_u(np.array([np.inf, -np.inf, np.nan]))).all()
     for x in (0.3, np.float64(-1.7), np.inf, np.nan):
         assert amap_u(x).shape == ()
+
+
+@pytest.mark.filterwarnings("error")
+def test_action_map_is_nan_beyond_its_signal_rule() -> None:
+    # under Unbounded at low_var = 300 the signal rule ends at +-173.5; its
+    # end panels' polynomials, extrapolated, gave 2.19e10 at s = 1e3, where
+    # the action is 3.32, and 2.56e207 at 1e17. NaN there makes a Monte
+    # Carlo check fail instead of passing a wrong number
+    params = replace(P, low_var=300.0)
+    amap = action_map(R_UNB, params, C)
+    assert np.isnan(amap(np.array([1e3, -1e3, 1e17, -1e17]))).all()
+    # the outer edges of the rule's end panels, as the map reads them
+    nodes, _ = signal_rule(R_UNB, params, C)
+    ref, _ = gauss_kronrod(C.quad_nodes)
+    ends = nodes.reshape(-1, len(ref))[[0, -1]]
+    half = (ends[:, -1] - ends[:, 0]) / (ref[-1] - ref[0])
+    edges = ends[:, C.quad_nodes] + np.array([-1.0, 1.0]) * half
+    assert abs(edges[1] - 173.5) < 0.1
+    inside = np.nextafter(edges, 0.0)
+    assert np.max(np.abs(amap(inside) - _closed_form_action(inside, params))) <= 1e-12
+    assert np.isnan(amap(np.nextafter(edges, edges * np.inf))).all()
 
 
 @pytest.mark.parametrize("prior_mean", [10.0, 1000.0, 1e5])

@@ -97,18 +97,23 @@ def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> 
 
 
 # The Monte Carlo estimates of verify at the defaults, as (value, standard
-# error) in float.hex, recorded while every check still reduced the arrays
-# of simulate_draws: the checks now simulate chunk by chunk and keep one
-# value per record, which must not move a bit. eu-unbounded was recorded
-# again when the action map became one polynomial per signal-rule panel:
-# its value moved by 1 ulp and its standard error by 13.
+# error) in float.hex. Each check reduces every chunk to its moments (n,
+# sum, M2, M3, M4) in its worker and combines them in chunk order, so the
+# estimates are the same at any worker count and equal those of
+# mc_expected_utility over simulate_draws. Formed so, the prop1 and utility
+# estimates kept the bits they had as whole-array means over one value per
+# record; exante_total_var's value moved by 1 ulp and its standard error
+# kept its bits (both were 0 ulp from a math.fsum two-pass before; the value
+# is 1 ulp from it now). eu-unbounded was recorded again when the action map
+# became one polynomial per signal-rule panel: its value moved by 1 ulp and
+# its standard error by 13.
 _PINNED_ESTIMATES = {
     "prop1-low_var3": ("0x1.21ac9afe1da7bp-1", "0x1.03ddc7793bd44p-11"),
     "prop1-low_var48": ("0x1.95143bf727137p-1", "0x1.aa37bb2042b96p-12"),
     "prop1-low_var768": ("0x1.d865d7cb2d906p-1", "0x1.181ea4100c53bp-12"),
     "eu-unbounded": ("-0x1.3cf895dd3753bp-1", "0x1.ede65be4e4a06p-11"),
     "eu-r2.35": ("-0x1.518da202519afp-1", "0x1.16922dccf7afdp-10"),
-    "exante_total_var": ("0x1.5f7bdad936365p+1", "0x1.23c4e99cccb30p-9"),
+    "exante_total_var": ("0x1.5f7bdad936366p+1", "0x1.23c4e99cccb30p-9"),
 }
 
 
@@ -140,6 +145,59 @@ def test_streamed_utility_equals_the_draw_set_utility() -> None:
         amap = action_map(policy, P, C)
         draws = simulate_draws(P, policy, 70_001, seed=3)
         assert mc_simulated_utility(P, policy, amap, 70_001, 3) == mc_expected_utility(draws, amap)
+
+
+def _fsum_estimate(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of values by a two-pass over exactly rounded
+    sums."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    return mean, math.sqrt(math.fsum((values - mean) ** 2) / (n - 1)) / math.sqrt(n)
+
+
+def test_streamed_estimates_match_an_exact_two_pass() -> None:
+    # n = 300000 spans five chunks, the last one partial. Each check's value
+    # and standard error, exante_total_var's from its fourth moment too, lie
+    # within 4 ulps of a math.fsum two-pass over the per-record values of
+    # the same draw set; prop1's value is the high-quality count over n
+    n, seed = 300_000, 11
+    p768, amap = replace(P, low_var=768.0), action_map(Radius(2.35), P, C)
+    qualities = simulate_draws(p768, Radius(1.0), n, seed).accepted_qualities
+    d = simulate_draws(P, Radius(2.35), n, seed)
+    signals = simulate_draws(P, R_UNB, n, seed).accepted_signals
+    cases = {
+        "prop1": (mc_high_prob_within_radius(p768, 1.0, n, seed), qualities.astype(float)),
+        "mc_eu_radius": (
+            mc_simulated_utility(P, Radius(2.35), amap, n, seed),
+            -((d.accepted_states - amap(d.accepted_signals)) ** 2),
+        ),
+        "exante_total_var": (
+            mc_signal_variance(P, R_UNB, n, seed),
+            (signals - math.fsum(signals) / n) ** 2,
+        ),
+    }
+    for name, (est, values) in cases.items():
+        assert est.n_effective == n
+        for got, want in zip((est.value, est.std_error), _fsum_estimate(values)):
+            assert abs(got - want) <= 4 * math.ulp(want), (name, got.hex(), want.hex())
+    assert cases["prop1"][0].value == int(np.count_nonzero(qualities)) / n
+
+
+def test_one_record_takes_the_floor_error() -> None:
+    # one record has no spread: each check's value is its own statistic of
+    # that record, and its standard error the 1/n floor
+    amap = action_map(Radius(2.35), P, C)
+    d = simulate_draws(P, Radius(2.35), 1, seed=3)
+    cases = {
+        "prop1": (mc_high_prob_within_radius(P, 2.35, 1, 3), float(d.accepted_qualities[0])),
+        "mc_eu_radius": (
+            mc_simulated_utility(P, Radius(2.35), amap, 1, 3),
+            -float((d.accepted_states[0] - amap(d.accepted_signals[0])) ** 2),
+        ),
+        "exante_total_var": (mc_signal_variance(P, Radius(2.35), 1, 3), 0.0),
+    }
+    for name, (est, value) in cases.items():
+        assert (est.value, est.std_error, est.n_effective) == (value, 1.0, 1), name
 
 
 def test_stream_uniforms_stay_below_one() -> None:
@@ -249,10 +307,12 @@ def test_peak_memory_does_not_follow_the_rejection_rate(traced_mappings) -> None
 
 def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch, traced_mappings) -> None:
     # the slope of the peak between two sizes is the memory a check keeps
-    # per record: 8 B of quality (as a float), of signal or of loss (the
-    # full draw set alone is 17 B). One worker keeps the simulation's
-    # working set (about 4.5 MB) below each size's reduction, so a second
-    # n-array would show in the slope.
+    # per record. Each chunk is reduced in its worker to a few moments, so
+    # the checks keep nothing per record; a check that kept one float per
+    # record (8 B of quality, signal or loss, as they did before streaming
+    # their moments) or the full draw set (17 B) fails the 1 B bound. One
+    # worker keeps the simulation's working set (about 4.5 MB) below each
+    # size's peak, so an n-array would show in the slope.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     amap = action_map(Radius(2.35), P, C)
     checks = {
@@ -264,7 +324,7 @@ def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch, traced_mappin
     for name, run in checks.items():
         run(65_536)  # warm any cache outside the traced runs
         slope = (_peak_of(run, large) - _peak_of(run, small)) / (large - small)
-        assert slope <= 10.0, (name, slope)
+        assert slope <= 1.0, (name, slope)
 
 
 @pytest.mark.parametrize(
@@ -305,9 +365,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
 def test_prop1_leaves_no_resident_memory_under_the_next_check() -> None:
-    # verify runs exante_total_var (its 32 MB signal array at the default
-    # size) after prop1's three rungs: the rungs' freed arrays must not stay
-    # resident under it, as they did when they came from the heap (11 MB)
+    # verify runs exante_total_var after prop1's three rungs: nothing of the
+    # rungs may stay resident under it. When each check kept a per-record
+    # array (exante_total_var's signals were 32 MB at the default size), the
+    # rungs' freed arrays, taken from the heap, stayed resident (11 MB)
     env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
 
     def peak_mb(mode: str) -> float:
@@ -498,6 +559,20 @@ def test_grid_oracle_narrow_window(r: float) -> None:
     for mean, var in (oracle, (summ.action, summ.posterior_var)):
         assert abs(mean - oracle[0]) < 1e-6 and abs(var - oracle[1]) < 1e-6
         assert abs(mean) < 1e-6 and abs(var - P.prior_var) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "s, policy, params",
+    [(2.9, Radius(2.35), P), (0.4, NormalWeight(0.0, 2.0), P), (3e-7, Radius(1e-6), P)],
+    ids=["windowed", "soft", "narrow-r1e-6"],
+)
+def test_grid_oracle_holds_at_most_five_grid_arrays(s, policy, params) -> None:
+    # each step is written in place; building every step as a fresh array,
+    # the oracle held 11 arrays of the grid's size at r = 2.35 and r = 1e-6
+    grid_points = 200_001
+    grid_posterior_oracle(s, policy, params, grid_points)  # warm any cache
+    peak = _peak_of(lambda n: grid_posterior_oracle(s, policy, params, n), grid_points)
+    assert peak <= 5.25 * 8 * grid_points, peak / (8 * grid_points)
 
 
 def test_grid_oracle_symmetry_at_center() -> None:

@@ -437,6 +437,16 @@ def test_exante_total_var_measured_line_is_pinned() -> None:
     assert result.measured == "sample var 2.7460 vs total-variance value 2.7500, z 1.81164"
 
 
+def test_exante_total_var_prints_five_significant_digits_at_any_scale() -> None:
+    # at low_var 1e16 four decimals would print the estimate to its last
+    # bits, which follow the order of its summation, not the sample
+    params, cfg = replace(P, low_var=1e16), replace(C, mc_n=20_000)
+    measured = run_checks(params, cfg, ["exante_total_var"])[0].measured
+    value, target = measured.removeprefix("sample var ").split(", z ")[0].split(" vs total-variance value ")
+    assert target == "5.0000e+15"
+    assert len(value) == len("4.9934e+15") and value.endswith("e+15"), value
+
+
 @pytest.mark.parametrize(
     "name, measured",
     [
