@@ -275,12 +275,16 @@ def signal_moments_vs_r(
     if not policy.unbounded and policy.r == 0.0:
         return 0.0, 0.0
 
+    pv = params.prior_var
+
     def moments(s, p, mean, m2):
         mean_s, mean_om = float(p @ s), float(p @ mean)
         var_s = max(float(p @ (s * s)) - mean_s**2, 0.0)
         var_om = max(float(p @ m2) - mean_om**2, 0.0)
         cov = float(p @ (s * mean)) - mean_s * mean_om
-        corr = cov / math.sqrt(var_s * var_om) if var_s > 0.0 and var_om > 0.0 else 0.0
+        # in units of prior_var, where the variances' product cannot overflow
+        both = (var_s / pv) * (var_om / pv)
+        corr = (cov / pv) / math.sqrt(both) if both > 0.0 else 0.0
         return var_s, float(np.clip(corr, -1.0, 1.0))
 
     def evaluate(c: NumericsConfig) -> np.ndarray:

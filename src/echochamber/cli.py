@@ -220,8 +220,6 @@ def _run_family(family: str, params: ModelParams, cfg: NumericsConfig):
 
 
 def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsConfig) -> int:
-    from .figures import csv_text
-
     opt = _run_family(args.family, params, cfg)
     texts = _optimum_texts(args.family, opt)
     lo, hi = (f"{b:.12g}" for b in opt.bracket)
@@ -229,6 +227,8 @@ def cmd_optimize(args: argparse.Namespace, params: ModelParams, cfg: NumericsCon
         print(f"{name}={text}")
     print(f"bracket={lo},{hi}")
     if args.out:
+        from .figures import csv_text  # loads figures and svgplot: only for the CSV
+
         cols = (*_OPTIMUM_FIELDS, "bracket_lo", "bracket_hi")
         text = csv_text(f"optimize family={args.family}", params, cols, [[*texts, lo, hi]])
         _write(_out_dir(args), "optimum.csv", text)

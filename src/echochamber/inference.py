@@ -60,15 +60,17 @@ class PosteriorSummary:
 def source_odds_closed(s, params: ModelParams):
     """Closed-form odds of a high-quality source given an unrestricted signal.
 
-    Independent of any sampling radius by construction.
+    Independent of any sampling radius by construction. Computed in units
+    of prior_var, so that no product of variances overflows.
     """
     h = params.high_share
     if h <= 0.0 or h >= 1.0:
         raise UndefinedOddsError(f"odds need high_share in (0, 1), got {h!r}")
-    vh = params.high_var + params.prior_var
-    vl = params.low_var + params.prior_var
-    s = np.asarray(s, dtype=float)
-    quad = (s - params.prior_mean) ** 2 * (params.low_var - params.high_var) / (2.0 * vh * vl)
+    pv = params.prior_var
+    vh = params.high_var / pv + 1.0
+    vl = params.low_var / pv + 1.0
+    z = (np.asarray(s, dtype=float) - params.prior_mean) / math.sqrt(pv)
+    quad = z**2 * (params.low_var / pv - params.high_var / pv) / (2.0 * vh * vl)
     return (h / (1.0 - h)) * math.sqrt(vl / vh) * np.exp(-quad)
 
 
@@ -79,10 +81,10 @@ def prob_high_closed(s, params: ModelParams):
 
 def uncensored_linear_action(s, params: ModelParams, q: str):
     """Known-type, no-restriction policy: precision-weighted average of the
-    prior mean and the signal."""
-    var = params.signal_var(q)
-    s = np.asarray(s, dtype=float)
-    return (var * params.prior_mean + params.prior_var * s) / (var + params.prior_var)
+    prior mean and the signal, as a shrinkage of the signal's distance from
+    the prior mean, whose factor 1 / (var / prior_var + 1) cannot overflow."""
+    m = params.prior_mean
+    return m + (np.asarray(s, dtype=float) - m) / (params.signal_var(q) / params.prior_var + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ chunk record, all written in place. A chunk's first round, one attempt per
 record, writes straight into the records' quality and signal slots; only
 the records it does not admit are redrawn, by index, through the later
 rounds' arrays. The worker hands each finished chunk to a per-chunk
-function in its own thread. simulate_draws copies the records out, 17 B
-each, into anonymous mappings, which return their pages to the OS when
-freed. The Monte Carlo checks keep nothing per record: each chunk's
-statistic is reduced to its moments in place, through the chunk's own
-arrays, and the chunks' moments are combined in chunk order (_combine), so
-an estimate is the same at any number of workers and equals that of
-mc_expected_utility over simulate_draws, bit for bit.
+function in its own thread. simulate_draws copies the records out into a
+draw set of three ordinary arrays, 17 B per record. The Monte Carlo checks
+keep nothing per record: each chunk's statistic is reduced to its moments
+in place, through the chunk's own arrays, and the chunks' moments are
+combined in chunk order (_combine), so an estimate is the same at any
+number of workers and equals that of mc_expected_utility over
+simulate_draws, bit for bit.
 
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
@@ -71,17 +71,6 @@ _TAIL = 64  # pending records at or below which rounds are read ahead
 _MAX_AHEAD = 256
 _STALL_MIN_ATTEMPTS = 1_000_000
 _STALL_RATE = 1e-6
-
-
-def _mapped(n: int, dtype=float) -> np.ndarray:
-    """A zeroed n-array of a draw set's records in its own anonymous
-    mapping: freeing it returns its pages to the OS at once, and never
-    moves the allocator's thresholds, which would leave later arrays of its
-    size on the heap."""
-    import mmap  # imported here, like the pool: runs that never simulate skip it
-
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, n * dtype.itemsize), dtype)
 
 
 class _Stream:
@@ -320,7 +309,7 @@ def simulate_draws(
     of the first in chunk order is raised.
     """
     _check_request(policy, n)
-    states, qualities, signals = _mapped(n), _mapped(n, np.uint8), _mapped(n)
+    states, qualities, signals = np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n)
 
     def keep(part: slice, *chunk) -> None:
         states[part], qualities[part], signals[part] = chunk

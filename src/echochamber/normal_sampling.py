@@ -119,10 +119,11 @@ def single_type_objective_offcenter(
 def single_type_critical_point(params: ModelParams, q: str) -> float:
     """Stationary sampling variance of the single-type closed form:
     prior_var * (q_var - 2 prior_var) / (q_var + prior_var). Positive only
-    when the source variance exceeds twice the prior variance."""
+    when the source variance exceeds twice the prior variance. The ratio is
+    taken first, so that no product of variances overflows."""
     qv = params.signal_var(q)
     s0 = params.prior_var
-    return s0 * (qv - 2.0 * s0) / (qv + s0)
+    return s0 * ((qv - 2.0 * s0) / (qv + s0))
 
 
 def locate_critical_point(

@@ -8,7 +8,7 @@ import pytest
 from conftest import PAPER_EXAMPLE
 
 from echochamber import inference
-from echochamber.censor import expected_action, expected_utility, signal_law
+from echochamber.censor import expected_action, expected_utility, signal_law, signal_moments_vs_r
 from echochamber.errors import (
     DegenerateRadiusError,
     QuadratureError,
@@ -38,6 +38,7 @@ from echochamber.model import (
     UNBOUNDED,
     _log_weights,
 )
+from echochamber.normal_sampling import single_type_critical_point
 from echochamber.quadrature import gauss_kronrod, signal_rule, state_rule
 
 P = DEFAULT_PARAMS
@@ -238,6 +239,29 @@ def test_uncensored_linear_action_formula() -> None:
         for q, quad in zip(("H", "L"), type_actions):
             closed = uncensored_linear_action(float(s), P, q)
             assert abs(closed - quad) < INVARIANT_TOL
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1.0, 1e160, 1e300])
+def test_closed_forms_and_signal_moments_are_scale_free(k: float) -> None:
+    # the defaults with every variance times k, at signals and a radius k^(1/2)
+    # times larger: the odds, the beliefs and the correlation are the same, an
+    # action scales by k^(1/2) and a variance by k. A product of two variances
+    # overflows near k = 1e154, so each form is taken in units of prior_var
+    scaled = replace(P, prior_var=k * P.prior_var, high_var=k * P.high_var, low_var=k * P.low_var)
+    s = np.linspace(-6.0, 6.0, 25)
+    root = math.sqrt(k)
+    for f in (source_odds_closed, prob_high_closed):
+        np.testing.assert_allclose(f(root * s, scaled), f(s, P), rtol=1e-13)
+    for q in ("H", "L"):
+        got = uncensored_linear_action(root * s, scaled, q)
+        np.testing.assert_allclose(got, root * uncensored_linear_action(s, P, q), rtol=1e-13)
+        got = single_type_critical_point(scaled, q)
+        assert math.isclose(got, k * single_type_critical_point(P, q), rel_tol=1e-13)
+    var_s, corr = signal_moments_vs_r(scaled, Radius(2.0 * root), C)
+    want_var, want_corr = signal_moments_vs_r(P, Radius(2.0), C)
+    assert math.isclose(var_s, k * want_var, rel_tol=1e-12)
+    assert math.isclose(corr, want_corr, rel_tol=1e-12)
 
 
 def test_updating_direction_and_prior_responsiveness() -> None:

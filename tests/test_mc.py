@@ -283,18 +283,11 @@ def _peak_of(run, n: int) -> int:
         tracemalloc.stop()
 
 
-@pytest.fixture
-def traced_mappings(monkeypatch) -> None:
-    # tracemalloc does not see anonymous mappings: the simulator's mapped
-    # arrays are made on the heap instead, so that its peaks count them
-    monkeypatch.setattr(mc, "_mapped", lambda n, dtype=float: np.empty(n, dtype=dtype))
-
-
 def _peak_bytes(params, policy, n: int) -> int:
     return _peak_of(lambda n: simulate_draws(params, policy, n, seed=5), n)
 
 
-def test_peak_memory_does_not_follow_the_rejection_rate(traced_mappings) -> None:
+def test_peak_memory_does_not_follow_the_rejection_rate() -> None:
     # the narrow window takes about 76 attempts per record, the unbounded
     # one exactly one; the working set is set by the chunk and block sizes
     n = 200_000
@@ -305,7 +298,7 @@ def test_peak_memory_does_not_follow_the_rejection_rate(traced_mappings) -> None
     assert narrow <= 1.25 * unbounded, (narrow, unbounded)
 
 
-def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch, traced_mappings) -> None:
+def test_monte_carlo_checks_keep_one_value_per_record(monkeypatch) -> None:
     # the slope of the peak between two sizes is the memory a check keeps
     # per record. Each chunk is reduced in its worker to a few moments, so
     # the checks keep nothing per record; a check that kept one float per

@@ -765,6 +765,27 @@ def test_thread_pool_loads_only_with_the_simulator() -> None:
     assert optimize == interpolate == ("False", "False", "False")
 
 
+def test_optimize_loads_figures_only_for_its_csv(tmp_path) -> None:
+    # optimize prints its optimum without the figure modules; only the
+    # optimum.csv of --out needs figures.csv_text, and with it svgplot. The
+    # script reports on stderr, apart from the optimum on stdout
+    import echochamber
+
+    code = (
+        "import sys; from echochamber.cli import main\n"
+        "loaded = lambda: [m in sys.modules for m in ('echochamber.figures', 'echochamber.svgplot')]\n"
+        "main(['optimize', 'radius'])\n"
+        "print(*loaded(), file=sys.stderr)\n"
+        "main(['optimize', 'radius', '--out', sys.argv[1]])\n"
+        "print(*loaded(), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(echochamber.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["False False", "True True"]
+    assert (tmp_path / "optimum.csv").is_file()
+
+
 def test_the_package_imports_form_no_cycle() -> None:
     # every import counts, at module level or inside a function, and
     # `from . import` is an import of the package's __init__: a cycle
