@@ -56,7 +56,6 @@ from .mc import (
     DrawSet,
     McEstimate,
     grid_posterior_oracle,
-    mc_expected_utility,
     mc_high_prob_within_radius,
     simulate_draws,
 )

@@ -1,5 +1,5 @@
 """Expected utility of a censoring radius, the utility curve, optimal-radius
-search, and the signal-moment / expected-action diagnostics.
+search, and the signal-moment diagnostics.
 
 The generative joint of (state, admitted signal) keeps the state marginal at
 the prior: conditional on the state, signals are redrawn until one lands in
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuadratureError, ScanBoundError
-from .inference import _likes, _linear_mix, _moments, _policy_pieces, _state_terms
+from .inference import _policy_pieces
 from .model import (
     ABS_TOL,
     INVARIANT_TOL,
@@ -31,7 +31,7 @@ from .model import (
     Radius,
     SamplingPolicy,
 )
-from .quadrature import SUPPORT_SDS, signal_rule
+from .quadrature import SUPPORT_SDS, _checked, signal_rule
 
 
 @dataclass(frozen=True)
@@ -98,34 +98,6 @@ def _naive_loss(rule, policy: NormalWeight, params: ModelParams, cfg: NumericsCo
     x_nodes, p, mean, m2 = signal_law(policy, params, cfg)
     action = rule(x_nodes, params, policy)
     return np.sum(p * (m2 - 2.0 * action * mean + action * action), axis=1)
-
-
-def _checked(what: str, evaluate, unit: float, cfg: NumericsConfig):
-    """The Kronrod result (a float or an array) of evaluate(cfg), a
-    (Kronrod, embedded Gauss) pair from one kernel pass, after its self-check:
-    the two are finite and differ by at most 1e3 * ABS_TOL * unit
-    everywhere. unit is the scale of the quantity: prior_var for a utility,
-    its square root for an action, or an array of scales, one per entry of
-    a result of several quantities. A pair that fails is evaluated again by
-    the same rule at twice the order, quad_nodes doubled on both axes, and
-    that pair decides; if it fails too, QuadratureError names what and the
-    first pair's worst point (its first NaN, if any). Only the evaluators
-    call it (expected_utility, signal_moments_vs_r, expected_action and the
-    quadrature branch of normal_sampling.closed_form_objective), so every
-    value they return has passed it, and no other code re-evaluates."""
-    for c in (cfg, replace(cfg, quad_nodes=2 * cfg.quad_nodes)):
-        pair = evaluate(c)
-        gap = np.abs(np.subtract(*pair))
-        if np.all(gap <= 1e3 * ABS_TOL * unit):
-            return pair[0]
-        if c is cfg:
-            kronrod, gauss = pair
-            k = int(np.argmax(np.ravel(gap / unit)))  # the first NaN, if any
-    raise QuadratureError(
-        f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
-        f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
-        f"rule; raise quad_nodes"
-    )
 
 
 def expected_utility(policy: Radius, params: ModelParams, cfg: NumericsConfig) -> float:
@@ -294,29 +266,3 @@ def signal_moments_vs_r(
     units = np.array([params.prior_var, 1.0])
     var_s, corr = _checked("signal moments", evaluate, units, cfg)
     return float(var_s), float(corr)
-
-
-def expected_action(
-    omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
-) -> np.ndarray:
-    """Conditional expectation of the optimal action at each true state in
-    the 1-D array omegas: the action map integrated against the
-    admitted-signal density. Every entry passes the Kronrod-Gauss
-    self-check (the actions and their integral, both under each rule) in
-    units of sqrt(prior_var), or QuadratureError is raised."""
-    m = params.prior_mean
-    omegas = np.asarray(omegas, dtype=float)
-    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
-        return np.full(omegas.shape, m)
-    # the admitted-signal density's terms at each state, one state per row
-    _, terms = _state_terms(omegas[:, None] - m, policy, params)
-
-    def evaluate(c: NumericsConfig) -> np.ndarray:
-        x_nodes, x_w = signal_rule(policy, params, c)
-        action = _policy_pieces(x_nodes, policy, params, c)[1]
-        like_H, like_L = _likes(x_nodes, terms)
-        peaks = (like_H.max(axis=1), like_L.max(axis=1))
-        weights = np.concatenate((x_w, x_w * action, x_w * action * action))
-        return _moments(*_linear_mix(like_H, like_L, peaks, params), weights)[1]
-
-    return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg) + m

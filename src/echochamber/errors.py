@@ -29,13 +29,14 @@ class NumericFailure(RuntimeError):
 class QuadratureError(NumericFailure):
     """The double quadrature degenerated, its state rule would exceed
     quadrature.MAX_STATE_NODES nodes, the action map would add more than
-    ABS_TOL * prior_var to the loss it serves, or a value of expected_utility,
-    signal_moments_vs_r, expected_action or the soft-window objective failed
-    its self-check: its Kronrod value and the embedded Gauss value from the
-    same tensor differ by more than 1e3 * ABS_TOL in the quantity's unit
-    (prior_var for a utility or a variance, its square root for an action,
-    1 for a correlation), under the rule as configured and again with
-    quad_nodes doubled. Re-run with more quad_nodes."""
+    ABS_TOL * prior_var to the loss it serves, or a value of
+    censor.expected_utility, censor.signal_moments_vs_r,
+    inference.expected_action or the soft-window objective failed its
+    self-check, quadrature._checked: its Kronrod value and the embedded
+    Gauss value from the same tensor differ by more than 1e3 * ABS_TOL in
+    the quantity's unit (prior_var for a utility or a variance, its square
+    root for an action, 1 for a correlation), under the rule as configured
+    and again with quad_nodes doubled. Re-run with more quad_nodes."""
 
 
 class ScanBoundError(NumericFailure):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .censor import expected_action, signal_moments_vs_r, utility_curve
-from .inference import posterior_summaries
+from .censor import signal_moments_vs_r, utility_curve
+from .inference import expected_action, posterior_summaries
 from .model import (
     REFERENCE_RADIUS,
     UNBOUNDED,

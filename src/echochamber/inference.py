@@ -1,4 +1,4 @@
-"""Posterior beliefs, source-quality probabilities, and optimal actions.
+"""Posterior beliefs, source-quality probabilities, optimal and expected actions.
 
 For a Radius policy the likelihood of state omega given an admitted signal s
 is the window-renormalized mixture f(s|omega) / D_r(omega), so the posterior
@@ -37,7 +37,7 @@ from .model import (
     norm_logpdf,
     window_logmass,
 )
-from .quadrature import gauss_kronrod, paneled_rule, signal_rule, state_rule
+from .quadrature import _checked, gauss_kronrod, paneled_rule, signal_rule, state_rule
 
 
 @dataclass(frozen=True)
@@ -309,6 +309,32 @@ def posterior_density(
     like_H, like_L = _likes(s - m, terms)
     lh, ll = _log_weights(params)
     return np.exp(lh + tilt + like_H - log_norm) + np.exp(ll + tilt + like_L - log_norm)
+
+
+def expected_action(
+    omegas, policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
+) -> np.ndarray:
+    """Conditional expectation of the optimal action at each true state in
+    the 1-D array omegas: the action map integrated against the
+    admitted-signal density. Every entry passes the Kronrod-Gauss
+    self-check (the actions and their integral, both under each rule) in
+    units of sqrt(prior_var), or QuadratureError is raised."""
+    m = params.prior_mean
+    omegas = np.asarray(omegas, dtype=float)
+    if isinstance(policy, Radius) and not policy.unbounded and policy.r == 0.0:
+        return np.full(omegas.shape, m)
+    # the admitted-signal density's terms at each state, one state per row
+    _, terms = _state_terms(omegas[:, None] - m, policy, params)
+
+    def evaluate(c: NumericsConfig) -> np.ndarray:
+        x_nodes, x_w = signal_rule(policy, params, c)
+        action = _policy_pieces(x_nodes, policy, params, c)[1]
+        like_H, like_L = _likes(x_nodes, terms)
+        peaks = (like_H.max(axis=1), like_L.max(axis=1))
+        weights = np.concatenate((x_w, x_w * action, x_w * action * action))
+        return _moments(*_linear_mix(like_H, like_L, peaks, params), weights)[1]
+
+    return _checked("expected action", evaluate, math.sqrt(params.prior_var), cfg) + m
 
 
 def action_map(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig):

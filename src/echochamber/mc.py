@@ -32,8 +32,7 @@ draw set of three ordinary arrays, 17 B per record. The Monte Carlo checks
 keep nothing per record: each chunk's statistic is reduced to its moments
 in place, through the chunk's own arrays, and the chunks' moments are
 combined in chunk order (_combine), so an estimate is the same at any
-number of workers and equals that of mc_expected_utility over
-simulate_draws, bit for bit.
+number of workers.
 
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
@@ -325,7 +324,7 @@ def simulate_draws(
     )
 
 
-def _moments(values, dev, sq) -> tuple:
+def _central_sums(values, dev, sq) -> tuple:
     """(n, sum, M2, M3, M4) of one chunk's values, M_p the sum of the p-th
     powers of their deviations from their mean, written through two float
     arrays of their size that the caller no longer needs: dev, which may be
@@ -356,7 +355,7 @@ def _combine(a, b) -> tuple:
 def _streamed_moments(params: ModelParams, policy: SamplingPolicy, n: int, seed: int, chunk_moments) -> tuple:
     """The moments of each record's statistic over the n records that
     simulate_draws would draw, chunk_moments(states, qualities, signals)
-    reducing a chunk's with _moments through the chunk's own float arrays.
+    reducing a chunk's with _central_sums through the chunk's own float arrays.
     Each chunk is reduced in its worker's thread and the chunks' moments are
     combined in chunk order: nothing is kept per record, and the result is
     the same at any number of workers."""
@@ -382,39 +381,22 @@ def _estimate(moments) -> McEstimate:
     return McEstimate(total / n, se or 1.0 / n, n)
 
 
-def _loss_moments(action_map, states, signals) -> tuple:
-    """The moments of each record's loss -(state - action(signal))^2, the
-    losses written over the states and their squared deviations over the
-    signals."""
-    loss = np.subtract(states, action_map(signals), out=states)
-    loss *= loss
-    return _moments(np.negative(loss, out=loss), loss, signals)
-
-
-def mc_expected_utility(draws: DrawSet, action_map) -> McEstimate:
-    """Mean quadratic loss (negated) of an action rule over the accepted
-    records, reduced as mc_simulated_utility reduces them: a chunk at a
-    time, each through copies of its states and signals. action_map must
-    accept a signal array."""
-    states, signals = draws.accepted_states, draws.accepted_signals
-    parts = [
-        _loss_moments(action_map, states[i : i + _CHUNK].copy(), signals[i : i + _CHUNK].copy())
-        for i in range(0, draws.n, _CHUNK)
-    ]
-    return _estimate(reduce(_combine, parts))
-
-
 def mc_simulated_utility(
     params: ModelParams, policy: SamplingPolicy, action_map, n: int, seed: int
 ) -> McEstimate:
-    """mc_expected_utility over simulate_draws(params, policy, n, seed),
-    bit for bit, without keeping the draws: action_map and each chunk's
-    reduction run in the simulation's worker threads."""
-    return _estimate(
-        _streamed_moments(
-            params, policy, n, seed, lambda states, qualities, signals: _loss_moments(action_map, states, signals)
-        )
-    )
+    """Mean quadratic loss (negated) of an action rule over the n records
+    that simulate_draws(params, policy, n, seed) would draw, without
+    keeping them: action_map, which must accept a signal array, and each
+    chunk's reduction run in the simulation's worker threads."""
+
+    def loss_sums(states, qualities, signals) -> tuple:
+        # each record's loss -(state - action(signal))^2 written over the
+        # states, its squared deviation over the signals
+        loss = np.subtract(states, action_map(signals), out=states)
+        loss *= loss
+        return _central_sums(np.negative(loss, out=loss), loss, signals)
+
+    return _estimate(_streamed_moments(params, policy, n, seed, loss_sums))
 
 
 def mc_high_prob_within_radius(
@@ -427,7 +409,7 @@ def mc_high_prob_within_radius(
     # 0.0 through its states and signals
     return _estimate(
         _streamed_moments(
-            params, Radius(r), n, seed, lambda states, qualities, signals: _moments(qualities, states, signals)
+            params, Radius(r), n, seed, lambda states, qualities, signals: _central_sums(qualities, states, signals)
         )
     )
 
@@ -440,7 +422,7 @@ def mc_signal_variance(
     error: the squared deviations' own M2 is M4 - M2^2 / n."""
     # each chunk's signals reduced in place, through its states
     n, _, m2, _, m4 = _streamed_moments(
-        params, policy, n, seed, lambda states, qualities, signals: _moments(signals, signals, states)
+        params, policy, n, seed, lambda states, qualities, signals: _central_sums(signals, signals, states)
     )
     # the update of M4 may round a spreadless sample's M4 - M2^2 / n below 0
     return _estimate((n, m2, max(m4 - m2 * m2 / n, 0.0)))

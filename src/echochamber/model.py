@@ -8,7 +8,7 @@ variance high_var or low_var. An agent may restrict sampling to the window
 (prior_mean - r, prior_mean + r): signals are redrawn, source type included,
 until one lands inside. The signal density conditional on the state is then
 the mixture density divided by the mixture window mass, and zero outside;
-inference._state_terms and inference._likes build it from the pieces here.
+the kernel in inference builds it from the pieces here.
 Every density and mass depends on omega and s only through their
 deviations from the prior mean, so the kernel and window_logmass take
 deviations, and only the public functions of inference and censor add the
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -116,7 +117,7 @@ class Radius:
     def __post_init__(self) -> None:
         if is_unbounded(self.r):
             return
-        if not (isinstance(self.r, (int, float)) and math.isfinite(self.r) and self.r >= 0.0):
+        if not (isinstance(self.r, numbers.Real) and math.isfinite(self.r) and self.r >= 0.0):
             raise ValueError(
                 f"radius must be a finite nonnegative real or UNBOUNDED, got {self.r!r}"
             )
@@ -140,7 +141,7 @@ class NormalWeight:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mean):
             raise ValueError(f"weight mean must be finite, got {self.mean!r}")
-        if not (isinstance(self.var, (int, float)) and math.isfinite(self.var) and self.var > 0.0):
+        if not (isinstance(self.var, numbers.Real) and math.isfinite(self.var) and self.var > 0.0):
             raise ValueError(f"weight var must be strictly positive and finite, got {self.var!r}")
         object.__setattr__(self, "var", float(self.var))
 
@@ -163,11 +164,17 @@ class NumericsConfig:
     mc_n: int = 1_000_000
 
     def __post_init__(self) -> None:
+        for name in ("quad_nodes", "mc_seed", "mc_n"):
+            value = getattr(self, name)
+            # a float or a bool would be truncated, or fail deep in a rule
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.quad_nodes < 1:
             raise ValueError(f"quad_nodes must be >= 1, got {self.quad_nodes!r}")
         if self.mc_n < 1:
             raise ValueError(f"mc_n must be >= 1, got {self.mc_n!r}")
-        if not 0 <= int(self.mc_seed) < 2**64:
+        if not 0 <= self.mc_seed < 2**64:
             raise ValueError("mc_seed must fit in an unsigned 64-bit integer")
 
 

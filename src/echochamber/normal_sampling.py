@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .censor import _checked, _naive_loss, _scan_then_refine, expected_utility, scan_radii
+from .censor import _naive_loss, _scan_then_refine, expected_utility, scan_radii
 from .model import (
     ModelParams,
     NormalWeight,
@@ -29,6 +29,7 @@ from .model import (
     is_unbounded,
     norm_logpdf,
 )
+from .quadrature import _checked
 
 
 def _per_type(params: ModelParams, policy: NormalWeight, q: str) -> tuple[float, float, float]:

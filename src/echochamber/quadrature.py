@@ -16,7 +16,7 @@ quadrature rules", Math. Comp. 66, 1997; Piessens et al., QUADPACK, 1983).
 A rule returns its nodes and two rows of weights: row 0 the Kronrod
 weights, row 1 the embedded Gauss weights, zero at the n + 1 Kronrod-only
 nodes. One integrand tensor thus gives the Kronrod result and, from the
-same evaluations, the coarser Gauss result that checks it.
+same evaluations, the coarser Gauss result that checks it (_checked).
 
 - State axis: half-width SUPPORT_SDS x sqrt(max(prior_var, low_var));
   scales the prior sd, both signal sds and the high-type posterior sd.
@@ -41,12 +41,13 @@ kernel then reduces each |signal| once (inference._policy_pieces).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
-from .model import ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy, is_even
+from .model import ABS_TOL, ModelParams, NormalWeight, NumericsConfig, Radius, SamplingPolicy, is_even
 
 GRADES = (0.5, 1.0, 2.0, 4.0, 8.0)
 STATE_CAP_SDS = 3.0
@@ -169,3 +170,32 @@ def signal_rule(policy: SamplingPolicy, params: ModelParams, cfg: NumericsConfig
     # the edges are symmetric about 0: rule the non-negative half, mirror it
     nodes, w = paneled_rule(edges[edges >= 0.0], cfg.quad_nodes)
     return np.concatenate((-nodes[::-1], nodes)), np.concatenate((w[:, ::-1], w), axis=1)
+
+
+def _checked(what: str, evaluate, unit: float, cfg: NumericsConfig):
+    """The Kronrod result (a float or an array) of evaluate(cfg), a
+    (Kronrod, embedded Gauss) pair from one kernel pass, after its self-check:
+    the two are finite and differ by at most 1e3 * ABS_TOL * unit
+    everywhere. unit is the scale of the quantity: prior_var for a utility,
+    its square root for an action, or an array of scales, one per entry of
+    a result of several quantities. A pair that fails is evaluated again by
+    the same rule at twice the order, quad_nodes doubled on both axes, and
+    that pair decides; if it fails too, QuadratureError names what and the
+    first pair's worst point (its first NaN, if any). Only the evaluators
+    call it (censor.expected_utility and censor.signal_moments_vs_r,
+    inference.expected_action, and the quadrature branch of
+    normal_sampling.closed_form_objective), so every value they return has
+    passed it, and no other code re-evaluates."""
+    for c in (cfg, replace(cfg, quad_nodes=2 * cfg.quad_nodes)):
+        pair = evaluate(c)
+        gap = np.abs(np.subtract(*pair))
+        if np.all(gap <= 1e3 * ABS_TOL * unit):
+            return pair[0]
+        if c is cfg:
+            kronrod, gauss = pair
+            k = int(np.argmax(np.ravel(gap / unit)))  # the first NaN, if any
+    raise QuadratureError(
+        f"{what} failed its self-check: {float(np.ravel(kronrod)[k])!r} under the "
+        f"Kronrod rule vs {float(np.ravel(gauss)[k])!r} under its embedded Gauss "
+        f"rule; raise quad_nodes"
+    )

@@ -12,9 +12,15 @@ from pathlib import Path
 import numpy as np
 from conftest import PAPER_EXAMPLE, record_criterion
 
-from echochamber.censor import expected_action, expected_utility, optimize_radius
-from echochamber.inference import optimal_action, posterior_summaries, prob_high_closed
-from echochamber.mc import mc_expected_utility, mc_high_prob_within_radius, simulate_draws
+from echochamber.censor import expected_utility, optimize_radius
+from echochamber.inference import (
+    action_map,
+    expected_action,
+    optimal_action,
+    posterior_summaries,
+    prob_high_closed,
+)
+from echochamber.mc import mc_high_prob_within_radius, mc_simulated_utility
 from echochamber.model import (
     DEFAULT_NUMERICS,
     DEFAULT_PARAMS,
@@ -245,15 +251,11 @@ def test_criterion_11_monte_carlo_agrees_with_quadrature(oracle: dict) -> None:
     zs = []
     passed = True
     for label, params, policy, soft_v in cases:
-        draws = simulate_draws(params, policy, C.mc_n, C.mc_seed)
         if soft_v is None:
-            from echochamber.inference import action_map
-
-            est = mc_expected_utility(draws, action_map(policy, params, C))
-            ref = expected_utility(policy, params, C)
+            amap, ref = action_map(policy, params, C), expected_utility(policy, params, C)
         else:
-            est = mc_expected_utility(draws, lambda s: naive_action(s, params, policy))
-            ref = closed_form_objective(params, soft_v, C)
+            amap, ref = lambda s: naive_action(s, params, policy), closed_form_objective(params, soft_v, C)
+        est = mc_simulated_utility(params, policy, amap, C.mc_n, C.mc_seed)
         z = (est.value - ref) / est.std_error
         zs.append(f"{label} z = {z:+.2f}")
         passed = passed and abs(z) <= 3.0

@@ -8,7 +8,6 @@ import pytest
 from conftest import PAPER_EXAMPLE
 
 from echochamber.censor import (
-    expected_action,
     expected_utility,
     optimize_radius,
     signal_moments_vs_r,
@@ -16,6 +15,7 @@ from echochamber.censor import (
 )
 from echochamber import censor
 from echochamber.errors import ScanBoundError
+from echochamber.inference import expected_action
 from echochamber.model import (
     ABS_TOL,
     DEFAULT_NUMERICS,

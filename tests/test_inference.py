@@ -8,7 +8,7 @@ import pytest
 from conftest import PAPER_EXAMPLE
 
 from echochamber import inference
-from echochamber.censor import expected_action, expected_utility, signal_law, signal_moments_vs_r
+from echochamber.censor import expected_utility, signal_law, signal_moments_vs_r
 from echochamber.errors import (
     DegenerateRadiusError,
     QuadratureError,
@@ -20,6 +20,7 @@ from echochamber.inference import (
     _policy_pieces,
     _state_terms,
     action_map,
+    expected_action,
     optimal_action,
     posterior_density,
     posterior_summaries,

@@ -20,7 +20,6 @@ from echochamber.inference import action_map, optimal_action, posterior_summarie
 from echochamber.mc import (
     _Stream,
     grid_posterior_oracle,
-    mc_expected_utility,
     mc_high_prob_within_radius,
     mc_signal_variance,
     mc_simulated_utility,
@@ -99,8 +98,8 @@ def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> 
 # The Monte Carlo estimates of verify at the defaults, as (value, standard
 # error) in float.hex. Each check reduces every chunk to its moments (n,
 # sum, M2, M3, M4) in its worker and combines them in chunk order, so the
-# estimates are the same at any worker count and equal those of
-# mc_expected_utility over simulate_draws. Formed so, the prop1 and utility
+# estimates are the same at any worker count; an exact two-pass over
+# simulate_draws' records checks them below. Formed so, the prop1 and utility
 # estimates kept the bits they had as whole-array means over one value per
 # record; exante_total_var's value moved by 1 ulp and its standard error
 # kept its bits (both were 0 ulp from a math.fsum two-pass before; the value
@@ -140,13 +139,6 @@ def test_verify_estimates_are_pinned_at_any_worker_count(monkeypatch, cpus: int)
         sys.setswitchinterval(interval)
 
 
-def test_streamed_utility_equals_the_draw_set_utility() -> None:
-    for policy in (R_UNB, Radius(1.2), NormalWeight(0.0, 2.0)):
-        amap = action_map(policy, P, C)
-        draws = simulate_draws(P, policy, 70_001, seed=3)
-        assert mc_simulated_utility(P, policy, amap, 70_001, 3) == mc_expected_utility(draws, amap)
-
-
 def _fsum_estimate(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of values by a two-pass over exactly rounded
     sums."""
@@ -159,23 +151,26 @@ def test_streamed_estimates_match_an_exact_two_pass() -> None:
     # n = 300000 spans five chunks, the last one partial. Each check's value
     # and standard error, exante_total_var's from its fourth moment too, lie
     # within 4 ulps of a math.fsum two-pass over the per-record values of
-    # the same draw set; prop1's value is the high-quality count over n
+    # the same draw set; prop1's value is the high-quality count over n. The
+    # utility is checked under each policy family: Unbounded, hard windows
+    # and a soft window
     n, seed = 300_000, 11
-    p768, amap = replace(P, low_var=768.0), action_map(Radius(2.35), P, C)
+    p768 = replace(P, low_var=768.0)
     qualities = simulate_draws(p768, Radius(1.0), n, seed).accepted_qualities
-    d = simulate_draws(P, Radius(2.35), n, seed)
     signals = simulate_draws(P, R_UNB, n, seed).accepted_signals
     cases = {
         "prop1": (mc_high_prob_within_radius(p768, 1.0, n, seed), qualities.astype(float)),
-        "mc_eu_radius": (
-            mc_simulated_utility(P, Radius(2.35), amap, n, seed),
-            -((d.accepted_states - amap(d.accepted_signals)) ** 2),
-        ),
         "exante_total_var": (
             mc_signal_variance(P, R_UNB, n, seed),
             (signals - math.fsum(signals) / n) ** 2,
         ),
     }
+    for policy in (Radius(2.35), R_UNB, Radius(1.2), NormalWeight(0.0, 2.0)):
+        amap, d = action_map(policy, P, C), simulate_draws(P, policy, n, seed)
+        cases[f"utility {policy!r}"] = (
+            mc_simulated_utility(P, policy, amap, n, seed),
+            -((d.accepted_states - amap(d.accepted_signals)) ** 2),
+        )
     for name, (est, values) in cases.items():
         assert est.n_effective == n
         for got, want in zip((est.value, est.std_error), _fsum_estimate(values)):
@@ -438,21 +433,18 @@ def test_equal_variances_make_acceptance_type_blind() -> None:
 def test_state_marginal_is_preserved_by_redraw() -> None:
     # holding the action at the prior mean, the loss is the accepted-state
     # second moment; the redraw scheme keeps that marginal at the prior
-    d = simulate_draws(P, Radius(1.0), 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, lambda s: np.full_like(s, P.prior_mean))
+    est = mc_simulated_utility(P, Radius(1.0), lambda s: np.full_like(s, P.prior_mean), 200_000, C.mc_seed)
     assert abs(est.value - (-P.prior_var)) < 3.0 * est.std_error
 
 
 def test_mc_utility_matches_quadrature_windowed() -> None:
-    d = simulate_draws(P, Radius(2.35), 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, action_map(Radius(2.35), P, C))
+    est = mc_simulated_utility(P, Radius(2.35), action_map(Radius(2.35), P, C), 200_000, C.mc_seed)
     quad = expected_utility(Radius(2.35), P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 
 
 def test_mc_utility_matches_quadrature_unbounded() -> None:
-    d = simulate_draws(P, R_UNB, 200_000, seed=C.mc_seed)
-    est = mc_expected_utility(d, action_map(R_UNB, P, C))
+    est = mc_simulated_utility(P, R_UNB, action_map(R_UNB, P, C), 200_000, C.mc_seed)
     quad = expected_utility(R_UNB, P, C)
     assert abs(est.value - quad) < 3.0 * est.std_error
 

@@ -14,6 +14,7 @@ from echochamber.model import (
     DEFAULT_PARAMS,
     ModelParams,
     NormalWeight,
+    NumericsConfig,
     Radius,
     UNBOUNDED,
     _interval_logmass,
@@ -111,6 +112,27 @@ def test_normal_weight_validation() -> None:
         NormalWeight(mean=0.0, var=-1.0)
     with pytest.raises(ValueError):
         NormalWeight(mean=0.0, var=UNBOUNDED)
+
+
+def test_policies_take_numpy_reals_and_store_floats() -> None:
+    for got, want in (
+        (Radius(np.int64(2)).r, 2.0),
+        (Radius(np.float32(0.5)).r, 0.5),
+        (NormalWeight(0.0, np.int64(2)).var, 2.0),
+        (NormalWeight(0.0, np.float32(0.5)).var, 0.5),
+    ):
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("field", ["quad_nodes", "mc_seed", "mc_n"])
+def test_numerics_settings_take_integers_alone(field: str) -> None:
+    # a float or a bool was truncated (mc_seed=1.5 drew with seed 1) or
+    # failed deep inside a quadrature rule (quad_nodes=7.5)
+    for value in (7.5, 7.0, np.float64(7.0), True, "7"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            NumericsConfig(**{field: value})
+    cfg = NumericsConfig(**{field: np.int64(7)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 7
 
 
 def test_mixture_density_value(oracle: dict) -> None:

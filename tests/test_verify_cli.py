@@ -822,6 +822,22 @@ def test_the_package_imports_form_no_cycle() -> None:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+def test_the_kernel_pieces_and_the_self_check_each_have_one_home() -> None:
+    # the kernel's building blocks are named in inference alone, so every
+    # reduction of the joint is the kernel's; the Kronrod-Gauss self-check
+    # is defined once, beside the rules it judges
+    import re
+
+    import echochamber
+
+    sources = {p.stem: p.read_text() for p in Path(echochamber.__file__).parent.glob("*.py")}
+    for piece in ("_state_terms", "_likes", "_linear_mix", "_moments"):
+        named = sorted(m for m, text in sources.items() if re.search(rf"\b{piece}\b", text))
+        assert named == ["inference"], (piece, named)
+    defined = [m for m, text in sources.items() for _ in re.finditer(r"^def _checked\(", text, re.M)]
+    assert defined == ["quadrature"], defined
+
+
 @pytest.mark.parametrize("sigma_h2", ["1e-12", "1e-200"])
 def test_cli_state_rule_too_large_exits_3(capsys, sigma_h2) -> None:
     # the state rule grows as sqrt(prior_var / high_var): at 1e-12 it would
