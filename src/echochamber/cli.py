@@ -142,7 +142,7 @@ def _resolve(args: argparse.Namespace) -> tuple[ModelParams, NumericsConfig]:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(getattr(args, "out", None) or "echochamber_out")
+    out = Path(args.out or "echochamber_out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -29,10 +29,10 @@ the records it does not admit are redrawn, by index, through the later
 rounds' arrays. The worker hands each finished chunk to a per-chunk
 function in its own thread. simulate_draws copies the records out into a
 draw set of three ordinary arrays, 17 B per record. The Monte Carlo checks
-keep nothing per record: each chunk's statistic is reduced to its moments
-in place, through the chunk's own arrays, and the chunks' moments are
-combined in chunk order (_combine), so an estimate is the same at any
-number of workers.
+keep nothing per record: each is the mean of one per-record statistic
+(_streamed_mean), which each chunk writes over its own arrays and reduces
+in place to (n, sum, M2), and the chunks' sums are combined in chunk order
+(_combine), so an estimate is the same at any number of workers.
 
 In the tail, when at most 64 records are pending, a chunk reads k rounds at
 once as if none admits a record, keeps the rounds through the first that
@@ -324,43 +324,23 @@ def simulate_draws(
     )
 
 
-def _central_sums(values, dev, sq) -> tuple:
-    """(n, sum, M2, M3, M4) of one chunk's values, M_p the sum of the p-th
-    powers of their deviations from their mean, written through two float
-    arrays of their size that the caller no longer needs: dev, which may be
-    the values, and sq."""
+def _central_sums(values, dev) -> tuple:
+    """(n, sum, M2) of one chunk's values, M2 the sum of their squared
+    deviations from their mean, written through dev, a float array of their
+    size that the caller no longer needs and which may be the values."""
     total = float(values.sum())
     np.subtract(values, total / len(values), out=dev)
-    np.square(dev, out=sq)
-    dev *= sq
-    m2 = float(sq.sum())
-    sq *= sq
-    return len(values), total, m2, float(dev.sum()), float(sq.sum())
+    np.square(dev, out=dev)
+    return len(values), total, float(dev.sum())
 
 
 def _combine(a, b) -> tuple:
-    """The moments of two runs of records, by the pairwise update of Chan,
-    Golub & LeVeque (1979), to every order as in Pebay (SAND2008-6212):
-    about the combined mean, a run whose own mean lies d from it has M_p =
-    sum_k C(p, k) d^k M_{p-k}, with M_0 = n and M_1 = 0. A run keeps its
-    sum, not its mean, as Chan et al. do, so a count stays exact."""
-    n, total, m = a[0] + b[0], a[1] + b[1], [0.0, 0.0, 0.0]
-    for nx, tx, *mx in (a, b):
-        d, mx = tx / nx - total / n, (nx, 0.0, *mx)
-        for p in (2, 3, 4):
-            m[p - 2] += sum(math.comb(p, k) * d**k * mx[p - k] for k in range(p + 1))
-    return n, total, *m
-
-
-def _streamed_moments(params: ModelParams, policy: SamplingPolicy, n: int, seed: int, chunk_moments) -> tuple:
-    """The moments of each record's statistic over the n records that
-    simulate_draws would draw, chunk_moments(states, qualities, signals)
-    reducing a chunk's with _central_sums through the chunk's own float arrays.
-    Each chunk is reduced in its worker's thread and the chunks' moments are
-    combined in chunk order: nothing is kept per record, and the result is
-    the same at any number of workers."""
-    _check_request(policy, n)
-    return reduce(_combine, _run_chunks(params, policy, n, seed, lambda part, *chunk: chunk_moments(*chunk))[1])
+    """(n, sum, M2) of two runs of records, by the pairwise update of Chan,
+    Golub & LeVeque (1979): about the combined mean, a run whose own mean
+    lies d from it has M2 = m2 + d^2 n. A run keeps its sum, not its mean,
+    as Chan et al. do, so a count stays exact."""
+    n, total = a[0] + b[0], a[1] + b[1]
+    return n, total, sum(m2 + (tx / nx - total / n) ** 2 * nx for nx, tx, m2 in (a, b))
 
 
 @dataclass(frozen=True)
@@ -372,11 +352,21 @@ class McEstimate:
     n_effective: int
 
 
-def _estimate(moments) -> McEstimate:
-    """Mean and standard error of n values from their moments (n, sum,
-    M2): the sum over n, and sqrt(M2 / (n - 1)) / sqrt(n), or, for a
-    sample without spread, the conservative floor 1/n."""
-    n, total, m2 = moments[:3]
+def _streamed_mean(params: ModelParams, policy: SamplingPolicy, n: int, seed: int, statistic) -> McEstimate:
+    """Mean of one statistic per record over the n records that
+    simulate_draws would draw, with its standard error sqrt(M2 / (n - 1)) /
+    sqrt(n), or, for a sample without spread, the conservative floor 1/n.
+    statistic(states, qualities, signals) returns a chunk's values, written
+    over the chunk's own arrays; each chunk is reduced to (n, sum, M2)
+    through its states in its worker, and the chunks are combined in chunk
+    order: nothing is kept per record, and the estimate is the same at any
+    number of workers."""
+    _check_request(policy, n)
+
+    def reduce_chunk(part: slice, states, qualities, signals) -> tuple:
+        return _central_sums(statistic(states, qualities, signals), states)
+
+    n, total, m2 = reduce(_combine, _run_chunks(params, policy, n, seed, reduce_chunk)[1])
     se = math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
     return McEstimate(total / n, se or 1.0 / n, n)
 
@@ -389,14 +379,13 @@ def mc_simulated_utility(
     keeping them: action_map, which must accept a signal array, and each
     chunk's reduction run in the simulation's worker threads."""
 
-    def loss_sums(states, qualities, signals) -> tuple:
-        # each record's loss -(state - action(signal))^2 written over the
-        # states, its squared deviation over the signals
+    def negated_loss(states, qualities, signals):
+        # each record's -(state - action(signal))^2, written over the states
         loss = np.subtract(states, action_map(signals), out=states)
         loss *= loss
-        return _central_sums(np.negative(loss, out=loss), loss, signals)
+        return np.negative(loss, out=loss)
 
-    return _estimate(_streamed_moments(params, policy, n, seed, loss_sums))
+    return _streamed_mean(params, policy, n, seed, negated_loss)
 
 
 def mc_high_prob_within_radius(
@@ -405,24 +394,20 @@ def mc_high_prob_within_radius(
     """Fraction of accepted draws that came from a high-quality source
     under the hard window of radius r: the count of high-quality records
     over n, as a mean over their codes 0 and 1 gives it."""
-    # each chunk's quality codes, 1 and 0, reduced as the floats 1.0 and
-    # 0.0 through its states and signals
-    return _estimate(
-        _streamed_moments(
-            params, Radius(r), n, seed, lambda states, qualities, signals: _central_sums(qualities, states, signals)
-        )
-    )
+    return _streamed_mean(params, Radius(r), n, seed, lambda states, qualities, signals: qualities)
 
 
 def mc_signal_variance(
     params: ModelParams, policy: SamplingPolicy, n: int, seed: int
 ) -> McEstimate:
-    """Variance (divisor n) of the accepted signals, as the mean of their
-    squared deviations from the sample mean, M2 / n, with its standard
-    error: the squared deviations' own M2 is M4 - M2^2 / n."""
-    # each chunk's signals reduced in place, through its states
-    n, _, m2, _, m4 = _streamed_moments(
-        params, policy, n, seed, lambda states, qualities, signals: _central_sums(signals, signals, states)
-    )
-    # the update of M4 may round a spreadless sample's M4 - M2^2 / n below 0
-    return _estimate((n, m2, max(m4 - m2 * m2 / n, 0.0)))
+    """Variance of the accepted signals about the prior mean: the mean of
+    their squared deviations (s - prior_mean)^2, written over the signals,
+    with its standard error. Under an even policy (model.is_even) the
+    signals' mean is the prior mean, so this is the unbiased estimator of
+    their variance; signals off centre raise it."""
+
+    def squared_deviation(states, qualities, signals):
+        dev = np.subtract(signals, params.prior_mean, out=signals)
+        return np.square(dev, out=dev)
+
+    return _streamed_mean(params, policy, n, seed, squared_deviation)

@@ -64,6 +64,11 @@ INVARIANT_TOL = 1e-6  # slack for identities, ties and surpluses in results
 REFERENCE_RADIUS = 2.35  # the window, in prior sds, that figures and checks set beside Unbounded
 
 
+def _is_real(value: object) -> bool:
+    # a bool is an int, so True would pass for 1
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive_finite(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
@@ -84,6 +89,9 @@ class ModelParams:
     high_share: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("prior_mean", "prior_var", "high_var", "low_var", "high_share"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not math.isfinite(self.prior_mean):
             raise ValueError(f"prior_mean must be finite, got {self.prior_mean!r}")
         _check_positive_finite("prior_var", self.prior_var)
@@ -117,7 +125,7 @@ class Radius:
     def __post_init__(self) -> None:
         if is_unbounded(self.r):
             return
-        if not (isinstance(self.r, numbers.Real) and math.isfinite(self.r) and self.r >= 0.0):
+        if not (_is_real(self.r) and math.isfinite(self.r) and self.r >= 0.0):
             raise ValueError(
                 f"radius must be a finite nonnegative real or UNBOUNDED, got {self.r!r}"
             )
@@ -139,10 +147,11 @@ class NormalWeight:
     var: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"weight mean must be finite, got {self.mean!r}")
-        if not (isinstance(self.var, numbers.Real) and math.isfinite(self.var) and self.var > 0.0):
+        if not (_is_real(self.mean) and math.isfinite(self.mean)):
+            raise ValueError(f"weight mean must be a finite real, got {self.mean!r}")
+        if not (_is_real(self.var) and math.isfinite(self.var) and self.var > 0.0):
             raise ValueError(f"weight var must be strictly positive and finite, got {self.var!r}")
+        object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "var", float(self.var))
 
 

@@ -260,8 +260,9 @@ def check_hvanish(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
 
 
 def check_exante_total_var(params: ModelParams, cfg: NumericsConfig) -> CheckResult:
-    # a variance statistic has a kurtosis-heavy sampling law; quadruple the
-    # draw count so the 3-SE band is tight relative to it
+    # the mean of (s - prior_mean)^2: the signal variance, as the sources
+    # are unbiased, and raised by any bias in the signals. Its sampling law
+    # is kurtosis-heavy; quadruple the draw count to tighten the 3-SE band
     est = mc_signal_variance(params, Radius(UNBOUNDED), 4 * cfg.mc_n, cfg.mc_seed)
     target = params.prior_var + params.high_share * params.high_var + (
         1.0 - params.high_share

@@ -96,23 +96,25 @@ def test_draw_sets_do_not_depend_on_the_worker_count(monkeypatch, cpus: int) -> 
 
 
 # The Monte Carlo estimates of verify at the defaults, as (value, standard
-# error) in float.hex. Each check reduces every chunk to its moments (n,
-# sum, M2, M3, M4) in its worker and combines them in chunk order, so the
-# estimates are the same at any worker count; an exact two-pass over
-# simulate_draws' records checks them below. Formed so, the prop1 and utility
-# estimates kept the bits they had as whole-array means over one value per
-# record; exante_total_var's value moved by 1 ulp and its standard error
-# kept its bits (both were 0 ulp from a math.fsum two-pass before; the value
-# is 1 ulp from it now). eu-unbounded was recorded again when the action map
-# became one polynomial per signal-rule panel: its value moved by 1 ulp and
-# its standard error by 13.
+# error) in float.hex. Each check is the mean of one per-record statistic:
+# every chunk is reduced to (n, sum, M2) in its worker and the chunks are
+# combined in chunk order, so the estimates are the same at any worker
+# count; an exact two-pass over simulate_draws' records checks them below.
+# Formed so, the prop1 and utility estimates kept the bits they had as
+# whole-array means over one value per record. eu-unbounded was recorded
+# again when the action map became one polynomial per signal-rule panel:
+# its value moved by 1 ulp and its standard error by 13. exante_total_var
+# was recorded again when it became the mean of (s - prior_mean)^2 in place
+# of the sample variance about the signals' own mean: both entries moved,
+# from (0x1.5f7bdad936366p+1, 0x1.23c4e99cccb30p-9), since the statistic is
+# a different one.
 _PINNED_ESTIMATES = {
     "prop1-low_var3": ("0x1.21ac9afe1da7bp-1", "0x1.03ddc7793bd44p-11"),
     "prop1-low_var48": ("0x1.95143bf727137p-1", "0x1.aa37bb2042b96p-12"),
     "prop1-low_var768": ("0x1.d865d7cb2d906p-1", "0x1.181ea4100c53bp-12"),
     "eu-unbounded": ("-0x1.3cf895dd3753bp-1", "0x1.ede65be4e4a06p-11"),
     "eu-r2.35": ("-0x1.518da202519afp-1", "0x1.16922dccf7afdp-10"),
-    "exante_total_var": ("0x1.5f7bdad936366p+1", "0x1.23c4e99cccb30p-9"),
+    "exante_total_var": ("0x1.5f7bdc5edc60dp+1", "0x1.23c4e94219cdbp-9"),
 }
 
 
@@ -149,11 +151,10 @@ def _fsum_estimate(values: np.ndarray) -> tuple[float, float]:
 
 def test_streamed_estimates_match_an_exact_two_pass() -> None:
     # n = 300000 spans five chunks, the last one partial. Each check's value
-    # and standard error, exante_total_var's from its fourth moment too, lie
-    # within 4 ulps of a math.fsum two-pass over the per-record values of
-    # the same draw set; prop1's value is the high-quality count over n. The
-    # utility is checked under each policy family: Unbounded, hard windows
-    # and a soft window
+    # and standard error lie within 4 ulps of a math.fsum two-pass over the
+    # per-record values of the same draw set; prop1's value is the
+    # high-quality count over n. The utility is checked under each policy
+    # family: Unbounded, hard windows and a soft window
     n, seed = 300_000, 11
     p768 = replace(P, low_var=768.0)
     qualities = simulate_draws(p768, Radius(1.0), n, seed).accepted_qualities
@@ -162,7 +163,7 @@ def test_streamed_estimates_match_an_exact_two_pass() -> None:
         "prop1": (mc_high_prob_within_radius(p768, 1.0, n, seed), qualities.astype(float)),
         "exante_total_var": (
             mc_signal_variance(P, R_UNB, n, seed),
-            (signals - math.fsum(signals) / n) ** 2,
+            (signals - P.prior_mean) ** 2,
         ),
     }
     for policy in (Radius(2.35), R_UNB, Radius(1.2), NormalWeight(0.0, 2.0)):
@@ -189,7 +190,10 @@ def test_one_record_takes_the_floor_error() -> None:
             mc_simulated_utility(P, Radius(2.35), amap, 1, 3),
             -float((d.accepted_states[0] - amap(d.accepted_signals[0])) ** 2),
         ),
-        "exante_total_var": (mc_signal_variance(P, Radius(2.35), 1, 3), 0.0),
+        "exante_total_var": (
+            mc_signal_variance(P, Radius(2.35), 1, 3),
+            float((d.accepted_signals[0] - P.prior_mean) ** 2),
+        ),
     }
     for name, (est, value) in cases.items():
         assert (est.value, est.std_error, est.n_effective) == (value, 1.0, 1), name

@@ -120,8 +120,32 @@ def test_policies_take_numpy_reals_and_store_floats() -> None:
         (Radius(np.float32(0.5)).r, 0.5),
         (NormalWeight(0.0, np.int64(2)).var, 2.0),
         (NormalWeight(0.0, np.float32(0.5)).var, 0.5),
+        (NormalWeight(np.int64(1), 2.0).mean, 1.0),
+        (NormalWeight(np.float32(0.5), 2.0).mean, 0.5),
     ):
         assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: ModelParams(prior_mean=v), "prior_mean"),
+        (lambda v: ModelParams(prior_var=v), "prior_var"),
+        (lambda v: ModelParams(high_var=v), "high_var"),
+        (lambda v: ModelParams(low_var=v), "low_var"),
+        (lambda v: ModelParams(high_share=v), "high_share"),
+        (lambda v: Radius(v), "radius"),
+        (lambda v: NormalWeight(v, 1.0), "weight mean"),
+        (lambda v: NormalWeight(0.0, v), "weight var"),
+    ],
+)
+def test_model_inputs_refuse_booleans(make, field: str) -> None:
+    # a bool is an int: Radius(True) was Radius(r=1.0), and ModelParams
+    # stored True in its fields
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=field):
+            make(value)
+    make(1.0)
 
 
 @pytest.mark.parametrize("field", ["quad_nodes", "mc_seed", "mc_n"])

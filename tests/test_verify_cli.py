@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from echochamber import mc
 from echochamber.cli import main
 from echochamber.model import ABS_TOL, DEFAULT_NUMERICS, DEFAULT_PARAMS
 from echochamber.verify import ALL_CHECKS, format_report, run_checks
@@ -434,7 +435,22 @@ def test_exante_total_var_measured_line_is_pinned() -> None:
     # the standard error is computed in place; it must not move a digit
     (result,) = run_checks(P, C, ["exante_total_var"])
     assert result.passed
-    assert result.measured == "sample var 2.7460 vs total-variance value 2.7500, z 1.81164"
+    assert result.measured == "sample var 2.7460 vs total-variance value 2.7500, z 1.81156"
+
+
+def test_exante_total_var_fails_a_biased_simulator(monkeypatch) -> None:
+    # every signal shifted by half a prior sd leaves the signals' own spread
+    # as it was; the check must see the shift, as its variance is taken
+    # about the prior mean
+    draw_attempts = mc._draw_attempts
+
+    def biased(u, params, flags, s, tmp) -> None:
+        draw_attempts(u, params, flags, s, tmp)
+        s += 0.5
+
+    monkeypatch.setattr(mc, "_draw_attempts", biased)
+    (result,) = run_checks(P, replace(C, mc_n=50_000), ["exante_total_var"])
+    assert not result.passed, result.measured
 
 
 def test_exante_total_var_prints_five_significant_digits_at_any_scale() -> None:
